@@ -322,31 +322,29 @@ class DistanceMetric:
     def is_euclidean(self) -> bool:
         return self.variant == "euclidean"
 
-    def _check_dim(self, d: int) -> None:
-        if self.weights is not None and len(self.weights) != d:
-            raise ValueError(
-                f"metric has {len(self.weights)} weights but data has {d} features"
-            )
-
     def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """Rows of ``x`` scaled so that this metric is plain euclidean on them.
+
+        Raises ``ValueError`` if the weights and the feature dimension differ.
+        """
         # sqrt(sum(w * dx**2)) == plain euclidean on coordinates scaled by sqrt(w)
+        x = np.asarray(x, dtype=np.float64)
         if self.weights is None:
             return x
+        if len(self.weights) != x.shape[-1]:
+            raise ValueError(
+                f"metric has {len(self.weights)} weights but data has {x.shape[-1]} features"
+            )
         return x * np.sqrt(np.asarray(self.weights))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        self._check_dim(a.shape[-1])
-        diff = self._scaled(a) - self._scaled(b)
-        return float(np.sqrt((diff * diff).sum()))
+        rows = self._scaled(np.stack(np.atleast_1d(a, b)))
+        return float(row_distances(rows, 0, 1))
 
     def pairwise_condensed(self, x: np.ndarray) -> np.ndarray:
         """Condensed distance vector over the rows of ``x`` (scipy pdist order)."""
-        from scipy.spatial.distance import pdist
-
-        self._check_dim(x.shape[1])
-        return pdist(self._scaled(x), metric="euclidean")
+        ii, jj = np.triu_indices(x.shape[0], k=1)
+        return row_distances(self._scaled(x), ii, jj)
 
     def pairwise_matrix(self, x: np.ndarray) -> np.ndarray:
         from scipy.spatial.distance import squareform
@@ -357,3 +355,20 @@ class DistanceMetric:
         if self.weights is not None:
             return "weighted_euclidean(" + ",".join(f"{w:g}" for w in self.weights) + ")"
         return self.variant
+
+
+def row_distances(x: np.ndarray, ii, jj) -> np.ndarray:
+    """Euclidean distances between rows ``x[ii]`` and ``x[jj]``.
+
+    Squared differences are summed one column at a time, left to right. That
+    is the order scipy's ``pdist`` uses, so the two agree bit for bit, while
+    numpy's pairwise ``sum(axis=1)`` differs in the last bit from 8 columns
+    on. Every distance the package reports comes from here, so
+    :meth:`DistanceMetric.distance`, the pairwise helpers and the matcher
+    return the same float for the same two records.
+    """
+    total = np.zeros(np.shape(ii))
+    for col in x.T:
+        diff = col[ii] - col[jj]
+        total += diff * diff
+    return np.sqrt(total)

@@ -1,17 +1,22 @@
 """Greedy nearest-pair matching and an exhaustive minimax-matching oracle.
 
 The greedy matcher repeatedly removes the globally closest remaining pair of
-records. The oracle enumerates every disjoint pairing of a small instance and
-returns the best achievable maximum pair distance, which upper-bounds the
-greedy matcher's worst pair at twice the matching size (a guarantee the test
-suite checks on random instances).
+records, ties going to the lexicographically smallest index pair. It finds
+that matching exactly without the n(n-1)/2 pair table: one sort pairs up
+equal rows, then rounds of KD-tree radius queries over the records still
+free return every pair below a radius, which is all the greedy scan needs
+below it (see :func:`greedy_match`). Time and memory grow with n and the candidates per
+round, not with n squared. The oracle enumerates every disjoint pairing of a
+small instance and returns the best achievable maximum pair distance, which
+upper-bounds the greedy matcher's worst pair at twice the matching size (a
+guarantee the test suite checks on random instances).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DistanceMetric, ExpertTestError
+from .core import Dataset, DistanceMetric, ExpertTestError, row_distances
 
 __all__ = [
     "TooManyPairs",
@@ -26,7 +31,8 @@ __all__ = [
 # exhaustive enumeration cap for the oracle
 _MAX_ORACLE_N = 14
 
-_SCAN_CHUNK = 1 << 16
+# free records at or below which one dense scan finishes the matching
+_DENSE_TAIL = 64
 
 
 class TooManyPairs(ExpertTestError):
@@ -117,40 +123,111 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     ``(i, j)`` index pair. With odd ``n`` the leftover record is simply never
     selected.
 
+    The result is the literal greedy matching -- same pairs, order and
+    float distances as sorting all n(n-1)/2 pairs -- found without forming
+    that table. Distance-0 pairs come first, and for all but vanishingly
+    small coordinates they are the pairs of equal rows, which one sort
+    groups. The rest is found in rounds. Each round builds a KD tree on the
+    records still free and collects the pairs within a radius ``r``: the
+    ``need``-th smallest nearest-neighbour distance among them, where
+    ``need`` is the number of pairs still missing, doubled after a round that
+    adds no pair. The candidates are scanned in ``(distance, i, j)`` order
+    and a pair is accepted while its distance is at most ``r * (1 - 1e-9)``.
+    Up to that limit every free pair is a candidate, so each accepted pair is
+    the global greedy choice at its step. Greedy on the records still free
+    continues greedy on all records, so the next round starts over on them;
+    once at most 64 records are free, one dense scan over their pairs
+    finishes.
+
+    Typical inputs need a handful of rounds, each O(m log m + c log c) time
+    and O(m + c) memory for m free records and c candidates, where c is
+    usually of the order of ``need``. Distances come from the same
+    column-by-column kernel as :meth:`DistanceMetric.distance`.
+
     Raises
     ------
     TooManyPairs
         If ``L`` exceeds floor(n/2).
+    ValueError
+        If ``L < 1``, if the metric's weights do not match the feature
+        dimension, or if weighting makes a feature NaN or infinite.
     """
+    from scipy.spatial import cKDTree
+
     n = d.n
     if L < 1:
         raise ValueError("L must be at least 1")
     if L > n // 2:
         raise TooManyPairs(f"L={L} exceeds floor(n/2)={n // 2}")
 
-    dist = metric.pairwise_condensed(d.x)
-    ii, jj = np.triu_indices(n, k=1)
-    # process pairs in (distance, i, j) order; the first pair with both
-    # endpoints unused is exactly the greedy argmin at that step
-    order = np.lexsort((jj, ii, dist))
-
+    x = metric._scaled(d.x)
+    # NaN or infinite coordinates would stall the rounds below
+    if not np.isfinite(x).all():
+        raise ValueError("metric-scaled features must be finite; check the metric weights")
     free = np.ones(n, dtype=bool)
-    pairs: list[tuple[int, int]] = []
-    dists: list[float] = []
-    for start in range(0, order.size, _SCAN_CHUNK):
-        block = order[start : start + _SCAN_CHUNK]
-        bi = ii[block].tolist()
-        bj = jj[block].tolist()
-        bd = dist[block].tolist()
-        for i, j, t in zip(bi, bj, bd):
+    zero = _identical_pairs(x)[:L]
+    free[zero.ravel()] = False
+    pairs = [(i, j) for i, j in zero.tolist()]
+    dists = [0.0] * len(pairs)
+    grow = 1.0
+    while len(pairs) < L:
+        idx = np.flatnonzero(free)
+        found = len(pairs)
+        if idx.size <= _DENSE_TAIL:
+            ii, jj = np.triu_indices(idx.size, k=1)
+            limit = np.inf
+        else:
+            sub = x[idx]
+            tree = cKDTree(sub)
+            nearest = tree.query(sub, k=2)[0][:, 1]
+            need = L - found
+            r = np.partition(nearest, need - 1)[need - 1] * grow
+            ii, jj = tree.query_pairs(r, output_type="ndarray").T
+            # the tree's own distance arithmetic may differ from the kernel's
+            # in the last bits; the margin keeps every accepted pair well inside
+            # r, and r == 0 still admits the exact zeros it collected
+            limit = r * (1 - 1e-9)
+        ii, jj = idx[ii], idx[jj]
+        dist = row_distances(x, ii, jj)
+        # (distance, i, j) order: the first candidate with both endpoints free
+        # is the greedy argmin at that step, as long as it lies within the limit
+        order = np.lexsort((jj, ii, dist))
+        order = order[: np.searchsorted(dist[order], limit, side="right")]
+        for i, j, t in zip(ii[order].tolist(), jj[order].tolist(), dist[order].tolist()):
             if free[i] and free[j]:
                 free[i] = False
                 free[j] = False
                 pairs.append((i, j))
                 dists.append(t)
                 if len(pairs) == L:
-                    return Matching.from_pairs(pairs, dists)
-    raise AssertionError("unreachable: L <= floor(n/2) guarantees enough pairs")
+                    break
+        grow = 1.0 if len(pairs) > found else 2 * grow
+    return Matching.from_pairs(pairs, dists)
+
+
+def _identical_pairs(x: np.ndarray) -> np.ndarray:
+    """The distance-0 pairs greedy takes first, as a (k, 2) index array.
+
+    Within each group of equal rows, members are paired in index order
+    (first with second, third with fourth, ...), and the pairs are sorted by
+    their first index: exactly the order of a ``(0, i, j)`` scan. Equal rows
+    are the distance-0 pairs only if no two distinct rows are at distance 0:
+    coordinates below 2**-400 in magnitude can differ by so little that the
+    difference squares to 0, so for such data no pairs are returned and the
+    radius-0 rounds of :func:`greedy_match` find them instead. Grouping here
+    costs O(n log n) where radius 0 yields g(g-1)/2 candidates per group.
+    """
+    if ((x != 0) & (np.abs(x) < 2.0**-400)).any():
+        return np.empty((0, 2), dtype=np.intp)
+    order = np.lexsort(x.T)  # stable, so equal rows stay in index order
+    rows = x[order]
+    starts = np.ones(len(x), dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    pos = np.arange(len(x))
+    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    first = np.flatnonzero((rank[:-1] % 2 == 0) & ~starts[1:])
+    found = np.column_stack((order[first], order[first + 1]))
+    return found[np.argsort(found[:, 0])]
 
 
 def brute_force_optimal_matching(d: Dataset, L: int, metric: DistanceMetric) -> float:

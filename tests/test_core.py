@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from experttest.core import (
     Dataset,
@@ -145,15 +146,22 @@ class TestDistanceMetric:
             metric.distance(np.zeros(3), np.ones(3))
 
     def test_pairwise_matches_distance(self):
+        # exact, also at d >= 8 where numpy's pairwise summation would differ
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 3))
-        metric = DistanceMetric.weighted_euclidean([0.5, 2.0, 1.0])
-        condensed = metric.pairwise_condensed(x)
-        k = 0
-        for i in range(6):
-            for j in range(i + 1, 6):
-                assert condensed[k] == pytest.approx(metric.distance(x[i], x[j]))
-                k += 1
+        for weights in ([0.5, 2.0, 1.0], [0.5, 2.0, 1.0, 0.0, 3.0, 1.5, 0.25, 1.0, 2.0, 0.75]):
+            x = rng.normal(size=(6, len(weights)))
+            metric = DistanceMetric.weighted_euclidean(weights)
+            condensed = metric.pairwise_condensed(x)
+            k = 0
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    assert condensed[k] == metric.distance(x[i], x[j])
+                    k += 1
+
+    @pytest.mark.parametrize("dim", [1, 8, 12, 32])
+    def test_pairwise_equals_scipy_pdist(self, dim):
+        x = np.random.default_rng(dim).normal(size=(120, dim))
+        assert np.array_equal(DistanceMetric.euclidean().pairwise_condensed(x), pdist(x))
 
 
 class TestSeededRng:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _oracles import dense_greedy_match
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from experttest.core import Dataset, DistanceMetric, derive_seed
@@ -12,6 +13,7 @@ from experttest.matching import (
     greedy_match,
     pair_distance_summary,
 )
+from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs
 
 L2 = DistanceMetric.euclidean()
 
@@ -91,6 +93,69 @@ class TestGreedyMatch:
         big = greedy_match(d, n // 2, L2)
         L = int(rng.integers(1, n // 2 + 1))
         assert big.prefix(L) == greedy_match(d, L, L2)
+
+    def test_weight_dimension_checked(self):
+        metric = DistanceMetric.weighted_euclidean([1.0, 2.0])
+        with pytest.raises(ValueError):
+            greedy_match(points(np.zeros((6, 3))), 2, metric)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 1e300])
+    def test_non_finite_scaled_features_rejected(self, weight):
+        metric = DistanceMetric.weighted_euclidean([weight, 1.0])
+        d = points(np.full((100, 2), 1e200))
+        with pytest.raises(ValueError):
+            greedy_match(d, 10, metric)
+
+    @given(
+        kind=st.sampled_from(
+            ["uniform", "one_decimal", "lattice", "pooled", "tiny", "expertise", "zero_weights"]
+        ),
+        n=st.integers(2, 300),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.floats(0.0, 1.0),
+    )
+    @example(kind="pooled", n=300, dim=8, seed=0, depth=1.0)
+    @example(kind="lattice", n=299, dim=2, seed=1, depth=1.0)
+    @example(kind="uniform", n=300, dim=12, seed=2, depth=1.0)
+    @example(kind="tiny", n=300, dim=1, seed=3, depth=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dense_greedy(self, kind, n, dim, seed, depth):
+        # the KD rounds must give exactly the dense matcher's pairs, order and
+        # float distances, on inputs full of ties, duplicates and zero radii
+        rng = np.random.default_rng(seed)
+        metric = L2
+        if kind == "uniform":
+            x = rng.random((n, dim))
+        elif kind == "one_decimal":
+            x = np.round(rng.normal(size=(n, dim)), 1)
+        elif kind == "lattice":
+            x = rng.integers(0, 4, (n, dim)).astype(float)
+        elif kind == "pooled":
+            # few distinct rows: most records have duplicates, so the first
+            # radius is 0 and the lexicographic tie-break decides most pairs
+            pool = rng.random((max(1, n // 8), dim))
+            x = pool[rng.integers(0, len(pool), n)]
+        elif kind == "tiny":
+            # distinct coordinates whose differences can square to 0: distance
+            # 0 no longer means equal rows
+            x = rng.integers(0, 3, (n, dim)) * rng.choice([1e-170, 1e-162, 1e-150])
+        elif kind == "expertise":
+            n += n % 2
+            x = gen_expertise_pairs(ExpertiseConfig(n, 0.0, seed)).x
+        else:
+            # negative coordinates times a zero weight give -0.0, equal to 0.0
+            x = rng.integers(-1, 2, (n, dim)).astype(float)
+            weights = rng.choice([0.0, 0.5, 1.0, 2.0], dim)
+            weights[rng.integers(dim)] = 0.0
+            metric = DistanceMetric.weighted_euclidean(weights)
+        L = max(1, int(depth * (n // 2)))
+        d = points(x)
+        got = greedy_match(d, L, metric)
+        want = dense_greedy_match(d, L, metric)
+        assert got.pairs == want.pairs
+        assert got.distances == want.distances
 
 
 class TestBruteForceOracle:
