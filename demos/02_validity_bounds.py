@@ -41,5 +41,5 @@ m = greedy_match(data, 100, metric)
 print("pair distance distribution at L=100:", pair_distance_summary(m))
 
 # the coupling bound behind the theorem, on its own
-devs = [abs(1 / (1 + (1 + C * t) ** 2) - 0.5) for t in m.distances]
+devs = np.abs(1 / (1 + (1 + C * m.distances) ** 2) - 0.5)
 print(f"tv_coin_bound over the 100 pairs: {tv_coin_bound(devs):.4f}")

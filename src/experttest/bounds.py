@@ -96,11 +96,10 @@ def epsilon_star(d: Dataset, m: Matching, src: OddsRatioSource) -> float:
     Identical pairs (distance 0) contribute 0 either way.
     """
     if isinstance(src, Smoothness):
-        if not m.distances:
-            return 0.0
-        return max(_interval_deviation(src.C, t) for t in m.distances)
+        # the deviation grows with distance, so the last (largest) pair is the worst
+        return _interval_deviation(src.C, m.max_distance)
 
-    pi, pj = m.index_arrays()
+    pi, pj = m.pairs.T
     worst = 0.0
     for a, b in zip(pi, pj):
         xa, xb = d.x[a], d.x[b]
@@ -152,7 +151,11 @@ def adjusted_threshold(alpha: float, C: float, m: Matching, L: int, K: int) -> f
     """
     if C < 0:
         raise ValueError("smoothness constant must be nonnegative")
-    eps = _interval_deviation(C, m.max_distance)
+    return _corrected_level(alpha, _interval_deviation(C, m.max_distance), L, K)
+
+
+def _corrected_level(alpha: float, eps: float, L: int, K: int) -> float:
+    """``alpha`` less both excess type-I terms of Theorem 1, clipped at 0."""
     return max(0.0, alpha - (1.0 - (1.0 - eps) ** L) - 1.0 / (K + 1))
 
 
@@ -177,10 +180,9 @@ def validity_bound(
     """Convenience bundle: epsilon-star plus every derived bound for this matching."""
     eps = epsilon_star(d, m, src)
     theorem1, union = type1_bound(alpha, eps, len(m), K)
-    adjusted = max(0.0, alpha - (1.0 - (1.0 - eps) ** len(m)) - 1.0 / (K + 1))
     return ValidityBound(
         epsilon_star=eps,
         theorem1_bound=theorem1,
         union_bound=union,
-        adjusted_threshold=adjusted,
+        adjusted_threshold=_corrected_level(alpha, eps, len(m), K),
     )

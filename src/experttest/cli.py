@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,10 +56,10 @@ class MissingColumn(ExpertTestError):
 
 
 class NonNumericCell(ExpertTestError):
-    """A selected cell is blank or not parseable as a number (no imputation)."""
+    """A selected cell is blank, not a number, NaN or infinite (no imputation)."""
 
     def __init__(self, row: int, column: str) -> None:
-        super().__init__(f"row {row}, column {column!r}: blank or non-numeric cell")
+        super().__init__(f"row {row}, column {column!r}: blank, non-numeric or non-finite cell")
         self.row = row
         self.column = column
 
@@ -106,9 +107,12 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
             def cell(name: str) -> float:
                 idx = col_index[name]
                 try:
-                    return float(row[idx])
+                    value = float(row[idx])
                 except (ValueError, IndexError):
                     raise NonNumericCell(row_no, name) from None
+                if not math.isfinite(value):
+                    raise NonNumericCell(row_no, name)
+                return value
 
             xs.append([cell(name) for name in spec.feature_columns])
             ys.append(cell(spec.outcome_column))

@@ -2,8 +2,8 @@
 
 Everything here is an immutable value object; instances are safe to share
 across concurrent workers. Randomness throughout the package flows through
-:func:`stream` / :class:`SeededRng`, so any two runs with the same master
-seed produce bit-identical results.
+:func:`stream`, so any two runs with the same master seed produce
+bit-identical results.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ __all__ = [
     "Dataset",
     "LossSpec",
     "DistanceMetric",
-    "SeededRng",
     "stream",
     "derive_seed",
     "dataset_loss",
@@ -44,9 +43,11 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for sub-stream ``path`` of ``master_seed``.
 
     Equal ``(master_seed, path)`` always yield identical draw sequences;
-    distinct paths yield statistically independent streams. This is the
-    single entry point for randomness in the package, which makes results
-    reproducible under any execution order of independent work items.
+    distinct paths yield statistically independent streams; path entries
+    must be nonnegative. This is the single entry point for randomness in the
+    package, which makes results reproducible under any execution order of
+    independent work items. The engine reserves first path entries >= 2**32
+    for its resampling streams, so other code should stick to small ones.
     """
     seq = np.random.SeedSequence(master_seed & _U64, spawn_key=path)
     return np.random.default_rng(seq)
@@ -56,26 +57,6 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """Collapse a sub-stream identity into a fresh 64-bit master seed."""
     seq = np.random.SeedSequence(master_seed & _U64, spawn_key=path)
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class SeededRng:
-    """Identity of one reproducible random stream.
-
-    ``stream_id`` selects one of 2**64 independent streams derived from the
-    master seed; the package reserves ids >= 2**32 for internal resampling
-    streams, so user-facing code should stick to small ids.
-    """
-
-    master_seed: int
-    stream_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
-
-    def generator(self) -> np.random.Generator:
-        return stream(self.master_seed, self.stream_id)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +275,8 @@ class DistanceMetric:
     """Distance over feature vectors used to decide which records may be paired.
 
     ``euclidean`` is the plain l2 distance; ``weighted_euclidean`` scales each
-    squared coordinate difference by a nonnegative weight (zero weights ablate
-    features entirely).
+    squared coordinate difference by a finite nonnegative weight (zero weights
+    ablate features entirely).
     """
 
     variant: str
@@ -307,8 +288,8 @@ class DistanceMetric:
         if self.variant == "weighted_euclidean":
             if self.weights is None or len(self.weights) == 0:
                 raise ValueError("weighted_euclidean needs a weight vector")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("metric weights must be nonnegative")
+            if not all(0.0 <= w < np.inf for w in self.weights):
+                raise ValueError("metric weights must be finite and nonnegative")
 
     @classmethod
     def euclidean(cls) -> "DistanceMetric":

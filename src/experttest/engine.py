@@ -16,7 +16,6 @@ can be evaluated in any order (or concurrently) without changing the result.
 """
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +25,13 @@ from .core import (
     DistanceMetric,
     ExpertTestError,
     LossSpec,
-    SeededRng,
     dataset_loss,
+    stream,
 )
 from .matching import Matching, greedy_match
 
 __all__ = [
     "NonBinaryData",
-    "EnumerationTooLarge",
     "TestConfig",
     "TestResult",
     "SwapCounts",
@@ -52,27 +50,21 @@ class NonBinaryData(ExpertTestError):
     """Swap classification is only defined for binary outcomes and predictions."""
 
 
-class EnumerationTooLarge(ExpertTestError):
-    """Exact binary p-value computation refuses too many loss-changing pairs."""
-
-
 # Stream ids reserved on the master seed: one stream per resample index plus a
 # dedicated tie-break stream, so resamples are reproducible under any
 # execution order.
 _TIE_STREAM_ID = 1
 _SWAP_STREAM_BASE = 1 << 32
 
-_EXACT_P_CAP = 60
 
-
-def swap_stream(master_seed: int, resample_index: int) -> SeededRng:
+def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
     """Stream that decides which pairs the given resample swaps."""
-    return SeededRng(master_seed, _SWAP_STREAM_BASE + resample_index)
+    return stream(master_seed, _SWAP_STREAM_BASE + resample_index)
 
 
-def tie_break_stream(master_seed: int) -> SeededRng:
+def tie_break_stream(master_seed: int) -> np.random.Generator:
     """Stream consumed by the tau statistic's randomized tie-breaking."""
-    return SeededRng(master_seed, _TIE_STREAM_ID)
+    return stream(master_seed, _TIE_STREAM_ID)
 
 
 @dataclass(frozen=True)
@@ -128,16 +120,16 @@ class TestResult:
     binary_swap_counts: SwapCounts | None
 
 
-def resample_once(d: Dataset, m: Matching, rng: SeededRng) -> Dataset:
+def resample_once(d: Dataset, m: Matching, rng: np.random.Generator) -> Dataset:
     """One synthetic dataset: each pair's predictions are exchanged with probability 1/2.
 
     Draws one Bernoulli per pair from ``rng`` in pair order; ``x`` and ``y``
     values never move.
     """
-    pi, pj = m.index_arrays()
-    if pi.size and (pi.max() >= d.n or pj.max() >= d.n):
+    pi, pj = m.pairs.T
+    if len(m) and m.pairs.max() >= d.n:
         raise ValueError("matching indices out of range for this dataset")
-    swap = rng.generator().random(len(m)) < 0.5
+    swap = rng.random(len(m)) < 0.5
     y_hat = d.y_hat.copy()
     a, b = pi[swap], pj[swap]
     y_hat[a], y_hat[b] = y_hat[b], y_hat[a]
@@ -145,7 +137,7 @@ def resample_once(d: Dataset, m: Matching, rng: SeededRng) -> Dataset:
 
 
 def tau_statistic(
-    observed_loss: float, resampled_losses: Sequence[float], rng: SeededRng
+    observed_loss: float, resampled_losses: Sequence[float], rng: np.random.Generator
 ) -> float:
     """Fraction of resampled losses below the observed loss, ties split by fair coins.
 
@@ -158,7 +150,7 @@ def tau_statistic(
         raise ValueError("need at least one resampled loss")
     less = res < observed_loss
     ties = res == observed_loss
-    coins = rng.generator().random(int(ties.sum())) < 0.5
+    coins = rng.random(int(ties.sum())) < 0.5
     return float((int(less.sum()) + int(coins.sum())) / res.size)
 
 
@@ -184,7 +176,7 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
 
 
 def _swap_class_masks(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
-    pi, pj = m.index_arrays()
+    pi, pj = m.pairs.T
     y1, y2 = d.y[pi], d.y[pj]
     p1, p2 = d.y_hat[pi], d.y_hat[pj]
     for arr in (y1, y2, p1, p2):
@@ -200,7 +192,7 @@ def _swap_masks(master_seed: int, K: int, L: int) -> np.ndarray:
     """K x L Bernoulli(1/2) swap decisions, one indexed stream per resample."""
     mask = np.empty((K, L), dtype=bool)
     for k in range(K):
-        mask[k] = swap_stream(master_seed, k).generator().random(L) < 0.5
+        mask[k] = swap_stream(master_seed, k).random(L) < 0.5
     return mask
 
 
@@ -235,7 +227,7 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
         else:
             less, ties = _compare_generic(d, matching, cfg.loss, mask)
 
-    coins = tie_break_stream(cfg.master_seed).generator().random(int(ties.sum())) < 0.5
+    coins = tie_break_stream(cfg.master_seed).random(int(ties.sum())) < 0.5
     tau = (int(less.sum()) + int(coins.sum())) / cfg.K
     return TestResult(
         tau=tau,
@@ -268,7 +260,7 @@ def _compare_binary(
 def _compare_generic(
     d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    pi, pj = m.index_arrays()
+    pi, pj = m.pairs.T
     unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
     swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
     delta = swapped - unswapped
@@ -285,23 +277,19 @@ def exact_binary_p(increase: int, decrease: int) -> float:
     X ~ Binomial(increase, 1/2) against Y ~ Binomial(decrease, 1/2):
     P(resampled < observed) + P(tie)/2 = P(X < Y) + P(X = Y)/2.
 
-    Computed by exact binomial convolution (integer arithmetic).
-
-    Raises
-    ------
-    EnumerationTooLarge
-        If increase + decrease exceeds 60.
+    Since ``decrease - Y`` is also Binomial(decrease, 1/2), X < Y exactly when
+    Z = X + (decrease - Y) ~ Binomial(increase + decrease, 1/2) is below
+    ``decrease``, and X = Y when Z equals it, so the result is
+    ``[2 * sum(C(n, s) for s < decrease) + C(n, decrease)] / 2**(n + 1)`` with
+    ``n = increase + decrease``, computed in exact integer arithmetic.
     """
     if increase < 0 or decrease < 0:
         raise ValueError("swap counts must be nonnegative")
-    if increase + decrease > _EXACT_P_CAP:
-        raise EnumerationTooLarge(
-            f"increase + decrease = {increase + decrease} exceeds {_EXACT_P_CAP}"
-        )
+    n = increase + decrease
     # doubled numerator so the half-weight of ties stays integral
     doubled = 0
-    for x in range(increase + 1):
-        wx = comb(increase, x)
-        doubled += 2 * wx * sum(comb(decrease, y) for y in range(x + 1, decrease + 1))
-        doubled += wx * comb(decrease, x)
-    return doubled / 2 ** (increase + decrease + 1)
+    c = 1  # C(n, s), updated in step with s
+    for s in range(decrease):
+        doubled += 2 * c
+        c = c * (n - s) // (s + 1)
+    return (doubled + c) / 2 ** (n + 1)

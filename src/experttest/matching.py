@@ -43,64 +43,60 @@ class InstanceTooLarge(ExpertTestError):
     """The exhaustive matching oracle only handles very small instances."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
     """L disjoint index pairs in greedy selection order.
 
-    ``pairs[t]`` is the pair removed at step ``t``; ``distances[t]`` is its
-    distance, so ``distances`` is nondecreasing. ``mismatch_count`` is the
-    number of pairs whose members are not identical in feature space
-    (distance > 0), the source of the test's approximation error.
+    ``pairs`` is a read-only ``(L, 2)`` index array whose row ``t`` is the
+    pair removed at step ``t``; ``distances[t]`` is its distance, so
+    ``distances`` is nondecreasing. ``mismatch_count`` is the number of pairs
+    whose members are not identical in feature space (distance > 0), the
+    source of the test's approximation error.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    distances: tuple[float, ...]
-    mismatch_count: int
+    pairs: np.ndarray
+    distances: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.distances):
-            raise ValueError("pairs and distances must align")
-        seen: set[int] = set()
-        for i, j in self.pairs:
-            if i == j or i in seen or j in seen:
-                raise ValueError("matching pairs must be disjoint")
-            seen.update((i, j))
-        if any(b < a for a, b in zip(self.distances, self.distances[1:])):
+        pairs = np.array(self.pairs, dtype=np.intp)
+        distances = np.array(self.distances, dtype=np.float64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if distances.ndim != 1 or pairs.shape != (distances.size, 2):
+            raise ValueError("pairs must be an (L, 2) array aligned with L distances")
+        if (pairs < 0).any() or np.unique(pairs).size != pairs.size:
+            raise ValueError("matching pairs must be disjoint nonnegative indices")
+        if (np.diff(distances) < 0).any():
             raise ValueError("greedy distances must be nondecreasing")
-        if any(t < 0 for t in self.distances):
+        if not (distances >= 0).all():
             raise ValueError("distances must be nonnegative")
-        if self.mismatch_count != sum(1 for t in self.distances if t > 0):
-            raise ValueError("mismatch_count inconsistent with distances")
+        for name, arr in (("pairs", pairs), ("distances", distances)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.distances)
 
-    @classmethod
-    def from_pairs(cls, pairs, distances) -> "Matching":
-        distances = tuple(float(t) for t in distances)
-        return cls(
-            tuple((int(i), int(j)) for i, j in pairs),
-            distances,
-            sum(1 for t in distances if t > 0),
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matching):
+            return NotImplemented
+        return np.array_equal(self.pairs, other.pairs) and np.array_equal(
+            self.distances, other.distances
         )
 
     def prefix(self, L: int) -> "Matching":
         """First ``L`` selected pairs; identical to running the greedy matcher at L."""
-        if not 0 <= L <= len(self.pairs):
+        if not 0 <= L <= len(self):
             raise ValueError(f"prefix length {L} out of range")
-        return Matching.from_pairs(self.pairs[:L], self.distances[:L])
+        return Matching(self.pairs[:L], self.distances[:L])
 
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pair members as two int arrays (first member, second member)."""
-        if not self.pairs:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty.copy()
-        arr = np.asarray(self.pairs, dtype=np.intp)
-        return arr[:, 0], arr[:, 1]
+    @property
+    def mismatch_count(self) -> int:
+        return int(np.count_nonzero(self.distances))
 
     @property
     def max_distance(self) -> float:
-        return max(self.distances) if self.distances else 0.0
+        return float(self.distances[-1]) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,10 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     that table. Distance-0 pairs come first, and for all but vanishingly
     small coordinates they are the pairs of equal rows, which one sort
     groups. The rest is found in rounds. Each round builds a KD tree on the
-    records still free and collects the pairs within a radius ``r``: the
-    ``need``-th smallest nearest-neighbour distance among them, where
-    ``need`` is the number of pairs still missing, doubled after a round that
-    adds no pair. The candidates are scanned in ``(distance, i, j)`` order
+    records still free and collects the pairs within a radius ``r``: just
+    above the ``need``-th smallest nearest-neighbour distance among them,
+    where ``need`` is the number of pairs still missing, and doubled after a
+    round that adds no pair. The candidates are scanned in ``(distance, i, j)`` order
     and a pair is accepted while its distance is at most ``r * (1 - 1e-9)``.
     Up to that limit every free pair is a candidate, so each accepted pair is
     the global greedy choice at its step. Greedy on the records still free
@@ -167,12 +163,11 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     free = np.ones(n, dtype=bool)
     zero = _identical_pairs(x)[:L]
     free[zero.ravel()] = False
-    pairs = [(i, j) for i, j in zero.tolist()]
-    dists = [0.0] * len(pairs)
+    pairs, dists = [zero], [np.zeros(len(zero))]  # one entry per round
+    found = len(zero)
     grow = 1.0
-    while len(pairs) < L:
+    while found < L:
         idx = np.flatnonzero(free)
-        found = len(pairs)
         if idx.size <= _DENSE_TAIL:
             ii, jj = np.triu_indices(idx.size, k=1)
             limit = np.inf
@@ -181,7 +176,9 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
             tree = cKDTree(sub)
             nearest = tree.query(sub, k=2)[0][:, 1]
             need = L - found
-            r = np.partition(nearest, need - 1)[need - 1] * grow
+            # just above the need-th distance, so that the closest free pair
+            # lies inside the acceptance limit below and the round takes it
+            r = np.partition(nearest, need - 1)[need - 1] * grow * (1 + 1e-8)
             ii, jj = tree.query_pairs(r, output_type="ndarray").T
             # the tree's own distance arithmetic may differ from the kernel's
             # in the last bits; the margin keeps every accepted pair well inside
@@ -193,16 +190,18 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         # is the greedy argmin at that step, as long as it lies within the limit
         order = np.lexsort((jj, ii, dist))
         order = order[: np.searchsorted(dist[order], limit, side="right")]
-        for i, j, t in zip(ii[order].tolist(), jj[order].tolist(), dist[order].tolist()):
+        taken = []
+        for k, i, j in zip(order.tolist(), ii[order].tolist(), jj[order].tolist()):
             if free[i] and free[j]:
-                free[i] = False
-                free[j] = False
-                pairs.append((i, j))
-                dists.append(t)
-                if len(pairs) == L:
+                free[i] = free[j] = False
+                taken.append(k)
+                if found + len(taken) == L:
                     break
-        grow = 1.0 if len(pairs) > found else 2 * grow
-    return Matching.from_pairs(pairs, dists)
+        pairs.append(np.column_stack((ii[taken], jj[taken])))
+        dists.append(dist[taken])
+        found += len(taken)
+        grow = 1.0 if taken else 2 * grow
+    return Matching(np.concatenate(pairs), np.concatenate(dists))
 
 
 def _identical_pairs(x: np.ndarray) -> np.ndarray:
@@ -284,9 +283,9 @@ def brute_force_optimal_matching(d: Dataset, L: int, metric: DistanceMetric) -> 
 
 def pair_distance_summary(m: Matching) -> PairDistanceSummary:
     """Distribution summary (min, quartiles, max, count at zero) of pair distances."""
-    if not m.distances:
+    if not len(m):
         raise ValueError("cannot summarize an empty matching")
-    t = np.asarray(m.distances)
+    t = m.distances
     q1, med, q3 = np.quantile(t, [0.25, 0.5, 0.75])
     return PairDistanceSummary(
         count=len(m),

@@ -40,5 +40,5 @@ def dense_greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
                 pairs.append((i, j))
                 dists.append(t)
                 if len(pairs) == L:
-                    return Matching.from_pairs(pairs, dists)
+                    return Matching(pairs, dists)
     raise AssertionError("unreachable: L <= floor(n/2) guarantees enough pairs")

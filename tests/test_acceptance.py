@@ -298,7 +298,7 @@ def test_criterion_11_bound_arithmetic():
         got_t, got_u = type1_bound(alpha, eps, L, K)
         worst = max(worst, abs(got_t - theorem1), abs(got_u - union))
     for alpha, C, dist, L, K, expected in ADJUSTED_CASES:
-        got = adjusted_threshold(alpha, C, Matching.from_pairs([(0, 1)], [dist]), L, K)
+        got = adjusted_threshold(alpha, C, Matching([(0, 1)], [dist]), L, K)
         worst = max(worst, abs(got - expected))
     report(
         "criterion 11: bound arithmetic",

@@ -85,8 +85,8 @@ class TestEpsilonStar:
         rng = np.random.default_rng(seed)
         t1, t2 = sorted(rng.random(2) * 3)
         c1, c2 = sorted(rng.random(2) * 5)
-        m1 = Matching.from_pairs([(0, 1)], [t1])
-        m2 = Matching.from_pairs([(0, 1)], [t2])
+        m1 = Matching([(0, 1)], [t1])
+        m2 = Matching([(0, 1)], [t2])
         d = Dataset([[0.0], [1.0]], [0, 0], [0, 0])
         assert epsilon_star(d, m1, Smoothness(c2)) <= epsilon_star(d, m2, Smoothness(c2))
         assert epsilon_star(d, m2, Smoothness(c1)) <= epsilon_star(d, m2, Smoothness(c2))
@@ -164,7 +164,7 @@ ADJUSTED_CASES = [
 
 
 def single_pair_matching(dist):
-    return Matching.from_pairs([(0, 1)], [dist])
+    return Matching([(0, 1)], [dist])
 
 
 class TestAdjustedThreshold:

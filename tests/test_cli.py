@@ -59,6 +59,14 @@ class TestLoadCsv:
         assert err.value.row == 2
         assert err.value.column == "f2"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"f1,f2,y,yhat\n0,1,0,0\n1,2,1,1\n2,3,{cell},0\n")
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(str(p), SPEC)
+        assert (err.value.row, err.value.column) == (3, "y")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
@@ -240,6 +248,17 @@ class TestCliMain:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingColumn"
+
+    def test_non_finite_metric_weight_exits_nonzero(self, tmp_path, capsys):
+        p, names = clinical_format_fixture(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "report", str(p), "--features", ",".join(names[:2]),
+                "--outcome", "outcome", "--prediction", "admitted",
+                "--pairs", "10", "--metric", "weighted:nan,1",
+            ])
+        assert exc.value.code != 0
+        assert "--metric" in capsys.readouterr().err
 
     def test_mse_subcommand(self, capsys):
         assert main(["mse", "--n", "200", "--trials", "10", "--seed", "2"]) == 0

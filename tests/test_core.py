@@ -10,7 +10,6 @@ from experttest.core import (
     IncompatibleLoss,
     LossSpec,
     Observation,
-    SeededRng,
     dataset_loss,
     derive_seed,
     stream,
@@ -140,6 +139,12 @@ class TestDistanceMetric:
         with pytest.raises(ValueError):
             DistanceMetric.weighted_euclidean([1.0, -0.5])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        # a NaN weight used to yield NaN distances
+        with pytest.raises(ValueError):
+            DistanceMetric.weighted_euclidean([weight])
+
     def test_weight_dimension_checked(self):
         metric = DistanceMetric.weighted_euclidean([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -166,23 +171,23 @@ class TestDistanceMetric:
 
 class TestSeededRng:
     def test_equal_seed_equal_draws(self):
-        a = SeededRng(1234, 7).generator().random(16)
-        b = SeededRng(1234, 7).generator().random(16)
+        a = stream(1234, 7).random(16)
+        b = stream(1234, 7).random(16)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = SeededRng(1234, 0).generator().random(16)
-        b = SeededRng(1234, 1).generator().random(16)
+        a = stream(1234, 0).random(16)
+        b = stream(1234, 1).random(16)
         assert not np.array_equal(a, b)
 
     def test_negative_master_seed_supported(self):
-        a = SeededRng(-9876, 0).generator().random(4)
-        b = SeededRng(-9876, 0).generator().random(4)
+        a = stream(-9876, 0).random(4)
+        b = stream(-9876, 0).random(4)
         assert np.array_equal(a, b)
 
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
-            SeededRng(1, -1)
+            stream(1, -1)
 
     def test_stream_paths_are_independent_coordinates(self):
         assert not np.array_equal(stream(5, 0).random(8), stream(5, 0, 0).random(8))

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from experttest.core import (
     Dataset,
     DistanceMetric,
     IncompatibleLoss,
     LossSpec,
-    SeededRng,
     dataset_loss,
     derive_seed,
+    stream,
 )
 from experttest.engine import (
-    EnumerationTooLarge,
     NonBinaryData,
     SwapCounts,
     TestConfig,
@@ -50,14 +50,14 @@ def paired_binary_dataset(increase, decrease, neutral=0):
 class TestResampleOnce:
     def test_empty_matching_returns_identical_dataset(self):
         d = paired_binary_dataset(2, 1)
-        out = resample_once(d, Matching.from_pairs([], []), SeededRng(3))
+        out = resample_once(d, Matching([], []), stream(3, 0))
         assert out == d
 
     def test_forced_swap_exchanges_predictions_only(self):
         d = Dataset([[0.0], [0.0]], [1.0, 2.0], [10.0, 20.0])
         m = greedy_match(d, 1, L2)
-        seed = next(s for s in range(50) if SeededRng(s).generator().random(1)[0] < 0.5)
-        out = resample_once(d, m, SeededRng(seed))
+        seed = next(s for s in range(50) if stream(s, 0).random(1)[0] < 0.5)
+        out = resample_once(d, m, stream(seed, 0))
         assert out.y_hat.tolist() == [20.0, 10.0]
         assert out.y.tolist() == [1.0, 2.0]
         assert np.array_equal(out.x, d.x)
@@ -65,38 +65,38 @@ class TestResampleOnce:
     def test_no_swap_when_draw_high(self):
         d = Dataset([[0.0], [0.0]], [1.0, 2.0], [10.0, 20.0])
         m = greedy_match(d, 1, L2)
-        seed = next(s for s in range(50) if SeededRng(s).generator().random(1)[0] >= 0.5)
-        assert resample_once(d, m, SeededRng(seed)) == d
+        seed = next(s for s in range(50) if stream(s, 0).random(1)[0] >= 0.5)
+        assert resample_once(d, m, stream(seed, 0)) == d
 
     def test_reproducible_across_runs(self):
         d = paired_binary_dataset(5, 5, 5)
         m = greedy_match(d, 15, L2)
-        a = resample_once(d, m, SeededRng(123, 9))
-        b = resample_once(d, m, SeededRng(123, 9))
+        a = resample_once(d, m, stream(123, 9))
+        b = resample_once(d, m, stream(123, 9))
         assert a == b
 
     def test_out_of_range_indices_rejected(self):
         d = paired_binary_dataset(2, 0)
         with pytest.raises(ValueError):
-            resample_once(d, Matching.from_pairs([(0, 99)], [0.0]), SeededRng(0))
+            resample_once(d, Matching([(0, 99)], [0.0]), stream(0, 0))
 
 
 class TestTauStatistic:
     def test_all_resampled_smaller_gives_one(self):
-        assert tau_statistic(5.0, [1.0, 2.0, 3.0, 4.0], SeededRng(0)) == 1.0
+        assert tau_statistic(5.0, [1.0, 2.0, 3.0, 4.0], stream(0, 0)) == 1.0
 
     def test_all_resampled_greater_gives_zero(self):
-        assert tau_statistic(1.0, [2.0, 3.0, 4.0], SeededRng(0)) == 0.0
+        assert tau_statistic(1.0, [2.0, 3.0, 4.0], stream(0, 0)) == 0.0
 
     def test_all_ties_behave_like_fair_coins(self):
         K = 20
-        taus = [tau_statistic(1.0, [1.0] * K, SeededRng(s)) for s in range(500)]
+        taus = [tau_statistic(1.0, [1.0] * K, stream(s, 0)) for s in range(500)]
         assert 0.45 <= np.mean(taus) <= 0.55
         assert all(round(t * K) in range(K + 1) for t in taus)
 
     def test_empty_losses_rejected(self):
         with pytest.raises(ValueError):
-            tau_statistic(1.0, [], SeededRng(0))
+            tau_statistic(1.0, [], stream(0, 0))
 
 
 class TestClassifySwaps:
@@ -153,9 +153,12 @@ class TestExactBinaryP:
         for a, b in [(3, 5), (0, 4), (6, 1)]:
             assert exact_binary_p(a, b) + exact_binary_p(b, a) == pytest.approx(1.0)
 
-    def test_enumeration_cap(self):
-        with pytest.raises(EnumerationTooLarge):
-            exact_binary_p(31, 30)
+    def test_large_counts_match_binomial(self):
+        # X + (b - Y) ~ Binomial(a + b, 1/2), and tau compares it with b
+        for a, b in [(31, 30), (30, 31), (600, 400), (400, 600)]:
+            z = binom(a + b, 0.5)
+            want = z.cdf(b - 1) + z.pmf(b) / 2
+            assert exact_binary_p(a, b) == pytest.approx(want, rel=1e-9), (a, b)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

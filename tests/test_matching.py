@@ -31,15 +31,15 @@ class TestGreedyMatch:
         # hand enumeration over the three disjoint 2-matchings of these points
         d = points([0.0, 0.1, 1.0, 1.05])
         m = greedy_match(d, 2, L2)
-        assert m.pairs == ((2, 3), (0, 1))
-        assert m.distances == pytest.approx((0.05, 0.1))
+        assert m.pairs.tolist() == [[2, 3], [0, 1]]
+        assert m.distances.tolist() == pytest.approx([0.05, 0.1])
         assert m.mismatch_count == 2
 
     def test_duplicate_points_match_at_zero(self):
         d = points([3.0, 3.0, 9.0])
         m = greedy_match(d, 1, L2)
-        assert m.pairs == ((0, 1),)
-        assert m.distances == (0.0,)
+        assert m.pairs.tolist() == [[0, 1]]
+        assert m.distances.tolist() == [0.0]
         assert m.mismatch_count == 0
 
     def test_too_many_pairs(self):
@@ -54,13 +54,12 @@ class TestGreedyMatch:
     def test_ties_broken_by_lexicographic_index(self):
         d = points([5.0, 5.0, 5.0, 5.0])
         m = greedy_match(d, 2, L2)
-        assert m.pairs == ((0, 1), (2, 3))
+        assert m.pairs.tolist() == [[0, 1], [2, 3]]
 
     def test_odd_record_left_unmatched(self):
         d = points([0.0, 0.4, 10.0, 10.3, 99.0])
         m = greedy_match(d, 2, L2)
-        used = {i for pair in m.pairs for i in pair}
-        assert 4 not in used
+        assert 4 not in m.pairs
 
     def test_discretized_features_pair_exactly(self):
         # many duplicated rows in a small discrete feature space: a large
@@ -80,9 +79,10 @@ class TestGreedyMatch:
         d = points(rng.random((n, dim)))
         L = int(rng.integers(1, n // 2 + 1))
         m = greedy_match(d, L, L2)
-        flat = [i for pair in m.pairs for i in pair]
+        flat = m.pairs.ravel().tolist()
         assert len(flat) == len(set(flat)) == 2 * L
         assert all(a <= b for a, b in zip(m.distances, m.distances[1:]))
+        assert m.mismatch_count == np.count_nonzero(m.distances)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -102,10 +102,10 @@ class TestGreedyMatch:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("weight", [np.nan, np.inf, 1e300])
     def test_non_finite_scaled_features_rejected(self, weight):
-        metric = DistanceMetric.weighted_euclidean([weight, 1.0])
+        # NaN and infinite weights already fail in the metric's constructor
         d = points(np.full((100, 2), 1e200))
         with pytest.raises(ValueError):
-            greedy_match(d, 10, metric)
+            greedy_match(d, 10, DistanceMetric.weighted_euclidean([weight, 1.0]))
 
     @given(
         kind=st.sampled_from(
@@ -154,8 +154,8 @@ class TestGreedyMatch:
         d = points(x)
         got = greedy_match(d, L, metric)
         want = dense_greedy_match(d, L, metric)
-        assert got.pairs == want.pairs
-        assert got.distances == want.distances
+        assert np.array_equal(got.pairs, want.pairs)
+        assert np.array_equal(got.distances, want.distances)
 
 
 class TestBruteForceOracle:
@@ -186,18 +186,28 @@ class TestBruteForceOracle:
 class TestMatchingType:
     def test_rejects_overlapping_pairs(self):
         with pytest.raises(ValueError):
-            Matching.from_pairs([(0, 1), (1, 2)], [0.0, 0.0])
+            Matching([(0, 1), (1, 2)], [0.0, 0.0])
 
     def test_rejects_decreasing_distances(self):
         with pytest.raises(ValueError):
-            Matching.from_pairs([(0, 1), (2, 3)], [1.0, 0.5])
+            Matching([(0, 1), (2, 3)], [1.0, 0.5])
 
-    def test_mismatch_count_checked(self):
+    @pytest.mark.parametrize(
+        "pairs, distances",
+        [([(0, 1)], [0.1, 0.2]), ([(0, 1, 2)], [0.1]), ([(-1, 2)], [0.1]), ([(0, 1)], [np.nan])],
+    )
+    def test_rejects_malformed_arrays(self, pairs, distances):
         with pytest.raises(ValueError):
-            Matching(((0, 1),), (0.5,), 0)
+            Matching(pairs, distances)
+
+    def test_arrays_read_only_and_prefix_is_slice(self):
+        m = Matching([(4, 5), (0, 2)], [0.0, 0.5])
+        assert not m.pairs.flags.writeable and not m.distances.flags.writeable
+        assert m.prefix(1) == Matching([(4, 5)], [0.0])
+        assert m.prefix(1) != m and m.mismatch_count == 1 and m.max_distance == 0.5
 
     def test_empty_matching_allowed(self):
-        m = Matching.from_pairs([], [])
+        m = Matching([], [])
         assert len(m) == 0 and m.max_distance == 0.0
 
 
@@ -223,7 +233,7 @@ class TestPairDistanceSummary:
 
     def test_empty_matching_rejected(self):
         with pytest.raises(ValueError):
-            pair_distance_summary(Matching.from_pairs([], []))
+            pair_distance_summary(Matching([], []))
 
 
 def test_max_distance_shrinks_as_n_grows():
