@@ -206,6 +206,15 @@ class TestMatchingType:
         assert m.prefix(1) == Matching([(4, 5)], [0.0])
         assert m.prefix(1) != m and m.mismatch_count == 1 and m.max_distance == 0.5
 
+    def test_mismatch_count_checked(self):
+        # the count is derived from the distances, so no inconsistent count
+        # can be supplied alongside them
+        with pytest.raises(TypeError):
+            Matching([(0, 1)], [0.5], 0)
+        m = Matching([(0, 1), (2, 3), (4, 5)], [0.0, 0.0, 0.5])
+        assert m.mismatch_count == 1
+        assert m.prefix(2).mismatch_count == 0
+
     def test_empty_matching_allowed(self):
         m = Matching([], [])
         assert len(m) == 0 and m.max_distance == 0.0
