@@ -36,6 +36,7 @@ from .synthgen import (
 
 __all__ = [
     "MissingColumn",
+    "DuplicateColumn",
     "NonNumericCell",
     "EmptyFile",
     "ColumnSpec",
@@ -53,6 +54,14 @@ __all__ = [
 
 class MissingColumn(ExpertTestError):
     """A requested column is absent from the CSV header."""
+
+
+class DuplicateColumn(ExpertTestError):
+    """A requested column name appears more than once in the CSV header."""
+
+    def __init__(self, column: str) -> None:
+        super().__init__(f"column {column!r} appears more than once in the header")
+        self.column = column
 
 
 class NonNumericCell(ExpertTestError):
@@ -87,10 +96,11 @@ class ColumnSpec:
 def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     """Read a UTF-8 CSV with header into a dataset, preserving row order.
 
-    Raises :class:`MissingColumn`, :class:`NonNumericCell` (row numbers are
+    A leading byte-order mark is dropped. Raises :class:`MissingColumn`,
+    :class:`DuplicateColumn`, :class:`NonNumericCell` (row numbers are
     1-based data rows) or :class:`EmptyFile`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -100,6 +110,8 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
         for name in (*spec.feature_columns, spec.outcome_column, spec.prediction_column):
             if name not in header:
                 raise MissingColumn(f"column {name!r} not in header {header}")
+            if header.count(name) > 1:
+                raise DuplicateColumn(name)
             col_index[name] = header.index(name)
 
         xs, ys, ps = [], [], []

@@ -13,14 +13,20 @@ and ties reduce to exact integer counts; for squared error the deltas are
 summed in floating point. Either way the result is bit-identical to scoring
 each resampled dataset, and the K resamples draw from indexed streams so they
 can be evaluated in any order (or concurrently) without changing the result.
+
+Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
+``stream(seed, 2**32 + k)``. The engine reproduces those draws in bulk rather
+than building K generators: it hashes all K seed states at once and reuses one
+bit generator (:func:`_swap_masks`). A property test checks the result against
+the stacked streams.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    _U64,
     Dataset,
     DistanceMetric,
     ExpertTestError,
@@ -35,8 +41,6 @@ __all__ = [
     "TestConfig",
     "TestResult",
     "SwapCounts",
-    "resample_once",
-    "tau_statistic",
     "classify_swaps",
     "expert_test",
     "expert_test_with_matching",
@@ -55,6 +59,15 @@ class NonBinaryData(ExpertTestError):
 # execution order.
 _TIE_STREAM_ID = 1
 _SWAP_STREAM_BASE = 1 << 32
+
+# numpy's SeedSequence hash and PCG64 seeding constants, which _swap_masks
+# reproduces to draw every swap stream without constructing it
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
+_HALF_RAW = np.uint64(1 << 63)
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -120,40 +133,6 @@ class TestResult:
     binary_swap_counts: SwapCounts | None
 
 
-def resample_once(d: Dataset, m: Matching, rng: np.random.Generator) -> Dataset:
-    """One synthetic dataset: each pair's predictions are exchanged with probability 1/2.
-
-    Draws one Bernoulli per pair from ``rng`` in pair order; ``x`` and ``y``
-    values never move.
-    """
-    pi, pj = m.pairs.T
-    if len(m) and m.pairs.max() >= d.n:
-        raise ValueError("matching indices out of range for this dataset")
-    swap = rng.random(len(m)) < 0.5
-    y_hat = d.y_hat.copy()
-    a, b = pi[swap], pj[swap]
-    y_hat[a], y_hat[b] = y_hat[b], y_hat[a]
-    return d.with_y_hat(y_hat)
-
-
-def tau_statistic(
-    observed_loss: float, resampled_losses: Sequence[float], rng: np.random.Generator
-) -> float:
-    """Fraction of resampled losses below the observed loss, ties split by fair coins.
-
-    Each comparison contributes 1 when the resampled loss is strictly
-    smaller, 0 when strictly larger, and an independent fair Bernoulli draw
-    (one per tied comparison, in comparison order) when exactly equal.
-    """
-    res = np.asarray(resampled_losses, dtype=np.float64)
-    if res.size < 1:
-        raise ValueError("need at least one resampled loss")
-    less = res < observed_loss
-    ties = res == observed_loss
-    coins = rng.random(int(ties.sum())) < 0.5
-    return float((int(less.sum()) + int(coins.sum())) / res.size)
-
-
 def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     """Classify each pair by the effect of exchanging its two predictions.
 
@@ -189,11 +168,73 @@ def _swap_class_masks(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _swap_masks(master_seed: int, K: int, L: int) -> np.ndarray:
-    """K x L Bernoulli(1/2) swap decisions, one indexed stream per resample."""
+    """K x L Bernoulli(1/2) swap decisions: row k is ``swap_stream(master_seed, k).random(L) < 0.5``.
+
+    Rather than build K generators, the K seed states are derived at once and
+    one bit generator is re-pointed at each. ``Generator.random`` returns
+    ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when its raw
+    64-bit output is below 2**63.
+    """
+    if K >= _SWAP_STREAM_BASE:
+        raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
+    bits = np.random.PCG64(0)
+    pcg: dict[str, int] = {}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     mask = np.empty((K, L), dtype=bool)
-    for k in range(K):
-        mask[k] = swap_stream(master_seed, k).random(L) < 0.5
+    for k, (s_hi, s_lo, q_hi, q_lo) in enumerate(_swap_seed_words(master_seed, K).tolist()):
+        # PCG64 seeding from (initstate, initseq): inc = 2 * initseq + 1,
+        # then two LCG steps from state 0 with initstate added in between
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _U128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128
+        bits.state = full_state
+        mask[k] = bits.random_raw(L) < _HALF_RAW
     return mask
+
+
+def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
+    """Row k is ``SeedSequence(master_seed & U64, spawn_key=(2**32 + k,)).generate_state(4, uint64)``.
+
+    numpy's SeedSequence hash, vectorised over k: the entropy words are the
+    seed's two 32-bit halves padded to the pool size, then the spawn key's
+    words ``k`` and ``1``. The hash constants advance independently of the
+    data, so every stream shares them.
+    """
+    hashmix = _hash_steps(_INIT_A, _MULT_A)
+    seed = master_seed & _U64
+    # one-element arrays wrap on overflow like the (K,) ones, with no warning
+    pool = [hashmix(np.array([w], dtype=np.uint32)) for w in (seed & _U32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in (np.arange(K, dtype=np.uint32), np.array([1], dtype=np.uint32)):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    generate = _hash_steps(_INIT_B, _MULT_B)
+    words = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # little-endian pairs of 32-bit words make the four 64-bit state words
+    return np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+
+
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's hash of uint32 arrays; each call advances the hash constant once."""
+    const = init
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _U32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
 
 
 def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:

@@ -1,5 +1,7 @@
 """Reference implementations that the tests compare the package against."""
 
+from typing import Sequence
+
 import numpy as np
 
 from experttest.core import Dataset, DistanceMetric
@@ -42,3 +44,39 @@ def dense_greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
                 if len(pairs) == L:
                     return Matching(pairs, dists)
     raise AssertionError("unreachable: L <= floor(n/2) guarantees enough pairs")
+
+
+def resample_once(d: Dataset, m: Matching, rng: np.random.Generator) -> Dataset:
+    """One synthetic dataset: each pair's predictions are exchanged with probability 1/2.
+
+    Draws one Bernoulli per pair from ``rng`` in pair order; ``x`` and ``y``
+    values never move. With ``rng = swap_stream(seed, k)`` this is the k-th
+    resample of the literal test procedure that the engine vectorises.
+    """
+    pi, pj = m.pairs.T
+    if len(m) and m.pairs.max() >= d.n:
+        raise ValueError("matching indices out of range for this dataset")
+    swap = rng.random(len(m)) < 0.5
+    y_hat = d.y_hat.copy()
+    a, b = pi[swap], pj[swap]
+    y_hat[a], y_hat[b] = y_hat[b], y_hat[a]
+    return d.with_y_hat(y_hat)
+
+
+def tau_statistic(
+    observed_loss: float, resampled_losses: Sequence[float], rng: np.random.Generator
+) -> float:
+    """Fraction of resampled losses below the observed loss, ties split by fair coins.
+
+    Each comparison contributes 1 when the resampled loss is strictly
+    smaller, 0 when strictly larger, and an independent fair Bernoulli draw
+    (one per tied comparison, in comparison order) when exactly equal. With
+    ``rng = tie_break_stream(seed)`` this is the engine's ``tau``.
+    """
+    res = np.asarray(resampled_losses, dtype=np.float64)
+    if res.size < 1:
+        raise ValueError("need at least one resampled loss")
+    less = res < observed_loss
+    ties = res == observed_loss
+    coins = rng.random(int(ties.sum())) < 0.5
+    return float((int(less.sum()) + int(coins.sum())) / res.size)

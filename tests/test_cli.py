@@ -5,6 +5,7 @@ import pytest
 
 from experttest.cli import (
     ColumnSpec,
+    DuplicateColumn,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
@@ -50,6 +51,22 @@ class TestLoadCsv:
         write_rows(p, ["f1", "y", "yhat"], [[0, 0, 0]])
         with pytest.raises(MissingColumn):
             load_csv(str(p), SPEC)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("f1,f2,y,yhat\n0,1,0,0\n1,0,1,1\n".encode("utf-8-sig"))
+        d = load_csv(str(p), SPEC)
+        assert d.x.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_duplicate_selected_column_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_rows(p, ["f1", "f2", "y", "f2", "yhat"], [[0, 1, 0, 5, 0], [1, 0, 1, 6, 1]])
+        with pytest.raises(DuplicateColumn) as err:
+            load_csv(str(p), SPEC)
+        assert err.value.column == "f2"
+        # a repeated column the spec does not select is harmless
+        write_rows(p, ["id", "f1", "id", "f2", "y", "yhat"], [[7, 0, 7, 1, 0, 0], [8, 2, 8, 3, 1, 1]])
+        assert load_csv(str(p), SPEC).x.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_blank_cell_is_an_error_not_imputed(self, tmp_path):
         p = tmp_path / "d.csv"

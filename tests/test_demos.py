@@ -19,3 +19,4 @@ def test_demo_runs(script, tmp_path):
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("experttest-demo-*")), "demo left its scratch directory behind"

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from _oracles import resample_once, tau_statistic
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
+from experttest import engine
 from experttest.core import (
     Dataset,
     DistanceMetric,
@@ -18,9 +24,7 @@ from experttest.engine import (
     classify_swaps,
     exact_binary_p,
     expert_test,
-    resample_once,
     swap_stream,
-    tau_statistic,
     expert_test_with_matching,
     tie_break_stream,
 )
@@ -79,6 +83,44 @@ class TestResampleOnce:
         d = paired_binary_dataset(2, 0)
         with pytest.raises(ValueError):
             resample_once(d, Matching([(0, 99)], [0.0]), stream(0, 0))
+
+
+class TestSwapMasks:
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        K=st.integers(1, 64),
+        L=st.integers(1, 300),
+        cut=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, K=1, L=1, cut=1.0)
+    @example(seed=-1, K=64, L=300, cut=0.5)
+    @example(seed=2**32 - 1, K=7, L=33, cut=0.0)
+    @example(seed=2**32, K=7, L=33, cut=0.3)
+    @example(seed=2**64 - 1, K=64, L=1, cut=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_stacked_swap_streams(self, seed, K, L, cut):
+        mask = engine._swap_masks(seed, K, L)
+        want = np.stack([swap_stream(seed, k).random(L) < 0.5 for k in range(K)])
+        assert mask.dtype == bool
+        assert np.array_equal(mask, want)
+        # a smaller L reads a prefix of every stream
+        l = max(1, round(cut * L))
+        assert np.array_equal(mask[:, :l], engine._swap_masks(seed, K, l))
+
+    def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
+        # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k < 2**32
+        def fail(*args):
+            raise AssertionError("seed words derived for an oversized K")
+
+        monkeypatch.setattr(engine, "_swap_seed_words", fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="swap streams"):
+                engine._swap_masks(5, 2**32, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTauStatistic:
