@@ -25,7 +25,6 @@ from .core import (
     ExpertTestError,
     IncompatibleLoss,
     LossSpec,
-    Observation,
     dataset_loss,
     derive_seed,
     stream,
@@ -77,7 +76,6 @@ __all__ = [
     "ExpertTestError",
     "IncompatibleLoss",
     "LossSpec",
-    "Observation",
     "dataset_loss",
     "derive_seed",
     "stream",

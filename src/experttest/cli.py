@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .core import (
     LossSpec,
 )
 from .engine import TestConfig, expert_test_with_matching
-from .matching import TooManyPairs, greedy_match, pair_distance_summary
+from .matching import greedy_match, pair_distance_summary
 from .synthgen import (
     mse_comparison,
     run_power_curve,
@@ -216,10 +216,6 @@ def run_report(
     L_values = [int(L) for L in L_values]
     if not L_values:
         raise ValueError("need at least one L value")
-    if max(L_values) > d.n // 2:
-        raise TooManyPairs(
-            f"largest L = {max(L_values)} exceeds floor(n/2) = {d.n // 2}"
-        )
     full = greedy_match(d, max(L_values), metric)
     rows = []
     for L in L_values:
@@ -286,28 +282,7 @@ def render_report_table(report: Report) -> str:
 
 
 def report_to_json(report: Report) -> dict:
-    def row_json(r: ReportRow) -> dict:
-        validity = None
-        if r.validity is not None:
-            validity = {
-                "epsilon_star": r.validity.epsilon_star,
-                "theorem1_bound": r.validity.theorem1_bound,
-                "union_bound": r.validity.union_bound,
-                "adjusted_threshold": r.validity.adjusted_threshold,
-            }
-        return {
-            "L": r.L,
-            "mismatched_pairs": r.mismatched_pairs,
-            "swaps_increase": r.swaps_increase,
-            "swaps_decrease": r.swaps_decrease,
-            "tau": r.tau,
-            "effective_p": r.effective_p,
-            "rejected": r.rejected,
-            "observed_loss": r.observed_loss,
-            "epsilon_note": r.epsilon_note,
-            "validity": validity,
-        }
-
+    """JSON document of a report; each row's keys are its :class:`ReportRow` fields."""
     return {
         "config": {
             "n": report.n,
@@ -319,7 +294,7 @@ def report_to_json(report: Report) -> dict:
             "seed": report.master_seed,
             "smoothness_C": report.smoothness_C,
         },
-        "rows": [row_json(r) for r in report.rows],
+        "rows": [asdict(r) for r in report.rows],
     }
 
 
@@ -522,13 +497,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_match_stats(args) -> int:
     d = _load_dataset(args)
-    L_values = args.pairs
-    if max(L_values) > d.n // 2:
-        raise TooManyPairs(f"largest L exceeds floor(n/2) = {d.n // 2}")
-    full = greedy_match(d, max(L_values), args.metric)
+    full = greedy_match(d, max(args.pairs), args.metric)
     rows = []
     doc = []
-    for L in L_values:
+    for L in args.pairs:
         s = pair_distance_summary(full.prefix(L))
         rows.append([L, s.count, s.zero_count, repr(s.minimum), repr(s.q1),
                      repr(s.median), repr(s.q3), repr(s.maximum)])

@@ -7,14 +7,13 @@ bit-identical results.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ExpertTestError",
     "IncompatibleLoss",
-    "Observation",
     "Dataset",
     "LossSpec",
     "DistanceMetric",
@@ -60,17 +59,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Observations and datasets
+# Datasets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One record: feature vector ``x``, outcome ``y``, expert prediction ``y_hat``."""
-
-    x: tuple[float, ...]
-    y: float
-    y_hat: float
 
 
 class Dataset:
@@ -145,19 +135,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
-
-    @property
-    def observations(self) -> Iterator[Observation]:
-        for i in range(self.n):
-            yield Observation(tuple(self._x[i]), float(self._y[i]), float(self._y_hat[i]))
-
-    @classmethod
-    def from_observations(cls, records: Sequence[Observation]) -> "Dataset":
-        return cls(
-            [r.x for r in records],
-            [r.y for r in records],
-            [r.y_hat for r in records],
-        )
 
     def with_y_hat(self, y_hat: np.ndarray) -> "Dataset":
         """Copy of this dataset with predictions replaced (x and y never move)."""
@@ -298,10 +275,6 @@ class DistanceMetric:
     @classmethod
     def weighted_euclidean(cls, weights: Sequence[float]) -> "DistanceMetric":
         return cls("weighted_euclidean", tuple(float(w) for w in weights))
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.variant == "euclidean"
 
     def _scaled(self, x: np.ndarray) -> np.ndarray:
         """Rows of ``x`` scaled so that this metric is plain euclidean on them.

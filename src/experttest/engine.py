@@ -15,15 +15,16 @@ each resampled dataset, and the K resamples draw from indexed streams so they
 can be evaluated in any order (or concurrently) without changing the result.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
-``stream(seed, 2**32 + k)``. The engine reproduces those draws in bulk rather
-than building K generators: it hashes all K seed states at once and reuses one
-bit generator (:func:`_swap_masks`). A property test checks the result against
-the stacked streams.
+``stream(seed, 2**32 + k)``. The engine reproduces those draws without
+building K seed sequences: it hashes all K seed states at once and seeds each
+``PCG64`` from its row (:func:`_swap_masks`). A property test checks the
+result against the stacked streams.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     _U64,
@@ -60,13 +61,12 @@ class NonBinaryData(ExpertTestError):
 _TIE_STREAM_ID = 1
 _SWAP_STREAM_BASE = 1 << 32
 
-# numpy's SeedSequence hash and PCG64 seeding constants, which _swap_masks
-# reproduces to draw every swap stream without constructing it
+# numpy's SeedSequence hash constants, which _swap_seed_words reproduces to
+# seed every swap stream without constructing its SeedSequence
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
+_U32 = (1 << 32) - 1
 _HALF_RAW = np.uint64(1 << 63)
 
 
@@ -170,26 +170,27 @@ def _swap_class_masks(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
 def _swap_masks(master_seed: int, K: int, L: int) -> np.ndarray:
     """K x L Bernoulli(1/2) swap decisions: row k is ``swap_stream(master_seed, k).random(L) < 0.5``.
 
-    Rather than build K generators, the K seed states are derived at once and
-    one bit generator is re-pointed at each. ``Generator.random`` returns
-    ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when its raw
-    64-bit output is below 2**63.
+    Rather than build K seed sequences, the K seed states are derived at once
+    and each ``PCG64`` seeds itself from its row. ``Generator.random``
+    returns ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when its
+    raw 64-bit output is below 2**63.
     """
     if K >= _SWAP_STREAM_BASE:
         raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
-    bits = np.random.PCG64(0)
-    pcg: dict[str, int] = {}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     mask = np.empty((K, L), dtype=bool)
-    for k, (s_hi, s_lo, q_hi, q_lo) in enumerate(_swap_seed_words(master_seed, K).tolist()):
-        # PCG64 seeding from (initstate, initseq): inc = 2 * initseq + 1,
-        # then two LCG steps from state 0 with initstate added in between
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _U128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128
-        bits.state = full_state
-        mask[k] = bits.random_raw(L) < _HALF_RAW
+    for k, words in enumerate(_swap_seed_words(master_seed, K)):
+        mask[k] = np.random.PCG64(_SeedWords(words)).random_raw(L) < _HALF_RAW
     return mask
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence whose state is precomputed: ``PCG64`` asks for 4 uint64 words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:

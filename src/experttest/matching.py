@@ -35,7 +35,7 @@ _MAX_ORACLE_N = 14
 _DENSE_TAIL = 64
 
 
-class TooManyPairs(ExpertTestError):
+class TooManyPairs(ExpertTestError, ValueError):
     """Requested more disjoint pairs than floor(n/2)."""
 
 

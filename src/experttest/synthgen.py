@@ -26,8 +26,8 @@ from .core import (
     derive_seed,
     stream,
 )
-from .engine import TestConfig, expert_test, expert_test_with_matching
-from .matching import Matching, greedy_match
+from .engine import TestConfig, expert_test_with_matching
+from .matching import greedy_match
 
 __all__ = [
     "DegenerateRegression",
@@ -289,21 +289,11 @@ def run_toy_study(
     matching, so rejections measure power; with it true the null holds with
     respect to the feature space and rejections measure false discoveries.
     """
-    metric = DistanceMetric.euclidean()
-    loss = LossSpec.squared_error()
-    taus = []
-    for t in range(trials):
-        ds = gen_toy(
-            ToyExampleConfig(
-                n=n, seed=derive_seed(master_seed, _TOY, 0, t), include_u_in_features=include_u
-            )
-        )
-        cfg = TestConfig(
-            L=L, K=K, alpha=alpha, loss=loss, metric=metric,
-            master_seed=derive_seed(master_seed, _TOY, 1, t),
-        )
-        taus.append(expert_test(ds, cfg).tau)
-    return StudyResult(tuple(taus), alpha)
+    taus = _trial_taus(
+        lambda seed: gen_toy(ToyExampleConfig(n=n, seed=seed, include_u_in_features=include_u)),
+        [L], K, alpha, LossSpec.squared_error(), trials, master_seed, _TOY,
+    )
+    return StudyResult(tuple(taus[:, 0].tolist()), alpha)
 
 
 def run_power_curve(
@@ -318,31 +308,17 @@ def run_power_curve(
     """Empirical rejection frequency over an (n, delta) grid of expertise worlds.
 
     ``L_rule`` maps each sample size to the number of pairs (for example
-    ``lambda n: n // 8``). Zero-one loss; the feature layout of this world is
-    deterministic, so each (n, L) matching is computed once and shared across
-    trials.
+    ``lambda n: n // 8``). Zero-one loss.
     """
-    metric = DistanceMetric.euclidean()
-    loss = LossSpec.zero_one()
     cells = []
     for i, n in enumerate(n_values):
         L = L_rule(n)
-        if not 1 <= L <= n // 2:
-            raise ValueError(f"L_rule({n}) = {L} is outside [1, n/2]")
-        matching: Matching | None = None
         for j, delta in enumerate(delta_values):
-            rejections = 0
-            for t in range(trials):
-                ds = gen_expertise_pairs(
-                    ExpertiseConfig(n=n, delta=delta, seed=derive_seed(master_seed, _POWER, 0, i, j, t))
-                )
-                if matching is None:
-                    matching = greedy_match(ds, L, metric)
-                cfg = TestConfig(
-                    L=L, K=K, alpha=alpha, loss=loss, metric=metric,
-                    master_seed=derive_seed(master_seed, _POWER, 1, i, j, t),
-                )
-                rejections += expert_test_with_matching(ds, matching, cfg).rejected
+            taus = _trial_taus(
+                lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),
+                [L], K, alpha, LossSpec.zero_one(), trials, master_seed, _POWER, i, j,
+            )
+            rejections = int((taus <= alpha).sum())
             cells.append(PowerCell(n=n, delta=delta, L=L, trials=trials, rejections=rejections))
     return cells
 
@@ -360,30 +336,15 @@ def run_power_vs_L(
 
     All L values share each trial's dataset and one greedy matching prefix,
     which keeps per-L comparisons tight; every cell is still bit-identical to
-    a standalone run at that L.
+    a standalone run at that L. Zero-one loss.
     """
-    L_values = [int(L) for L in L_values]
-    if not L_values:
-        raise ValueError("need at least one L value")
-    if max(L_values) > n // 2:
-        raise ValueError("largest L exceeds floor(n/2)")
-    metric = DistanceMetric.euclidean()
-    loss = LossSpec.zero_one()
-    matching: Matching | None = None
-    rejections = [0] * len(L_values)
-    for t in range(trials):
-        ds = gen_expertise_pairs(
-            ExpertiseConfig(n=n, delta=delta, seed=derive_seed(master_seed, _POWER_L, 0, t))
-        )
-        if matching is None:
-            matching = greedy_match(ds, max(L_values), metric)
-        seed_t = derive_seed(master_seed, _POWER_L, 1, t)
-        for j, L in enumerate(L_values):
-            cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed_t)
-            rejections[j] += expert_test_with_matching(ds, matching.prefix(L), cfg).rejected
+    taus = _trial_taus(
+        lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),
+        L_values, K, alpha, LossSpec.zero_one(), trials, master_seed, _POWER_L,
+    )
     return [
-        PowerCell(n=n, delta=delta, L=L, trials=trials, rejections=r)
-        for L, r in zip(L_values, rejections)
+        PowerCell(n=n, delta=delta, L=int(L), trials=trials, rejections=r)
+        for L, r in zip(L_values, (taus <= alpha).sum(axis=0).tolist())
     ]
 
 
@@ -401,21 +362,51 @@ def run_type1_curve(
     alpha is the approximation error induced by mismatched pairs; rates
     climb toward 1 as L approaches n/2.
     """
+    taus = _trial_taus(
+        lambda seed: gen_validity_cube(n, seed),
+        L_values, K, alpha, LossSpec.squared_error(), trials, master_seed, _TYPE1,
+    )
+    return [
+        Type1Cell(L=int(L), trials=trials, rejections=r)
+        for L, r in zip(L_values, (taus <= alpha).sum(axis=0).tolist())
+    ]
+
+
+def _trial_taus(
+    draw: Callable[[int], Dataset],
+    L_values: Sequence[int],
+    K: int,
+    alpha: float,
+    loss: LossSpec,
+    trials: int,
+    master_seed: int,
+    domain: int,
+    *cell: int,
+) -> np.ndarray:
+    """The trial loop behind every runner: a (trials, len(L_values)) array of tau.
+
+    Trial t tests ``draw(derive_seed(master_seed, domain, 0, *cell, t))`` at
+    every L, all under ``derive_seed(master_seed, domain, 1, *cell, t)`` and
+    on prefixes of one greedy matching at the largest L, so each entry is
+    bit-identical to a standalone ``expert_test`` of that trial's data.
+    Greedy matching depends on the features alone, so a trial whose features
+    equal the previous trial's reuses its matching. Euclidean metric; a
+    runner's rejections are ``taus <= alpha``, as in ``TestResult.rejected``.
+    """
     L_values = [int(L) for L in L_values]
     if not L_values:
         raise ValueError("need at least one L value")
-    if max(L_values) > n // 2:
-        raise ValueError("largest L exceeds floor(n/2)")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     metric = DistanceMetric.euclidean()
-    loss = LossSpec.squared_error()
-    rejections = [0] * len(L_values)
+    taus = np.empty((trials, len(L_values)))
+    x = full = None
     for t in range(trials):
-        ds = gen_validity_cube(n, derive_seed(master_seed, _TYPE1, 0, t))
-        full = greedy_match(ds, max(L_values), metric)
-        seed_t = derive_seed(master_seed, _TYPE1, 1, t)
+        ds = draw(derive_seed(master_seed, domain, 0, *cell, t))
+        if full is None or not np.array_equal(ds.x, x):
+            x, full = ds.x, greedy_match(ds, max(L_values), metric)
+        seed = derive_seed(master_seed, domain, 1, *cell, t)
         for j, L in enumerate(L_values):
-            cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed_t)
-            rejections[j] += expert_test_with_matching(ds, full.prefix(L), cfg).rejected
-    return [
-        Type1Cell(L=L, trials=trials, rejections=r) for L, r in zip(L_values, rejections)
-    ]
+            cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed)
+            taus[t, j] = expert_test_with_matching(ds, full.prefix(L), cfg).tau
+    return taus

@@ -256,6 +256,12 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TooManyPairs"
 
+    def test_synthetic_oversized_L_names_too_many_pairs(self, capsys):
+        code = main(["validity", "--l-values", "60", "--n", "100"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TooManyPairs"
+
     def test_missing_column_error_payload(self, tmp_path, capsys):
         p, _ = clinical_format_fixture(tmp_path)
         code = main([

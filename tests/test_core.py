@@ -9,7 +9,6 @@ from experttest.core import (
     DistanceMetric,
     IncompatibleLoss,
     LossSpec,
-    Observation,
     dataset_loss,
     derive_seed,
     stream,
@@ -96,12 +95,6 @@ class TestDataset:
         d = Dataset([[0.0], [1.0]], [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             d.y_hat[0] = 5.0
-
-    def test_observation_round_trip(self):
-        d = Dataset([[0.0, 2.0], [1.0, 3.0]], [0.5, 1.5], [0.25, 1.25])
-        obs = list(d.observations)
-        assert obs[1] == Observation((1.0, 3.0), 1.5, 1.25)
-        assert Dataset.from_observations(obs) == d
 
     def test_with_y_hat_leaves_original_untouched(self):
         d = Dataset([[0.0], [1.0]], [0.0, 1.0], [0.0, 1.0])

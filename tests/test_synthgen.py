@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from experttest.core import DistanceMetric, LossSpec, dataset_loss
-from experttest.matching import greedy_match
+from experttest.core import DistanceMetric, LossSpec, dataset_loss, derive_seed
+from experttest.engine import TestConfig, expert_test
+from experttest.matching import TooManyPairs, greedy_match
 from experttest.synthgen import (
     DegenerateRegression,
     ExpertiseConfig,
@@ -184,3 +185,119 @@ class TestRunners:
     def test_type1_L_validated(self):
         with pytest.raises(ValueError):
             run_type1_curve(n=100, L_values=[60], K=10, alpha=0.05, trials=2, master_seed=0)
+
+
+    def test_oversized_L_raises_too_many_pairs(self):
+        with pytest.raises(TooManyPairs):
+            run_toy_study(
+                n=20, trials=2, L=11, K=10, alpha=0.05, include_u=False, master_seed=0
+            )
+        with pytest.raises(TooManyPairs):
+            run_power_curve(
+                [20], [0.1], lambda n: n // 2 + 1, K=10, alpha=0.05, trials=2, master_seed=0
+            )
+        with pytest.raises(TooManyPairs):
+            run_power_vs_L(
+                n=20, delta=0.1, L_values=[5, 11], K=10, alpha=0.05, trials=2, master_seed=0
+            )
+        with pytest.raises(TooManyPairs):
+            run_type1_curve(n=20, L_values=[11], K=10, alpha=0.05, trials=2, master_seed=0)
+
+    def test_zero_trials_rejected(self):
+        # a study without trials has no rejection rate
+        with pytest.raises(ValueError, match="trial"):
+            run_toy_study(n=20, trials=0, L=5, K=10, alpha=0.05, include_u=False, master_seed=0)
+        with pytest.raises(ValueError, match="trial"):
+            run_power_curve([20], [0.1], lambda n: 5, K=10, alpha=0.05, trials=0, master_seed=0)
+        with pytest.raises(ValueError, match="trial"):
+            run_power_vs_L(n=20, delta=0.1, L_values=[5], K=10, alpha=0.05, trials=0, master_seed=0)
+        with pytest.raises(ValueError, match="trial"):
+            run_type1_curve(n=20, L_values=[5], K=10, alpha=0.05, trials=0, master_seed=0)
+
+class TestRunnerSeedLayout:
+    """Every runner trial equals a standalone ``expert_test`` on its documented seed paths.
+
+    Trial t of a runner in seed domain D (and grid cell (i, j) for the power
+    grid) draws its data under ``derive_seed(seed, D, 0, [i, j,] t)`` and
+    tests under ``derive_seed(seed, D, 1, [i, j,] t)``. Domains: toy 0, power
+    grid 2, power vs L 3, type-I curve 4.
+    """
+
+    SEED = 17
+    ALPHA = 0.3
+
+    def literal(self, ds, L, loss, *path):
+        cfg = TestConfig(
+            L=L, K=30, alpha=self.ALPHA, loss=loss, metric=L2,
+            master_seed=derive_seed(self.SEED, *path),
+        )
+        return expert_test(ds, cfg)
+
+    def test_toy_study(self):
+        for include_u in (False, True):
+            res = run_toy_study(
+                n=40, trials=5, L=8, K=30, alpha=self.ALPHA, include_u=include_u,
+                master_seed=self.SEED,
+            )
+            expected = [
+                self.literal(
+                    gen_toy(ToyExampleConfig(
+                        n=40, seed=derive_seed(self.SEED, 0, 0, t), include_u_in_features=include_u
+                    )),
+                    8, LossSpec.squared_error(), 0, 1, t,
+                )
+                for t in range(5)
+            ]
+            assert res.taus == tuple(r.tau for r in expected)
+            assert res.rejections == sum(r.rejected for r in expected)
+
+    def test_power_curve(self):
+        cells = run_power_curve(
+            [20, 40], [0.0, 0.4], lambda n: n // 4, K=30, alpha=self.ALPHA, trials=4,
+            master_seed=self.SEED,
+        )
+        expected = []
+        for i, n in enumerate([20, 40]):
+            for j, delta in enumerate([0.0, 0.4]):
+                rejected = [
+                    self.literal(
+                        gen_expertise_pairs(ExpertiseConfig(
+                            n=n, delta=delta, seed=derive_seed(self.SEED, 2, 0, i, j, t)
+                        )),
+                        n // 4, LossSpec.zero_one(), 2, 1, i, j, t,
+                    ).rejected
+                    for t in range(4)
+                ]
+                expected.append((n, delta, n // 4, 4, sum(rejected)))
+        assert [(c.n, c.delta, c.L, c.trials, c.rejections) for c in cells] == expected
+
+    def test_power_vs_L(self):
+        L_values = [4, 10, 20]
+        cells = run_power_vs_L(
+            n=40, delta=0.15, L_values=L_values, K=30, alpha=self.ALPHA, trials=6,
+            master_seed=self.SEED,
+        )
+        rejections = [0] * len(L_values)
+        for t in range(6):
+            ds = gen_expertise_pairs(
+                ExpertiseConfig(n=40, delta=0.15, seed=derive_seed(self.SEED, 3, 0, t))
+            )
+            for k, L in enumerate(L_values):
+                rejections[k] += self.literal(ds, L, LossSpec.zero_one(), 3, 1, t).rejected
+        assert [(c.L, c.trials, c.rejections) for c in cells] == [
+            (L, 6, r) for L, r in zip(L_values, rejections)
+        ]
+
+    def test_type1_curve(self):
+        L_values = [3, 10, 20]
+        cells = run_type1_curve(
+            n=40, L_values=L_values, K=30, alpha=self.ALPHA, trials=6, master_seed=self.SEED
+        )
+        rejections = [0] * len(L_values)
+        for t in range(6):
+            ds = gen_validity_cube(40, derive_seed(self.SEED, 4, 0, t))
+            for k, L in enumerate(L_values):
+                rejections[k] += self.literal(ds, L, LossSpec.squared_error(), 4, 1, t).rejected
+        assert [(c.L, c.trials, c.rejections) for c in cells] == [
+            (L, 6, r) for L, r in zip(L_values, rejections)
+        ]
