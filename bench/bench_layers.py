@@ -1,0 +1,63 @@
+"""Micro-benchmarks of single layers, with pytest-benchmark.
+
+Run from the root of a source checkout::
+
+    python -m pytest bench/bench_layers.py
+
+The file name does not match ``test_*.py``, so a plain ``pytest`` run of the
+test suite does not collect it. The inputs mirror the ``audit`` and
+``validity`` workloads of ``perfbench/``: a 4000-row CSV of recorded binary
+decisions (two integer features, two lab values to one decimal place, with
+duplicate records), and the validity cube at n = 500.
+"""
+
+import numpy as np
+import pytest
+
+from experttest.cli import ColumnSpec, load_csv, normalize_features, write_csv
+from experttest.core import Dataset, DistanceMetric
+from experttest.matching import greedy_match
+from experttest.synthgen import gen_validity_cube
+
+AUDIT_N = 4000
+SPEC = ColumnSpec(("age", "visits", "hgb", "creatinine"), "outcome", "decision")
+L2 = DistanceMetric.euclidean()
+
+
+def audit_like(seed: int = 0) -> Dataset:
+    rng = np.random.default_rng(seed)
+    n = AUDIT_N
+    age = rng.integers(18, 91, n).astype(np.float64)
+    visits = rng.poisson(3.0, n).astype(np.float64)
+    hgb = np.round(rng.normal(13.5, 1.6, n), 1)
+    creatinine = np.round(rng.lognormal(0.0, 0.25, n), 1)
+    x = np.column_stack([age, visits, hgb, creatinine])
+    risk = 0.04 * (age - 55) + 0.3 * (visits - 3) - 0.4 * (hgb - 13.5) + 1.5 * (creatinine - 1)
+    private = rng.normal(0.0, 1.0, n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(risk + private)))).astype(np.float64)
+    y_hat = (risk + private + rng.normal(0.0, 1.0, n) > 0).astype(np.float64)
+    return Dataset(x, y, y_hat)
+
+
+@pytest.fixture(scope="module")
+def audit_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "audit.csv"
+    write_csv(audit_like(), str(path), SPEC)
+    return str(path)
+
+
+def test_load_csv_audit(benchmark, audit_csv):
+    d = benchmark(load_csv, audit_csv, SPEC)
+    assert d == audit_like()
+
+
+def test_greedy_match_audit_normalized(benchmark):
+    d = normalize_features(audit_like())
+    m = benchmark(greedy_match, d, 1000, L2)
+    assert len(m) == 1000
+
+
+def test_greedy_match_validity_cube(benchmark):
+    d = gen_validity_cube(500, 0)
+    m = benchmark(greedy_match, d, 250, L2)
+    assert len(m) == 250

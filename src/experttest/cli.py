@@ -14,6 +14,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -96,40 +98,59 @@ class ColumnSpec:
 def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     """Read a UTF-8 CSV with header into a dataset, preserving row order.
 
-    A leading byte-order mark is dropped. Raises :class:`MissingColumn`,
-    :class:`DuplicateColumn`, :class:`NonNumericCell` (row numbers are
-    1-based data rows) or :class:`EmptyFile`.
+    A leading byte-order mark is dropped. Every selected cell is read with
+    Python's ``float``. The rows are streamed once and converted in bulk;
+    only a file with a bad cell is read again, cell by cell, to name it.
+    Raises :class:`MissingColumn`, :class:`DuplicateColumn`,
+    :class:`NonNumericCell` (row numbers are 1-based data rows) or
+    :class:`EmptyFile`.
     """
+    names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        pick = itemgetter(*_selected_columns(reader, path, names))
+        cells = chain.from_iterable(map(pick, reader))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        col_index = {}
-        for name in (*spec.feature_columns, spec.outcome_column, spec.prediction_column):
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not in header {header}")
-            if header.count(name) > 1:
-                raise DuplicateColumn(name)
-            col_index[name] = header.index(name)
+            values = np.fromiter(map(float, cells), dtype=np.float64)
+        except (ValueError, IndexError, csv.Error):
+            values = None
+    if values is None or not np.isfinite(values).all():
+        values = _checked_cells(path, names)
+    values = values.reshape(-1, len(names))
+    k = len(spec.feature_columns)
+    return Dataset(values[:, :k], values[:, k], values[:, k + 1])
 
-        xs, ys, ps = [], [], []
+
+def _selected_columns(reader, path: str, names: tuple[str, ...]) -> list[int]:
+    """Read the header row and return the position of each name in it."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyFile(f"{path}: no header row") from None
+    for name in names:
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not in header {header}")
+        if header.count(name) > 1:
+            raise DuplicateColumn(name)
+    return [header.index(name) for name in names]
+
+
+def _checked_cells(path: str, names: tuple[str, ...]) -> np.ndarray:
+    """The selected cells row by row, raising :class:`NonNumericCell` at the first bad one."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        columns = _selected_columns(reader, path, names)
+        values = []
         for row_no, row in enumerate(reader, start=1):
-            def cell(name: str) -> float:
-                idx = col_index[name]
+            for name, idx in zip(names, columns):
                 try:
                     value = float(row[idx])
                 except (ValueError, IndexError):
                     raise NonNumericCell(row_no, name) from None
                 if not math.isfinite(value):
                     raise NonNumericCell(row_no, name)
-                return value
-
-            xs.append([cell(name) for name in spec.feature_columns])
-            ys.append(cell(spec.outcome_column))
-            ps.append(cell(spec.prediction_column))
-    return Dataset(xs, ys, ps)
+                values.append(value)
+    return np.array(values)
 
 
 def write_csv(d: Dataset, path: str, spec: ColumnSpec) -> None:
@@ -189,6 +210,12 @@ class Report:
     smoothness_C: float | None
 
 
+def _largest_L(L_values: list[int]) -> int:
+    if not L_values:
+        raise ValueError("need at least one L value")
+    return max(L_values)
+
+
 def _epsilon_note(mismatched: int, bound: ValidityBound | None) -> str:
     if mismatched == 0:
         return "epsilon* = 0 (exact pairs)"
@@ -214,9 +241,7 @@ def run_report(
     bounds.
     """
     L_values = [int(L) for L in L_values]
-    if not L_values:
-        raise ValueError("need at least one L value")
-    full = greedy_match(d, max(L_values), metric)
+    full = greedy_match(d, _largest_L(L_values), metric)
     rows = []
     for L in L_values:
         matching = full.prefix(L)
@@ -497,7 +522,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_match_stats(args) -> int:
     d = _load_dataset(args)
-    full = greedy_match(d, max(args.pairs), args.metric)
+    full = greedy_match(d, _largest_L(args.pairs), args.metric)
     rows = []
     doc = []
     for L in args.pairs:

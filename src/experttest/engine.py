@@ -7,12 +7,15 @@ swap distribution, which is evidence that predictions carry information the
 features do not.
 
 Loss comparisons are computed from per-pair swap deltas rather than by
-rebuilding each resampled dataset: for binary losses the delta of every
+rebuilding each resampled dataset. For binary losses the delta of every
 executed swap is plus or minus one (fp_cost + fn_cost) unit, so comparisons
-and ties reduce to exact integer counts; for squared error the deltas are
-summed in floating point. Either way the result is bit-identical to scoring
-each resampled dataset, and the K resamples draw from indexed streams so they
-can be evaluated in any order (or concurrently) without changing the result.
+and ties reduce to exact integer counts, the same as scoring each resampled
+dataset. For squared error the per-pair deltas are summed in floating
+point; that sum can round differently from rescoring each resampled dataset
+in full, so a resample whose loss change is within rounding of zero can be
+counted on the other side of the observed loss. The K resamples draw from
+indexed streams, so they can be evaluated in any order (or concurrently)
+without changing the result.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without

@@ -125,20 +125,29 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     small coordinates they are the pairs of equal rows, which one sort
     groups. The rest is found in rounds. Each round builds a KD tree on the
     records still free and collects the pairs within a radius ``r``: just
-    above the ``need``-th smallest nearest-neighbour distance among them,
-    where ``need`` is the number of pairs still missing, and doubled after a
-    round that adds no pair. The candidates are scanned in ``(distance, i, j)`` order
-    and a pair is accepted while its distance is at most ``r * (1 - 1e-9)``.
-    Up to that limit every free pair is a candidate, so each accepted pair is
-    the global greedy choice at its step. Greedy on the records still free
-    continues greedy on all records, so the next round starts over on them;
-    once at most 64 records are free, one dense scan over their pairs
-    finishes.
+    above the ``need``-th smallest nearest-free-neighbour distance, where
+    ``need`` is the number of pairs still missing. The candidates are
+    scanned in ``(distance, i, j)`` order and a pair is accepted while its
+    distance is at most ``r * (1 - 1e-9)``. Up to that limit every free pair
+    is a candidate, so each accepted pair is the global greedy choice at its
+    step, whatever ``r`` is. Greedy on the records still free continues
+    greedy on all records, so the next round starts over on them; once at
+    most 64 records are free, one dense scan over their pairs finishes.
+
+    The radius only sets how much one round takes. The nearest-neighbour
+    distances are queried in the first round and reused after it: a record's
+    distance to its nearest free neighbour can only grow as records are
+    taken, so the stored values are lower bounds. A round that takes no
+    pair doubles the radius. After such a round the distances are queried
+    again if the bound is 0, which doubling cannot move, or if the round
+    before took no pair either.
 
     Typical inputs need a handful of rounds, each O(m log m + c log c) time
     and O(m + c) memory for m free records and c candidates, where c is
     usually of the order of ``need``. Distances come from the same
-    column-by-column kernel as :meth:`DistanceMetric.distance`.
+    column-by-column kernel as :meth:`DistanceMetric.distance`. scipy's
+    KD tree is imported when the first round needs it, so a matching made
+    of equal rows alone never loads it.
 
     Raises
     ------
@@ -148,8 +157,6 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         If ``L < 1``, if the metric's weights do not match the feature
         dimension, or if weighting makes a feature NaN or infinite.
     """
-    from scipy.spatial import cKDTree
-
     n = d.n
     if L < 1:
         raise ValueError("L must be at least 1")
@@ -165,6 +172,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     free[zero.ravel()] = False
     pairs, dists = [zero], [np.zeros(len(zero))]  # one entry per round
     found = len(zero)
+    nearest = np.empty(n)  # per record, a lower bound on its distance to the nearest free record
+    requery = True
     grow = 1.0
     while found < L:
         idx = np.flatnonzero(free)
@@ -172,13 +181,17 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
             ii, jj = np.triu_indices(idx.size, k=1)
             limit = np.inf
         else:
+            from scipy.spatial import cKDTree
+
             sub = x[idx]
             tree = cKDTree(sub)
-            nearest = tree.query(sub, k=2)[0][:, 1]
+            if requery:
+                nearest[idx] = tree.query(sub, k=2)[0][:, 1]
             need = L - found
-            # just above the need-th distance, so that the closest free pair
-            # lies inside the acceptance limit below and the round takes it
-            r = np.partition(nearest, need - 1)[need - 1] * grow * (1 + 1e-8)
+            bound = np.partition(nearest[idx], need - 1)[need - 1]
+            # just above the need-th distance, so that with exact distances
+            # the closest free pair lies inside the acceptance limit below
+            r = bound * grow * (1 + 1e-8)
             ii, jj = tree.query_pairs(r, output_type="ndarray").T
             # the tree's own distance arithmetic may differ from the kernel's
             # in the last bits; the margin keeps every accepted pair well inside
@@ -200,6 +213,10 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         pairs.append(np.column_stack((ii[taken], jj[taken])))
         dists.append(dist[taken])
         found += len(taken)
+        # an empty round leaves the free records and the bound as they were:
+        # doubling cannot move a bound of 0, and a second empty round in a
+        # row (grow > 1) means the bounds lag far behind the distances
+        requery = not taken and (bound == 0 or grow > 1)
         grow = 1.0 if taken else 2 * grow
     return Matching(np.concatenate(pairs), np.concatenate(dists))
 

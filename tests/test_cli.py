@@ -79,10 +79,47 @@ class TestLoadCsv:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
         p = tmp_path / "d.csv"
-        p.write_text(f"f1,f2,y,yhat\n0,1,0,0\n1,2,1,1\n2,3,{cell},0\n")
+        # in the first, a middle and the last data row
+        for row in (1, 2, 3):
+            rows = [["0", "1", "0", "0"], ["1", "2", "1", "1"], ["2", "3", "1", "0"]]
+            rows[row - 1][2] = cell
+            write_rows(p, ["f1", "f2", "y", "yhat"], rows)
+            with pytest.raises(NonNumericCell) as err:
+                load_csv(str(p), SPEC)
+            assert (err.value.row, err.value.column) == (row, "y")
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [("", "f1"), ("7,8", "y"), ("7,8,1,abc", "yhat"), ("7,1e,1,0", "f2")],
+        ids=["blank_line", "short_row", "non_numeric", "bad_exponent"],
+    )
+    def test_bad_row_names_row_and_column(self, tmp_path, line, column):
+        p = tmp_path / "d.csv"
+        rows = ["0,1,0,0", "1,2,1,1", "2,3,1,0"]
+        for row in (1, 2, 3):
+            p.write_text("\n".join(["f1,f2,y,yhat", *rows[: row - 1], line, *rows[row:]]) + "\n")
+            with pytest.raises(NonNumericCell) as err:
+                load_csv(str(p), SPEC)
+            assert (err.value.row, err.value.column) == (row, column)
+
+    def test_first_bad_cell_is_named(self, tmp_path):
+        # the bulk pass stops at the non-numeric cell in row 3; the rescan
+        # still names the non-finite cell before it
+        p = tmp_path / "d.csv"
+        p.write_text("f1,f2,y,yhat\n0,1,0,0\n1,inf,1,1\n2,3,x,0\n")
         with pytest.raises(NonNumericCell) as err:
             load_csv(str(p), SPEC)
-        assert (err.value.row, err.value.column) == (3, "y")
+        assert (err.value.row, err.value.column) == (2, "f2")
+
+    def test_cells_read_as_python_float(self, tmp_path):
+        cells = [" 1.5", "1_000", "+1e-3", "1E5", "-0", '"2.5"', "7", "-3.25"]
+        p = tmp_path / "d.csv"
+        lines = [",".join(cells[i : i + 4]) for i in range(0, len(cells), 4)]
+        p.write_text("\n".join(["f1,f2,y,yhat", *lines]) + "\n")
+        d = load_csv(str(p), SPEC)
+        got = np.column_stack([d.x, d.y, d.y_hat]).ravel()
+        want = np.array([float(c.strip('"')) for c in cells])
+        assert got.tobytes() == want.tobytes()  # bit for bit, so -0 keeps its sign
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -324,6 +361,17 @@ class TestCliMain:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "trial,tau,rejected"
         assert len(out) == 5
+
+    def test_match_stats_needs_an_L_value(self, tmp_path, capsys):
+        p, names = clinical_format_fixture(tmp_path)
+        for command in ("report", "match-stats"):
+            code = main([
+                command, str(p), "--features", ",".join(names),
+                "--outcome", "outcome", "--prediction", "admitted", "--pairs", ",",
+            ])
+            assert code == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "ValueError", "message": "need at least one L value"}
 
     def test_match_stats_subcommand(self, tmp_path, capsys):
         p, names = clinical_format_fixture(tmp_path)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from _oracles import dense_greedy_match
@@ -94,6 +99,25 @@ class TestGreedyMatch:
         L = int(rng.integers(1, n // 2 + 1))
         assert big.prefix(L) == greedy_match(d, L, L2)
 
+    def test_equal_rows_need_no_kd_tree_module(self):
+        # every pair of the expertise world is an equal-row pair, so no KD
+        # round runs and scipy.spatial (about 30 MB resident) stays unloaded
+        code = (
+            "import sys\n"
+            "from experttest.core import DistanceMetric\n"
+            "from experttest.matching import greedy_match\n"
+            "from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube\n"
+            "metric = DistanceMetric.euclidean()\n"
+            "greedy_match(gen_expertise_pairs(ExpertiseConfig(600, 0.2, 0)), 300, metric)\n"
+            "assert 'scipy.spatial' not in sys.modules, 'loaded without a KD round'\n"
+            "greedy_match(gen_validity_cube(600, 0), 150, metric)\n"
+            "assert 'scipy.spatial' in sys.modules, 'KD round ran without the tree module'\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_weight_dimension_checked(self):
         metric = DistanceMetric.weighted_euclidean([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -109,7 +133,17 @@ class TestGreedyMatch:
 
     @given(
         kind=st.sampled_from(
-            ["uniform", "one_decimal", "lattice", "pooled", "tiny", "expertise", "zero_weights"]
+            [
+                "uniform",
+                "one_decimal",
+                "lattice",
+                "pooled",
+                "tiny",
+                "triples",
+                "tiny_triples",
+                "expertise",
+                "zero_weights",
+            ]
         ),
         n=st.integers(2, 300),
         dim=st.integers(1, 12),
@@ -120,6 +154,8 @@ class TestGreedyMatch:
     @example(kind="lattice", n=299, dim=2, seed=1, depth=1.0)
     @example(kind="uniform", n=300, dim=12, seed=2, depth=1.0)
     @example(kind="tiny", n=300, dim=1, seed=3, depth=1.0)
+    @example(kind="triples", n=300, dim=3, seed=4, depth=1.0)
+    @example(kind="tiny_triples", n=300, dim=2, seed=3, depth=1.0)
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_greedy(self, kind, n, dim, seed, depth):
         # the KD rounds must give exactly the dense matcher's pairs, order and
@@ -141,6 +177,16 @@ class TestGreedyMatch:
             # distinct coordinates whose differences can square to 0: distance
             # 0 no longer means equal rows
             x = rng.integers(0, 3, (n, dim)) * rng.choice([1e-170, 1e-162, 1e-150])
+        elif kind in ("triples", "tiny_triples"):
+            # groups of three equal rows among distinct rows: two members of a
+            # group pair at distance 0 and the third stays free, so a nearest-
+            # neighbour distance of 0 queried before that pair was taken is
+            # stale; at tiny scales the KD rounds, not the sort, take those pairs
+            x = rng.random((n, dim))
+            groups = rng.permutation(n)[: 3 * (n // 4)].reshape(-1, 3)
+            x[groups[:, 1]] = x[groups[:, 2]] = x[groups[:, 0]]
+            if kind == "tiny_triples":
+                x *= rng.choice([1e-170, 1e-162, 1e-150])
         elif kind == "expertise":
             n += n % 2
             x = gen_expertise_pairs(ExpertiseConfig(n, 0.0, seed)).x
