@@ -5,19 +5,27 @@ Run from the root of a source checkout::
     python -m pytest bench/bench_layers.py
 
 The file name does not match ``test_*.py``, so a plain ``pytest`` run of the
-test suite does not collect it. The inputs mirror the ``audit`` and
-``validity`` workloads of ``perfbench/``: a 4000-row CSV of recorded binary
-decisions (two integer features, two lab values to one decimal place, with
-duplicate records), and the validity cube at n = 500.
+test suite does not collect it. The inputs mirror the workloads of
+``perfbench/``: a 4000-row CSV of recorded binary decisions (two integer
+features, two lab values to one decimal place, with duplicate records), the
+validity cube at n = 500, and one test at a ``power`` shape (n = 600,
+L = 75, K = 1000, zero-one loss) and at a ``validity`` shape (n = 500,
+L = 250, K = 200, squared loss). Every engine call takes a new seed, as
+every test of the ``power`` workload does, so none reuses the seed words
+of the one before.
 """
+
+from itertools import count
 
 import numpy as np
 import pytest
 
+from experttest import engine
 from experttest.cli import ColumnSpec, load_csv, normalize_features, write_csv
-from experttest.core import Dataset, DistanceMetric
+from experttest.core import Dataset, DistanceMetric, LossSpec
+from experttest.engine import TestConfig, expert_test_with_matching
 from experttest.matching import greedy_match
-from experttest.synthgen import gen_validity_cube
+from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
 
 AUDIT_N = 4000
 SPEC = ColumnSpec(("age", "visits", "hgb", "creatinine"), "outcome", "decision")
@@ -61,3 +69,32 @@ def test_greedy_match_validity_cube(benchmark):
     d = gen_validity_cube(500, 0)
     m = benchmark(greedy_match, d, 250, L2)
     assert len(m) == 250
+
+
+@pytest.mark.parametrize("K, L", [(1000, 75), (200, 250)])
+def test_swap_mask_blocks(benchmark, K, L):
+    seeds = count()
+
+    def draw():
+        return sum(block.shape[0] for block in engine._swap_mask_blocks(next(seeds), K, L))
+
+    assert benchmark(draw) == K
+
+
+@pytest.mark.parametrize(
+    "d, L, K, loss",
+    [
+        (gen_expertise_pairs(ExpertiseConfig(n=600, delta=0.2, seed=0)), 75, 1000, LossSpec.zero_one()),
+        (gen_validity_cube(500, 0), 250, 200, LossSpec.squared_error()),
+    ],
+    ids=["power", "validity"],
+)
+def test_expert_test_with_matching(benchmark, d, L, K, loss):
+    m = greedy_match(d, L, L2)
+    seeds = count()
+
+    def run():
+        cfg = TestConfig(L=L, K=K, alpha=0.05, loss=loss, metric=L2, master_seed=next(seeds))
+        return expert_test_with_matching(d, m, cfg)
+
+    assert benchmark(run).K == K

@@ -57,8 +57,9 @@ class Smoothness:
     C: float
 
     def __post_init__(self) -> None:
-        if self.C < 0:
-            raise ValueError("smoothness constant must be nonnegative")
+        # C = inf is allowed: it admits any odds ratio, so the bound is trivial
+        if not self.C >= 0:
+            raise ValueError(f"smoothness constant C must be nonnegative, got {self.C}")
 
 
 OddsRatioSource = Union[KnownDensity, Smoothness]
@@ -82,6 +83,8 @@ def _deviation(r: float) -> float:
 def _interval_deviation(c: float, dist: float) -> float:
     # worst case over the odds-ratio interval; both endpoints give the same
     # deviation because r and 1/r imply mirrored swap probabilities
+    if dist == 0.0:
+        return 0.0  # an identical pair, even at c = inf, where c * dist is NaN
     hi = (1.0 + c * dist) ** 2
     return max(_deviation(hi), _deviation(1.0 / hi))
 

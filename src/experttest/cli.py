@@ -562,6 +562,8 @@ def _cmd_power(args) -> int:
             alpha=args.alpha, trials=args.trials, master_seed=args.seed,
         )
     else:
+        if args.pairs_divisor < 1:
+            raise ValueError(f"--pairs-divisor must be at least 1, got {args.pairs_divisor}")
         cells = run_power_curve(
             args.n_values, args.deltas, lambda n: n // args.pairs_divisor,
             K=args.resamples, alpha=args.alpha, trials=args.trials, master_seed=args.seed,

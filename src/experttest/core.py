@@ -173,8 +173,8 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.variant not in (_ZERO_ONE, _SQUARED, _WEIGHTED):
             raise ValueError(f"unknown loss variant: {self.variant!r}")
-        if self.fp_cost < 0 or self.fn_cost < 0:
-            raise ValueError("false-positive / false-negative costs must be nonnegative")
+        if not (0.0 <= self.fp_cost < np.inf and 0.0 <= self.fn_cost < np.inf):
+            raise ValueError("false-positive / false-negative costs must be finite and nonnegative")
 
     @classmethod
     def zero_one(cls) -> "LossSpec":

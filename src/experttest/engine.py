@@ -13,18 +13,25 @@ and ties reduce to exact integer counts, the same as scoring each resampled
 dataset. For squared error the per-pair deltas are summed in floating
 point; that sum can round differently from rescoring each resampled dataset
 in full, so a resample whose loss change is within rounding of zero can be
-counted on the other side of the observed loss. The K resamples draw from
-indexed streams, so they can be evaluated in any order (or concurrently)
-without changing the result.
+counted on the other side of the observed loss.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
-building K seed sequences: it hashes all K seed states at once and seeds each
-``PCG64`` from its row (:func:`_swap_masks`). A property test checks the
-result against the stacked streams.
+building K seed sequences: it hashes all K seed states at once, seeds each
+``PCG64`` from its row, and reads the streams a block of at most
+``_BLOCK_ROWS`` resamples at a time (:func:`_swap_mask_blocks`), so no
+Python code runs per resample. Each block is compared and reduced to two
+counts before the next is drawn, which bounds the working memory to
+``_BLOCK_ROWS`` x L whatever K is. Row k depends only on (seed, k), so the K
+resamples can still be evaluated in any order (or concurrently) without
+changing the result. A property test checks the concatenated blocks against
+the stacked streams.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import methodcaller
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -71,6 +78,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _U32 = (1 << 32) - 1
 _HALF_RAW = np.uint64(1 << 63)
+# resamples drawn and compared per block; 32 to 256 measured within noise
+_BLOCK_ROWS = 64
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -170,20 +179,25 @@ def _swap_class_masks(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
     return inc, dec
 
 
-def _swap_masks(master_seed: int, K: int, L: int) -> np.ndarray:
-    """K x L Bernoulli(1/2) swap decisions: row k is ``swap_stream(master_seed, k).random(L) < 0.5``.
+def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
+    """The K x L Bernoulli(1/2) swap decisions, as bool blocks of at most ``_BLOCK_ROWS`` rows.
 
+    Row k of the concatenated blocks is ``swap_stream(master_seed, k).random(L) < 0.5``.
     Rather than build K seed sequences, the K seed states are derived at once
-    and each ``PCG64`` seeds itself from its row. ``Generator.random``
-    returns ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when its
-    raw 64-bit output is below 2**63.
+    and each ``PCG64`` seeds itself from its row; the streams are built and
+    drawn by C-level iterators and each block is read with one ``fromiter``.
+    ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a draw is below
+    1/2 exactly when its raw 64-bit output is below 2**63.
     """
     if K >= _SWAP_STREAM_BASE:
         raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
-    mask = np.empty((K, L), dtype=bool)
-    for k, words in enumerate(_swap_seed_words(master_seed, K)):
-        mask[k] = np.random.PCG64(_SeedWords(words)).random_raw(L) < _HALF_RAW
-    return mask
+    streams = map(np.random.PCG64, map(_SeedWords, _swap_seed_words(master_seed, K)))
+    raws = map(methodcaller("random_raw", L), streams)
+    row = np.dtype((np.uint64, (L,)))
+    return (
+        np.fromiter(raws, dtype=row, count=min(_BLOCK_ROWS, K - start)) < _HALF_RAW
+        for start in range(0, K, _BLOCK_ROWS)
+    )
 
 
 class _SeedWords(ISeedSequence):
@@ -196,6 +210,7 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+@lru_cache(maxsize=1)
 def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     """Row k is ``SeedSequence(master_seed & U64, spawn_key=(2**32 + k,)).generate_state(4, uint64)``.
 
@@ -203,6 +218,9 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     seed's two 32-bit halves padded to the pool size, then the spawn key's
     words ``k`` and ``1``. The hash constants advance independently of the
     data, so every stream shares them.
+
+    The last result is kept, because a sweep over L tests one (seed, K)
+    several times in a row; it is read-only, since every caller shares it.
     """
     hashmix = _hash_steps(_INIT_A, _MULT_A)
     seed = master_seed & _U64
@@ -219,7 +237,9 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     generate = _hash_steps(_INIT_B, _MULT_B)
     words = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # little-endian pairs of 32-bit words make the four 64-bit state words
-    return np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+    state = np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+    state.flags.writeable = False
+    return state
 
 
 def _hash_steps(init: int, mult: int):
@@ -259,21 +279,35 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     cfg.loss.check_compatible(d)
     observed = dataset_loss(d, cfg.loss)
 
-    mask = _swap_masks(cfg.master_seed, cfg.K, cfg.L)
     try:
         inc, dec = _swap_class_masks(d, matching)
     except NonBinaryData:
         counts = None
-        less, ties = _compare_generic(d, matching, cfg.loss, mask)
     else:
-        counts = SwapCounts(int(inc.sum()), int(dec.sum()), cfg.L - int(inc.sum()) - int(dec.sum()))
-        if cfg.loss.requires_binary:
-            less, ties = _compare_binary(inc, dec, cfg.loss, mask)
-        else:
-            less, ties = _compare_generic(d, matching, cfg.loss, mask)
+        n_inc, n_dec = int(inc.sum()), int(dec.sum())
+        counts = SwapCounts(n_inc, n_dec, cfg.L - n_inc - n_dec)
+    # a binary loss passed check_compatible, so inc and dec exist
+    if not cfg.loss.requires_binary:
+        delta = _swap_deltas(d, matching, cfg.loss)
+    elif cfg.loss.fp_cost + cfg.loss.fn_cost == 0.0:
+        delta = np.zeros(cfg.L, dtype=np.int64)
+    else:
+        # every executed increase swap adds one false positive and one false
+        # negative; every executed decrease swap removes one of each, so the
+        # loss difference is (fp_cost + fn_cost) times the sum of these units
+        # and comparisons are exact integer arithmetic
+        delta = inc.astype(np.int64) - dec
 
-    coins = tie_break_stream(cfg.master_seed).random(int(ties.sum())) < 0.5
-    tau = (int(less.sum()) + int(coins.sum())) / cfg.K
+    less = ties = 0
+    for mask in _swap_mask_blocks(cfg.master_seed, cfg.K, cfg.L):
+        # an elementwise product and a row sum, not mask @ delta: each row
+        # keeps the one float reduction order whatever the block size
+        diff = (mask * delta).sum(axis=1)
+        less += int(np.count_nonzero(diff < 0))
+        ties += int(np.count_nonzero(diff == 0))
+
+    coins = tie_break_stream(cfg.master_seed).random(ties) < 0.5
+    tau = (less + int(coins.sum())) / cfg.K
     return TestResult(
         tau=tau,
         effective_p=tau + 1.0 / (cfg.K + 1),
@@ -286,31 +320,12 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     )
 
 
-def _compare_binary(
-    inc: np.ndarray, dec: np.ndarray, loss: LossSpec, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # every executed increase swap adds one false positive and one false
-    # negative; every executed decrease swap removes one of each, so the loss
-    # difference is (fp_cost + fn_cost) * (executed increases - decreases)
-    # and comparisons are exact integer arithmetic
-    executed_inc = (mask & inc).sum(axis=1)
-    executed_dec = (mask & dec).sum(axis=1)
-    unit = loss.fp_cost + loss.fn_cost if loss.variant == "weighted_binary" else 2.0
-    diff = executed_inc - executed_dec
-    if unit == 0.0:
-        return np.zeros(mask.shape[0], dtype=bool), np.ones(mask.shape[0], dtype=bool)
-    return diff < 0, diff == 0
-
-
-def _compare_generic(
-    d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:
+    """Per-pair change in summed per-record loss when the pair's predictions are exchanged."""
     pi, pj = m.pairs.T
     unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
     swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
-    delta = swapped - unswapped
-    diff = (mask * delta).sum(axis=1)
-    return diff < 0, diff == 0
+    return swapped - unswapped
 
 
 def exact_binary_p(increase: int, decrease: int) -> float:

@@ -4,7 +4,8 @@ from typing import Sequence
 
 import numpy as np
 
-from experttest.core import Dataset, DistanceMetric
+from experttest.core import Dataset, DistanceMetric, LossSpec
+from experttest.engine import TestConfig, _swap_class_masks, swap_stream, tie_break_stream
 from experttest.matching import Matching, TooManyPairs
 
 _SCAN_CHUNK = 1 << 16
@@ -80,3 +81,47 @@ def tau_statistic(
     ties = res == observed_loss
     coins = rng.random(int(ties.sum())) < 0.5
     return float((int(less.sum()) + int(coins.sum())) / res.size)
+
+
+def stacked_swap_mask(master_seed: int, K: int, L: int) -> np.ndarray:
+    """The whole K x L swap mask: row k is the first L decisions of swap stream k."""
+    return np.stack([swap_stream(master_seed, k).random(L) < 0.5 for k in range(K)])
+
+
+def whole_mask_tau(d: Dataset, m: Matching, cfg: TestConfig) -> float:
+    """The engine's ``tau``, compared on one whole stacked mask instead of row blocks."""
+    mask = stacked_swap_mask(cfg.master_seed, cfg.K, cfg.L)
+    if cfg.loss.requires_binary:
+        inc, dec = _swap_class_masks(d, m)
+        less, ties = _compare_binary(inc, dec, cfg.loss, mask)
+    else:
+        less, ties = _compare_generic(d, m, cfg.loss, mask)
+    coins = tie_break_stream(cfg.master_seed).random(int(ties.sum())) < 0.5
+    return (int(less.sum()) + int(coins.sum())) / cfg.K
+
+
+def _compare_binary(
+    inc: np.ndarray, dec: np.ndarray, loss: LossSpec, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # every executed increase swap adds one false positive and one false
+    # negative; every executed decrease swap removes one of each, so the loss
+    # difference is (fp_cost + fn_cost) * (executed increases - decreases)
+    # and comparisons are exact integer arithmetic
+    executed_inc = (mask & inc).sum(axis=1)
+    executed_dec = (mask & dec).sum(axis=1)
+    unit = loss.fp_cost + loss.fn_cost if loss.variant == "weighted_binary" else 2.0
+    diff = executed_inc - executed_dec
+    if unit == 0.0:
+        return np.zeros(mask.shape[0], dtype=bool), np.ones(mask.shape[0], dtype=bool)
+    return diff < 0, diff == 0
+
+
+def _compare_generic(
+    d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    pi, pj = m.pairs.T
+    unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
+    swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
+    delta = swapped - unswapped
+    diff = (mask * delta).sum(axis=1)
+    return diff < 0, diff == 0

@@ -36,6 +36,17 @@ class TestEpsilonStar:
         d, m = matched_points([1.0, 1.0, 4.0, 4.0])
         assert epsilon_star(d, m, Smoothness(10.0)) == 0.0
 
+    def test_smoothness_constant_validated(self):
+        for c in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="smoothness constant"):
+                Smoothness(c)
+        # an infinite constant admits every odds ratio: the trivial deviation
+        # 1/2, except on identical pairs
+        d, m = matched_points([0.0, 0.5], L=1)
+        assert epsilon_star(d, m, Smoothness(np.inf)) == 0.5
+        d, m = matched_points([1.0, 1.0, 4.0, 4.0])
+        assert epsilon_star(d, m, Smoothness(np.inf)) == 0.0
+
     def test_smoothness_single_pair(self):
         # odds ratio interval endpoint r = (1 + 1 * 0.1)^2 = 1.21
         d, m = matched_points([0.0, 0.1], L=1)

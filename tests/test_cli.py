@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from experttest.engine import TestConfig, expert_test
 from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
 
 SPEC = ColumnSpec(("f1", "f2"), "y", "yhat")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_rows(path, header, rows):
@@ -311,14 +316,21 @@ class TestCliMain:
 
     def test_non_finite_metric_weight_exits_nonzero(self, tmp_path, capsys):
         p, names = clinical_format_fixture(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "report", str(p), "--features", ",".join(names[:2]),
-                "--outcome", "outcome", "--prediction", "admitted",
-                "--pairs", "10", "--metric", "weighted:nan,1",
-            ])
-        assert exc.value.code != 0
-        assert "--metric" in capsys.readouterr().err
+        for option, value in [
+            ("--metric", "weighted:nan,1"),
+            ("--loss", "weighted:fp=nan,fn=1"),
+            ("--loss", "weighted:fp=1,fn=inf"),
+            ("--loss", "weighted:fp=-inf,fn=1"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "report", str(p), "--features", ",".join(names[:2]),
+                    "--outcome", "outcome", "--prediction", "admitted",
+                    "--pairs", "10", option, value, "--json", str(tmp_path / "out.json"),
+                ])
+            assert exc.value.code == 2, value
+            assert option in capsys.readouterr().err
+            assert not (tmp_path / "out.json").exists()
 
     def test_mse_subcommand(self, capsys):
         assert main(["mse", "--n", "200", "--trials", "10", "--seed", "2"]) == 0
@@ -351,6 +363,21 @@ class TestCliMain:
         ]) == 0
         sweep = capsys.readouterr().out.strip().splitlines()
         assert len(sweep) == 3
+
+    @pytest.mark.parametrize("divisor", ["0", "-2"])
+    def test_power_pairs_divisor_below_one_rejected(self, divisor):
+        # run as a process, so that an escaping exception would show as a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "experttest.cli", "power", "--n-values", "80",
+             "--deltas", "0.0", "--pairs-divisor", divisor, "--trials", "2"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ValueError"
+        assert "--pairs-divisor" in err["message"]
 
     def test_toy_subcommand(self, capsys):
         code = main([

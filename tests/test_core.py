@@ -51,6 +51,14 @@ class TestDatasetLoss:
         with pytest.raises(ValueError):
             LossSpec.weighted_binary(-1.0, 1.0)
 
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf])
+    def test_non_finite_costs_rejected(self, cost):
+        # a NaN or infinite cost used to give a NaN or infinite observed loss
+        with pytest.raises(ValueError, match="finite"):
+            LossSpec.weighted_binary(cost, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            LossSpec.weighted_binary(1.0, cost)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariance_exact(self, seed):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import resample_once, tau_statistic
+from _oracles import resample_once, stacked_swap_mask, tau_statistic, whole_mask_tau
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
@@ -32,6 +32,7 @@ from experttest.matching import Matching, TooManyPairs, greedy_match
 from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
 
 L2 = DistanceMetric.euclidean()
+B = engine._BLOCK_ROWS
 
 
 def paired_binary_dataset(increase, decrease, neutral=0):
@@ -49,6 +50,18 @@ def paired_binary_dataset(increase, decrease, neutral=0):
     n = len(y)
     x = np.repeat(np.arange(n // 2, dtype=float), 2)
     return Dataset(x, y, p)
+
+
+def tenths_cube(n, seed):
+    """Validity-cube features with outcomes and predictions drawn from {0.1, 0.2, 0.3}.
+
+    Squared-loss swap deltas on such values often cancel in exact
+    arithmetic, so the sign of a resample's float sum of deltas can depend
+    on its summation order.
+    """
+    d = gen_validity_cube(n, seed)
+    rng = np.random.default_rng(seed)
+    return Dataset(d.x, rng.choice([0.1, 0.2, 0.3], n), rng.choice([0.1, 0.2, 0.3], n))
 
 
 class TestResampleOnce:
@@ -85,10 +98,18 @@ class TestResampleOnce:
             resample_once(d, Matching([(0, 99)], [0.0]), stream(0, 0))
 
 
+def swap_mask(seed, K, L):
+    """Concatenate the engine's mask blocks, checking that each is full but the last."""
+    blocks = list(engine._swap_mask_blocks(seed, K, L))
+    assert [b.shape for b in blocks] == [(min(B, K - s), L) for s in range(0, K, B)]
+    assert all(b.dtype == bool for b in blocks)
+    return np.concatenate(blocks)
+
+
 class TestSwapMasks:
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
-        K=st.integers(1, 64),
+        K=st.integers(1, 2 * B + 10),
         L=st.integers(1, 300),
         cut=st.floats(0.0, 1.0),
     )
@@ -97,15 +118,17 @@ class TestSwapMasks:
     @example(seed=2**32 - 1, K=7, L=33, cut=0.0)
     @example(seed=2**32, K=7, L=33, cut=0.3)
     @example(seed=2**64 - 1, K=64, L=1, cut=1.0)
+    @example(seed=5, K=B - 1, L=9, cut=0.5)
+    @example(seed=5, K=B, L=9, cut=0.5)
+    @example(seed=5, K=B + 1, L=9, cut=0.5)
+    @example(seed=-3, K=2 * B + 3, L=40, cut=0.2)
     @settings(max_examples=100, deadline=None)
     def test_equals_stacked_swap_streams(self, seed, K, L, cut):
-        mask = engine._swap_masks(seed, K, L)
-        want = np.stack([swap_stream(seed, k).random(L) < 0.5 for k in range(K)])
-        assert mask.dtype == bool
-        assert np.array_equal(mask, want)
+        mask = swap_mask(seed, K, L)
+        assert np.array_equal(mask, stacked_swap_mask(seed, K, L))
         # a smaller L reads a prefix of every stream
         l = max(1, round(cut * L))
-        assert np.array_equal(mask[:, :l], engine._swap_masks(seed, K, l))
+        assert np.array_equal(mask[:, :l], swap_mask(seed, K, l))
 
     def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
         # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k < 2**32
@@ -116,11 +139,24 @@ class TestSwapMasks:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="swap streams"):
-                engine._swap_masks(5, 2**32, 1)
+                list(engine._swap_mask_blocks(5, 2**32, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_seed_words_reused_read_only(self):
+        words = engine._swap_seed_words(11, B + 5)
+        assert engine._swap_seed_words(11, B + 5) is words
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
+        fresh = engine._swap_seed_words.__wrapped__(11, B + 5)
+        # another (seed, K) replaces the kept words; the masks stay right
+        for seed, K in [(12, B + 5), (11, 3), (11, B + 5)]:
+            assert np.array_equal(swap_mask(seed, K, 20), stacked_swap_mask(seed, K, 20))
+        assert np.array_equal(words, fresh)
+        assert np.array_equal(engine._swap_seed_words(11, B + 5), fresh)
 
 
 class TestTauStatistic:
@@ -289,6 +325,48 @@ class TestExpertTest:
             ]
             literal = tau_statistic(observed, resampled, tie_break_stream(cfg.master_seed))
             assert expert_test(data, cfg).tau == literal, loss.describe()
+
+    @pytest.mark.parametrize("K", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize(
+        "data, loss",
+        [
+            ("pairs", LossSpec.zero_one()),
+            ("pairs", LossSpec.weighted_binary(0.3, 1.7)),
+            ("pairs", LossSpec.weighted_binary(0, 0)),
+            ("pairs", LossSpec.squared_error()),
+            ("cube", LossSpec.squared_error()),
+            ("tenths", LossSpec.squared_error()),
+        ],
+    )
+    def test_blocks_match_whole_mask(self, data, loss, K):
+        # comparing block by block must count exactly what one comparison of
+        # the whole stacked mask counts
+        d = {
+            "pairs": gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.1, seed=12)),
+            "cube": gen_validity_cube(120, 12),
+            "tenths": tenths_cube(120, 12),
+        }[data]
+        for seed in (0, 2**64 - 1, 8128):
+            cfg = self.cfg(L=40, K=K, loss=loss, master_seed=seed)
+            m = greedy_match(d, cfg.L, cfg.metric)
+            r = expert_test_with_matching(d, m, cfg)
+            tau = whole_mask_tau(d, m, cfg)
+            assert (r.tau, r.effective_p) == (tau, tau + 1.0 / (K + 1))
+            counts = classify_swaps(d, m) if data == "pairs" else None
+            assert r.binary_swap_counts == counts
+
+    def test_working_memory_bounded_by_blocks(self):
+        # a whole K x L float mask * delta would take 160 MB here
+        d = gen_validity_cube(4000, 3)
+        cfg = self.cfg(L=2000, K=10_000, loss=LossSpec.squared_error())
+        m = greedy_match(d, cfg.L, cfg.metric)
+        tracemalloc.start()
+        try:
+            expert_test_with_matching(d, m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_with_matching_requires_matching_length(self):
         d = gen_expertise_pairs(ExpertiseConfig(n=40, delta=0.1, seed=0))
