@@ -40,11 +40,9 @@ from .engine import (
     expert_test_with_matching,
 )
 from .matching import (
-    InstanceTooLarge,
     Matching,
     PairDistanceSummary,
     TooManyPairs,
-    brute_force_optimal_matching,
     greedy_match,
     pair_distance_summary,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "Matching",
     "PairDistanceSummary",
     "TooManyPairs",
-    "InstanceTooLarge",
     "greedy_match",
-    "brute_force_optimal_matching",
     "pair_distance_summary",
     "TestConfig",
     "TestResult",

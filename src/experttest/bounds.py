@@ -137,9 +137,8 @@ def type1_bound(alpha: float, epsilon_star: float, L: int, K: int) -> tuple[floa
         raise ValueError("epsilon_star must lie in [0, 1/2]")
     if L < 1 or K < 1:
         raise ValueError("L and K must be at least 1")
-    coupling = 1.0 - (1.0 - epsilon_star) ** L
     slack = 1.0 / (K + 1)
-    theorem1 = min(1.0, max(0.0, alpha + coupling + slack))
+    theorem1 = min(1.0, max(0.0, alpha + _coupling(epsilon_star, L) + slack))
     union = min(1.0, max(0.0, alpha + epsilon_star * L + slack))
     return theorem1, union
 
@@ -152,14 +151,18 @@ def adjusted_threshold(alpha: float, C: float, m: Matching, L: int, K: int) -> f
     ``max(0, alpha - (1 - (1 - eps)**L) - 1/(K+1))``. Conservative, possibly
     zero (then the test can never reject at this configuration).
     """
-    if C < 0:
-        raise ValueError("smoothness constant must be nonnegative")
-    return _corrected_level(alpha, _interval_deviation(C, m.max_distance), L, K)
+    eps = _interval_deviation(Smoothness(C).C, m.max_distance)  # Smoothness validates C
+    return _corrected_level(alpha, eps, L, K)
 
 
 def _corrected_level(alpha: float, eps: float, L: int, K: int) -> float:
     """``alpha`` less both excess type-I terms of Theorem 1, clipped at 0."""
-    return max(0.0, alpha - (1.0 - (1.0 - eps) ** L) - 1.0 / (K + 1))
+    return max(0.0, alpha - _coupling(eps, L) - 1.0 / (K + 1))
+
+
+def _coupling(eps: float, L: int) -> float:
+    """``1 - (1 - eps)**L``: the chance that L coins, each off by eps, are not all coupled."""
+    return 1.0 - (1.0 - eps) ** L
 
 
 def tv_coin_bound(deviations: Sequence[float]) -> float:
@@ -174,7 +177,7 @@ def tv_coin_bound(deviations: Sequence[float]) -> float:
         raise ValueError("each deviation must lie in [0, 1/2]")
     if not devs:
         return 0.0
-    return 1.0 - (1.0 - max(devs)) ** len(devs)
+    return _coupling(max(devs), len(devs))
 
 
 def validity_bound(

@@ -41,6 +41,7 @@ __all__ = [
     "DuplicateColumn",
     "NonNumericCell",
     "EmptyFile",
+    "MalformedCsv",
     "ColumnSpec",
     "ReportRow",
     "Report",
@@ -79,6 +80,10 @@ class EmptyFile(ExpertTestError):
     """The CSV has no header row."""
 
 
+class MalformedCsv(ExpertTestError):
+    """The csv module cannot parse a row, e.g. a field longer than its size limit."""
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Which header columns play the feature / outcome / prediction roles."""
@@ -102,8 +107,8 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     Python's ``float``. The rows are streamed once and converted in bulk;
     only a file with a bad cell is read again, cell by cell, to name it.
     Raises :class:`MissingColumn`, :class:`DuplicateColumn`,
-    :class:`NonNumericCell` (row numbers are 1-based data rows) or
-    :class:`EmptyFile`.
+    :class:`NonNumericCell`, :class:`MalformedCsv` (row numbers are 1-based
+    data rows) or :class:`EmptyFile`.
     """
     names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -127,6 +132,8 @@ def _selected_columns(reader, path: str, names: tuple[str, ...]) -> list[int]:
         header = next(reader)
     except StopIteration:
         raise EmptyFile(f"{path}: no header row") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: header: {exc}") from None
     for name in names:
         if name not in header:
             raise MissingColumn(f"column {name!r} not in header {header}")
@@ -136,20 +143,24 @@ def _selected_columns(reader, path: str, names: tuple[str, ...]) -> list[int]:
 
 
 def _checked_cells(path: str, names: tuple[str, ...]) -> np.ndarray:
-    """The selected cells row by row, raising :class:`NonNumericCell` at the first bad one."""
+    """The selected cells row by row; the first bad cell or unparsable row raises."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         columns = _selected_columns(reader, path, names)
         values = []
-        for row_no, row in enumerate(reader, start=1):
-            for name, idx in zip(names, columns):
-                try:
-                    value = float(row[idx])
-                except (ValueError, IndexError):
-                    raise NonNumericCell(row_no, name) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(row_no, name)
-                values.append(value)
+        row_no = 0  # the last row read; csv.Error comes from the one after it
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                for name, idx in zip(names, columns):
+                    try:
+                        value = float(row[idx])
+                    except (ValueError, IndexError):
+                        raise NonNumericCell(row_no, name) from None
+                    if not math.isfinite(value):
+                        raise NonNumericCell(row_no, name)
+                    values.append(value)
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path}: row {row_no + 1}: {exc}") from None
     return np.array(values)
 
 
@@ -355,6 +366,17 @@ def parse_metric(text: str) -> DistanceMetric:
     )
 
 
+def _smoothness_constant(text: str) -> float:
+    """A finite, nonnegative float; inf or NaN would make the JSON report invalid."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -386,7 +408,7 @@ def _add_test_args(p: argparse.ArgumentParser, multi_L: bool) -> None:
                    help="zero-one | squared | weighted:fp=<r>,fn=<r>")
     p.add_argument("--metric", type=parse_metric, default="l2",
                    help="l2 | weighted:<w1,...,wd>")
-    p.add_argument("--smoothness-C", type=float, default=None,
+    p.add_argument("--smoothness-C", type=_smoothness_constant, default=None,
                    help="smoothness constant for validity bounds")
     p.add_argument("--json", default=None, help="write machine-readable JSON here")
 
@@ -478,10 +500,11 @@ def _write_json(path: str | None, doc: dict) -> None:
         fh.write("\n")
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit_csv(header: list[str], records: list[dict]) -> None:
+    """Write ``records`` to stdout as CSV, one column per header key."""
+    writer = csv.DictWriter(sys.stdout, header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
 
 
 def _cmd_test(args) -> int:
@@ -523,17 +546,14 @@ def _cmd_report(args) -> int:
 def _cmd_match_stats(args) -> int:
     d = _load_dataset(args)
     full = greedy_match(d, _largest_L(args.pairs), args.metric)
-    rows = []
-    doc = []
+    records = []
     for L in args.pairs:
         s = pair_distance_summary(full.prefix(L))
-        rows.append([L, s.count, s.zero_count, repr(s.minimum), repr(s.q1),
-                     repr(s.median), repr(s.q3), repr(s.maximum)])
-        doc.append({"L": L, "count": s.count, "zero_count": s.zero_count,
-                    "min": s.minimum, "q1": s.q1, "median": s.median,
-                    "q3": s.q3, "max": s.maximum})
-    _emit_csv(["L", "count", "zero_count", "min", "q1", "median", "q3", "max"], rows)
-    _write_json(args.json, {"match_stats": doc})
+        records.append({"L": L, "count": s.count, "zero_count": s.zero_count,
+                        "min": s.minimum, "q1": s.q1, "median": s.median,
+                        "q3": s.q3, "max": s.maximum})
+    _emit_csv(["L", "count", "zero_count", "min", "q1", "median", "q3", "max"], records)
+    _write_json(args.json, {"match_stats": records})
     return 0
 
 
@@ -544,7 +564,8 @@ def _cmd_toy(args) -> int:
     )
     _emit_csv(
         ["trial", "tau", "rejected"],
-        [[t, repr(tau), int(tau <= args.alpha)] for t, tau in enumerate(res.taus)],
+        [{"trial": t, "tau": tau, "rejected": int(tau <= args.alpha)}
+         for t, tau in enumerate(res.taus)],
     )
     print(f"# rejection rate = {res.rejection_rate:.4g} over {res.trials} trials", file=sys.stderr)
     _write_json(args.json, {
@@ -568,14 +589,9 @@ def _cmd_power(args) -> int:
             args.n_values, args.deltas, lambda n: n // args.pairs_divisor,
             K=args.resamples, alpha=args.alpha, trials=args.trials, master_seed=args.seed,
         )
-    _emit_csv(
-        ["n", "delta", "L", "trials", "rejections", "rate"],
-        [[c.n, c.delta, c.L, c.trials, c.rejections, repr(c.rate)] for c in cells],
-    )
-    _write_json(args.json, {"cells": [
-        {"n": c.n, "delta": c.delta, "L": c.L, "trials": c.trials,
-         "rejections": c.rejections, "rate": c.rate} for c in cells
-    ]})
+    records = [dict(asdict(c), rate=c.rate) for c in cells]
+    _emit_csv(["n", "delta", "L", "trials", "rejections", "rate"], records)
+    _write_json(args.json, {"cells": records})
     return 0
 
 
@@ -584,33 +600,20 @@ def _cmd_validity(args) -> int:
         n=args.n, L_values=args.l_values, K=args.resamples,
         alpha=args.alpha, trials=args.trials, master_seed=args.seed,
     )
-    _emit_csv(
-        ["L", "trials", "rejections", "rate"],
-        [[c.L, c.trials, c.rejections, repr(c.rate)] for c in cells],
-    )
-    _write_json(args.json, {"n": args.n, "cells": [
-        {"L": c.L, "trials": c.trials, "rejections": c.rejections, "rate": c.rate}
-        for c in cells
-    ]})
+    records = [dict(asdict(c), rate=c.rate) for c in cells]
+    _emit_csv(["L", "trials", "rejections", "rate"], records)
+    _write_json(args.json, {"n": args.n, "cells": records})
     return 0
 
 
 def _cmd_mse(args) -> int:
     res = mse_comparison(n=args.n, trials=args.trials, seed=args.seed)
-    _emit_csv(
-        ["column", "mean", "two_sd"],
-        [
-            ["algorithm_mse", repr(res.algorithm.mean), repr(res.algorithm.two_sd)],
-            ["human_mse", repr(res.human.mean), repr(res.human.two_sd)],
-            ["rescaled_human_mse", repr(res.rescaled.mean), repr(res.rescaled.two_sd)],
-        ],
-    )
-    _write_json(args.json, {
-        "n": res.n, "trials": res.trials,
-        "algorithm_mse": {"mean": res.algorithm.mean, "two_sd": res.algorithm.two_sd},
-        "human_mse": {"mean": res.human.mean, "two_sd": res.human.two_sd},
-        "rescaled_human_mse": {"mean": res.rescaled.mean, "two_sd": res.rescaled.two_sd},
-    })
+    summaries = {"algorithm_mse": res.algorithm, "human_mse": res.human,
+                 "rescaled_human_mse": res.rescaled}
+    _emit_csv(["column", "mean", "two_sd"],
+              [{"column": name, **asdict(s)} for name, s in summaries.items()])
+    _write_json(args.json, {"n": res.n, "trials": res.trials,
+                            **{name: asdict(s) for name, s in summaries.items()}})
     return 0
 
 

@@ -136,10 +136,6 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
 
-    def with_y_hat(self, y_hat: np.ndarray) -> "Dataset":
-        """Copy of this dataset with predictions replaced (x and y never move)."""
-        return Dataset(self._x, self._y, y_hat)
-
     def is_binary(self) -> bool:
         """True when every outcome and prediction is exactly 0 or 1."""
         return bool(
@@ -295,16 +291,6 @@ class DistanceMetric:
         rows = self._scaled(np.stack(np.atleast_1d(a, b)))
         return float(row_distances(rows, 0, 1))
 
-    def pairwise_condensed(self, x: np.ndarray) -> np.ndarray:
-        """Condensed distance vector over the rows of ``x`` (scipy pdist order)."""
-        ii, jj = np.triu_indices(x.shape[0], k=1)
-        return row_distances(self._scaled(x), ii, jj)
-
-    def pairwise_matrix(self, x: np.ndarray) -> np.ndarray:
-        from scipy.spatial.distance import squareform
-
-        return squareform(self.pairwise_condensed(x))
-
     def describe(self) -> str:
         if self.weights is not None:
             return "weighted_euclidean(" + ",".join(f"{w:g}" for w in self.weights) + ")"
@@ -318,8 +304,8 @@ def row_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     is the order scipy's ``pdist`` uses, so the two agree bit for bit, while
     numpy's pairwise ``sum(axis=1)`` differs in the last bit from 8 columns
     on. Every distance the package reports comes from here, so
-    :meth:`DistanceMetric.distance`, the pairwise helpers and the matcher
-    return the same float for the same two records.
+    :meth:`DistanceMetric.distance` and the matcher return the same float
+    for the same two records.
     """
     total = np.zeros(np.shape(ii))
     for col in x.T:

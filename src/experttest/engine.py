@@ -276,7 +276,6 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     """
     if len(matching) != cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
-    cfg.loss.check_compatible(d)
     observed = dataset_loss(d, cfg.loss)
 
     try:
@@ -286,7 +285,7 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     else:
         n_inc, n_dec = int(inc.sum()), int(dec.sum())
         counts = SwapCounts(n_inc, n_dec, cfg.L - n_inc - n_dec)
-    # a binary loss passed check_compatible, so inc and dec exist
+    # a binary loss passed dataset_loss's compatibility check, so inc and dec exist
     if not cfg.loss.requires_binary:
         delta = _swap_deltas(d, matching, cfg.loss)
     elif cfg.loss.fp_cost + cfg.loss.fn_cost == 0.0:

@@ -1,4 +1,4 @@
-"""Greedy nearest-pair matching and an exhaustive minimax-matching oracle.
+"""Greedy nearest-pair matching and a summary of its pair distances.
 
 The greedy matcher repeatedly removes the globally closest remaining pair of
 records, ties going to the lexicographically smallest index pair. It finds
@@ -6,10 +6,7 @@ that matching exactly without the n(n-1)/2 pair table: one sort pairs up
 equal rows, then rounds of KD-tree radius queries over the records still
 free return every pair below a radius, which is all the greedy scan needs
 below it (see :func:`greedy_match`). Time and memory grow with n and the candidates per
-round, not with n squared. The oracle enumerates every disjoint pairing of a
-small instance and returns the best achievable maximum pair distance, which
-upper-bounds the greedy matcher's worst pair at twice the matching size (a
-guarantee the test suite checks on random instances).
+round, not with n squared.
 """
 
 from dataclasses import dataclass
@@ -20,16 +17,11 @@ from .core import Dataset, DistanceMetric, ExpertTestError, row_distances
 
 __all__ = [
     "TooManyPairs",
-    "InstanceTooLarge",
     "Matching",
     "PairDistanceSummary",
     "greedy_match",
-    "brute_force_optimal_matching",
     "pair_distance_summary",
 ]
-
-# exhaustive enumeration cap for the oracle
-_MAX_ORACLE_N = 14
 
 # free records at or below which one dense scan finishes the matching
 _DENSE_TAIL = 64
@@ -37,10 +29,6 @@ _DENSE_TAIL = 64
 
 class TooManyPairs(ExpertTestError, ValueError):
     """Requested more disjoint pairs than floor(n/2)."""
-
-
-class InstanceTooLarge(ExpertTestError):
-    """The exhaustive matching oracle only handles very small instances."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,58 +232,6 @@ def _identical_pairs(x: np.ndarray) -> np.ndarray:
     first = np.flatnonzero((rank[:-1] % 2 == 0) & ~starts[1:])
     found = np.column_stack((order[first], order[first + 1]))
     return found[np.argsort(found[:, 0])]
-
-
-def brute_force_optimal_matching(d: Dataset, L: int, metric: DistanceMetric) -> float:
-    """Minimax pair distance over *all* matchings of size ``L`` (exhaustive).
-
-    Returns the smallest achievable maximum pair distance among every way of
-    choosing ``L`` disjoint index pairs. Exponential in ``n``; refuses
-    instances with more than 14 records.
-
-    Raises
-    ------
-    InstanceTooLarge
-        If ``n`` exceeds the enumeration cap.
-    TooManyPairs
-        If ``L`` exceeds floor(n/2).
-    """
-    n = d.n
-    if n > _MAX_ORACLE_N:
-        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap of {_MAX_ORACLE_N}")
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    if L > n // 2:
-        raise TooManyPairs(f"L={L} exceeds floor(n/2)={n // 2}")
-
-    dm = metric.pairwise_matrix(d.x)
-    full = (1 << n) - 1
-    memo: dict[tuple[int, int], float] = {}
-
-    def best_max(mask: int, t: int) -> float:
-        # minimal achievable max distance using t disjoint pairs among the
-        # indices still set in mask
-        if t == 0:
-            return 0.0
-        key = (mask, t)
-        if key in memo:
-            return memo[key]
-        i = (mask & -mask).bit_length() - 1  # lowest free index
-        rest = mask & ~(1 << i)
-        best = np.inf
-        if rest.bit_count() >= 2 * t:
-            best = best_max(rest, t)  # leave i unmatched
-        sub = rest
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            cand = max(dm[i, j], best_max(rest & ~(1 << j), t - 1))
-            if cand < best:
-                best = cand
-        memo[key] = best
-        return best
-
-    return float(best_max(full, L))
 
 
 def pair_distance_summary(m: Matching) -> PairDistanceSummary:

@@ -4,11 +4,30 @@ from typing import Sequence
 
 import numpy as np
 
-from experttest.core import Dataset, DistanceMetric, LossSpec
+from experttest.core import Dataset, DistanceMetric, ExpertTestError, LossSpec, row_distances
 from experttest.engine import TestConfig, _swap_class_masks, swap_stream, tie_break_stream
 from experttest.matching import Matching, TooManyPairs
 
 _SCAN_CHUNK = 1 << 16
+
+# exhaustive enumeration cap for the minimax oracle
+_MAX_ORACLE_N = 14
+
+
+class InstanceTooLarge(ExpertTestError):
+    """The exhaustive matching oracle only handles very small instances."""
+
+
+def pairwise_condensed(metric: DistanceMetric, x: np.ndarray) -> np.ndarray:
+    """Condensed distance vector over the rows of ``x`` (scipy pdist order)."""
+    ii, jj = np.triu_indices(len(x), k=1)
+    return row_distances(metric._scaled(x), ii, jj)
+
+
+def pairwise_matrix(metric: DistanceMetric, x: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import squareform
+
+    return squareform(pairwise_condensed(metric, x))
 
 
 def dense_greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
@@ -22,7 +41,7 @@ def dense_greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     if L > n // 2:
         raise TooManyPairs(f"L={L} exceeds floor(n/2)={n // 2}")
 
-    dist = metric.pairwise_condensed(d.x)
+    dist = pairwise_condensed(metric, d.x)
     ii, jj = np.triu_indices(n, k=1)
     # process pairs in (distance, i, j) order; the first pair with both
     # endpoints unused is exactly the greedy argmin at that step
@@ -47,6 +66,51 @@ def dense_greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     raise AssertionError("unreachable: L <= floor(n/2) guarantees enough pairs")
 
 
+def brute_force_optimal_matching(d: Dataset, L: int, metric: DistanceMetric) -> float:
+    """Minimax pair distance over *all* matchings of size ``L`` (exhaustive).
+
+    Returns the smallest achievable maximum pair distance among every way of
+    choosing ``L`` disjoint index pairs. Exponential in ``n``; refuses
+    instances with more than 14 records (:class:`InstanceTooLarge`).
+    """
+    n = d.n
+    if n > _MAX_ORACLE_N:
+        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap of {_MAX_ORACLE_N}")
+    if L < 1:
+        raise ValueError("L must be at least 1")
+    if L > n // 2:
+        raise TooManyPairs(f"L={L} exceeds floor(n/2)={n // 2}")
+
+    dm = pairwise_matrix(metric, d.x)
+    full = (1 << n) - 1
+    memo: dict[tuple[int, int], float] = {}
+
+    def best_max(mask: int, t: int) -> float:
+        # minimal achievable max distance using t disjoint pairs among the
+        # indices still set in mask
+        if t == 0:
+            return 0.0
+        key = (mask, t)
+        if key in memo:
+            return memo[key]
+        i = (mask & -mask).bit_length() - 1  # lowest free index
+        rest = mask & ~(1 << i)
+        best = np.inf
+        if rest.bit_count() >= 2 * t:
+            best = best_max(rest, t)  # leave i unmatched
+        sub = rest
+        while sub:
+            j = (sub & -sub).bit_length() - 1
+            sub &= sub - 1
+            cand = max(dm[i, j], best_max(rest & ~(1 << j), t - 1))
+            if cand < best:
+                best = cand
+        memo[key] = best
+        return best
+
+    return float(best_max(full, L))
+
+
 def resample_once(d: Dataset, m: Matching, rng: np.random.Generator) -> Dataset:
     """One synthetic dataset: each pair's predictions are exchanged with probability 1/2.
 
@@ -61,7 +125,7 @@ def resample_once(d: Dataset, m: Matching, rng: np.random.Generator) -> Dataset:
     y_hat = d.y_hat.copy()
     a, b = pi[swap], pj[swap]
     y_hat[a], y_hat[b] = y_hat[b], y_hat[a]
-    return d.with_y_hat(y_hat)
+    return Dataset(d.x, d.y, y_hat)
 
 
 def tau_statistic(

@@ -6,6 +6,7 @@ master seeds so the whole suite is deterministic.
 """
 
 import numpy as np
+from _oracles import brute_force_optimal_matching
 from scipy import stats
 
 from experttest.bounds import adjusted_threshold, type1_bound
@@ -16,7 +17,7 @@ from experttest.engine import (
     exact_binary_p,
     expert_test,
 )
-from experttest.matching import Matching, brute_force_optimal_matching, greedy_match
+from experttest.matching import Matching, greedy_match
 from experttest.synthgen import (
     ExpertiseConfig,
     gen_expertise_pairs,

@@ -37,9 +37,12 @@ class TestEpsilonStar:
         assert epsilon_star(d, m, Smoothness(10.0)) == 0.0
 
     def test_smoothness_constant_validated(self):
+        _, pair = matched_points([0.0, 0.5], L=1)
         for c in (np.nan, -1.0):
             with pytest.raises(ValueError, match="smoothness constant"):
                 Smoothness(c)
+            with pytest.raises(ValueError, match="smoothness constant"):
+                adjusted_threshold(0.05, c, pair, L=1, K=99)
         # an infinite constant admits every odds ratio: the trivial deviation
         # 1/2, except on identical pairs
         d, m = matched_points([0.0, 0.5], L=1)

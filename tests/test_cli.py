@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -26,7 +28,12 @@ from experttest.cli import (
 )
 from experttest.core import Dataset, DistanceMetric, LossSpec
 from experttest.engine import TestConfig, expert_test
-from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
+from experttest.synthgen import (
+    ExpertiseConfig,
+    gen_expertise_pairs,
+    gen_validity_cube,
+    mse_comparison,
+)
 
 SPEC = ColumnSpec(("f1", "f2"), "y", "yhat")
 ROOT = Path(__file__).resolve().parents[1]
@@ -321,6 +328,10 @@ class TestCliMain:
             ("--loss", "weighted:fp=nan,fn=1"),
             ("--loss", "weighted:fp=1,fn=inf"),
             ("--loss", "weighted:fp=-inf,fn=1"),
+            # an infinite constant would be written to JSON as the non-standard Infinity
+            ("--smoothness-C", "inf"),
+            ("--smoothness-C", "nan"),
+            ("--smoothness-C", "-1"),
         ]:
             with pytest.raises(SystemExit) as exc:
                 main([
@@ -332,11 +343,65 @@ class TestCliMain:
             assert option in capsys.readouterr().err
             assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("where, lines", [
+        ("row", ["f1,f2,y,yhat", "0,0,0,1", "1,1,0," + "1" * 200_001]),
+        ("header", ["f1,f2,y,yhat," + "z" * 200_001, "0,0,0,1"]),
+    ], ids=["row", "header"])
+    def test_oversized_field_names_its_row(self, tmp_path, where, lines):
+        # run as a process, so that an escaping csv.Error would show as a traceback
+        p = tmp_path / "big.csv"
+        p.write_text("\n".join(lines) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "experttest.cli", "report", str(p), "--features", "f1,f2",
+             "--outcome", "y", "--prediction", "yhat", "--pairs", "1",
+             "--json", str(tmp_path / "out.json")],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "MalformedCsv"
+        assert ("row 2:" if where == "row" else "header:") in err["message"]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv, records", [
+        (["match-stats", "{csv}", "--features", "c0,c1,c2,c3,c4,c5,c6,c7,c8",
+          "--outcome", "outcome", "--prediction", "admitted", "--pairs", "10,50,150"],
+         lambda doc: doc["match_stats"]),
+        (["power", "--n-values", "60,80", "--deltas", "0.0,0.4", "--trials", "3",
+          "--resamples", "20", "--seed", "3"],
+         lambda doc: doc["cells"]),
+        (["power", "--l-values", "5,10", "--n", "60", "--delta", "0.3", "--trials", "3",
+          "--resamples", "20", "--seed", "3"],
+         lambda doc: doc["cells"]),
+        (["validity", "--n", "80", "--l-values", "10,40", "--trials", "3", "--resamples", "20",
+          "--seed", "3"],
+         lambda doc: doc["cells"]),
+        (["mse", "--n", "50", "--trials", "4", "--seed", "3"],
+         lambda doc: [{"column": name, **doc[name]}
+                      for name in ("algorithm_mse", "human_mse", "rescaled_human_mse")]),
+    ], ids=["match-stats", "power-grid", "power-sweep", "validity", "mse"])
+    def test_csv_rows_equal_json_records(self, tmp_path, capsys, argv, records):
+        p, _ = clinical_format_fixture(tmp_path)
+        out = tmp_path / "out.json"
+        assert main([a.format(csv=p) for a in argv] + ["--json", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        want = records(json.loads(out.read_text()))
+        # csv writes a float as its repr and json reads it back exactly
+        assert rows == [{k: str(v) for k, v in r.items()} for r in want]
+        assert len(rows) > 1
+
     def test_mse_subcommand(self, capsys):
         assert main(["mse", "--n", "200", "--trials", "10", "--seed", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "column,mean,two_sd"
-        assert len(lines) == 4
+        res = mse_comparison(n=200, trials=10, seed=2)
+        assert lines[1:] == [
+            f"{name},{s.mean!r},{s.two_sd!r}" for name, s in
+            [("algorithm_mse", res.algorithm), ("human_mse", res.human),
+             ("rescaled_human_mse", res.rescaled)]
+        ]
 
     def test_validity_subcommand(self, capsys):
         code = main([

@@ -79,6 +79,15 @@ class TestResampleOnce:
         assert out.y.tolist() == [1.0, 2.0]
         assert np.array_equal(out.x, d.x)
 
+    def test_leaves_original_untouched(self):
+        d = Dataset([[0.0], [1.0]], [0.0, 1.0], [0.0, 1.0])
+        m = Matching([(0, 1)], [1.0])
+        seed = next(s for s in range(50) if stream(s, 0).random(1)[0] < 0.5)
+        out = resample_once(d, m, stream(seed, 0))
+        assert d.y_hat.tolist() == [0.0, 1.0]
+        assert out.y_hat.tolist() == [1.0, 0.0]
+        assert np.array_equal(d.x, out.x)
+
     def test_no_swap_when_draw_high(self):
         d = Dataset([[0.0], [0.0]], [1.0, 2.0], [10.0, 20.0])
         m = greedy_match(d, 1, L2)

@@ -5,19 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import dense_greedy_match
+from _oracles import InstanceTooLarge, brute_force_optimal_matching, dense_greedy_match
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from experttest.core import Dataset, DistanceMetric, derive_seed
-from experttest.matching import (
-    InstanceTooLarge,
-    Matching,
-    TooManyPairs,
-    brute_force_optimal_matching,
-    greedy_match,
-    pair_distance_summary,
-)
+from experttest.matching import Matching, TooManyPairs, greedy_match, pair_distance_summary
 from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs
 
 L2 = DistanceMetric.euclidean()
