@@ -13,6 +13,12 @@ L = 75, K = 1000, zero-one loss) and at a ``validity`` shape (n = 500,
 L = 250, K = 200, squared loss). Every engine call takes a new seed, as
 every test of the ``power`` workload does, so none reuses the seed words
 of the one before.
+
+Three more matcher inputs are there to catch a radius rule that wins on
+the audit features and loses elsewhere: the validity cube at n = 32 000
+(L = n/4), a tight cluster of 3000 records with 1000 spread around it
+(3-D, L = 2000), and the uniform 9-dimensional cube at n = 4000 (L = n/2),
+where a radius grows the candidate count fastest.
 """
 
 from itertools import count
@@ -69,6 +75,28 @@ def test_greedy_match_validity_cube(benchmark):
     d = gen_validity_cube(500, 0)
     m = benchmark(greedy_match, d, 250, L2)
     assert len(m) == 250
+
+
+def clustered_3d() -> Dataset:
+    rng = np.random.default_rng(0)
+    x = np.vstack([rng.normal(0.0, 1e-3, (3000, 3)), rng.normal(0.0, 1.0, (1000, 3))])
+    return Dataset(x, np.zeros(len(x)), np.zeros(len(x)))
+
+
+def uniform_9d() -> Dataset:
+    x = np.random.default_rng(0).random((4000, 9))
+    return Dataset(x, np.zeros(len(x)), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize(
+    "make, L",
+    [(lambda: gen_validity_cube(32_000, 0), 8000), (clustered_3d, 2000), (uniform_9d, 2000)],
+    ids=["cube-32000", "clustered-3d", "uniform-9d"],
+)
+def test_greedy_match_counter_inputs(benchmark, make, L):
+    d = make()
+    m = benchmark(greedy_match, d, L, L2)
+    assert len(m) == L
 
 
 @pytest.mark.parametrize("K, L", [(1000, 75), (200, 250)])

@@ -328,7 +328,8 @@ def report_to_json(report: Report) -> dict:
             "loss": report.loss.describe(),
             "metric": report.metric.describe(),
             "seed": report.master_seed,
-            "smoothness_C": report.smoothness_C,
+            # Smoothness allows C = inf, which strict JSON cannot hold as a number
+            "smoothness_C": "inf" if report.smoothness_C == math.inf else report.smoothness_C,
         },
         "rows": [asdict(r) for r in report.rows],
     }
@@ -495,9 +496,10 @@ def _load_dataset(args) -> Dataset:
 def _write_json(path: str | None, doc: dict) -> None:
     if path is None:
         return
+    # encoded before the file opens, so a NaN or inf raises without leaving a partial file
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _emit_csv(header: list[str], records: list[dict]) -> None:

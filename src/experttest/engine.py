@@ -214,22 +214,25 @@ class _SeedWords(ISeedSequence):
 def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     """Row k is ``SeedSequence(master_seed & U64, spawn_key=(2**32 + k,)).generate_state(4, uint64)``.
 
-    numpy's SeedSequence hash, vectorised over k: the entropy words are the
-    seed's two 32-bit halves padded to the pool size, then the spawn key's
-    words ``k`` and ``1``. The hash constants advance independently of the
-    data, so every stream shares them.
+    numpy's SeedSequence hash: the entropy words are the seed's two 32-bit
+    halves padded to the pool size, then the spawn key's words ``k`` and
+    ``1``. The hash constants advance independently of the data, so every
+    stream shares them. The seed's words are the same for every k and are
+    hashed in Python ints; from the word ``k`` on, the hash is vectorised
+    over k.
 
     The last result is kept, because a sweep over L tests one (seed, K)
     several times in a row; it is read-only, since every caller shares it.
     """
     hashmix = _hash_steps(_INIT_A, _MULT_A)
     seed = master_seed & _U64
-    # one-element arrays wrap on overflow like the (K,) ones, with no warning
-    pool = [hashmix(np.array([w], dtype=np.uint32)) for w in (seed & _U32, seed >> 32, 0, 0)]
+    pool = [hashmix(w) for w in (seed & _U32, seed >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # one-element arrays wrap on overflow like the (K,) ones, with no warning
+    pool = [np.array([w], dtype=np.uint32) for w in pool]
     for word in (np.arange(K, dtype=np.uint32), np.array([1], dtype=np.uint32)):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
@@ -243,22 +246,26 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
 
 
 def _hash_steps(init: int, mult: int):
-    """SeedSequence's hash of uint32 arrays; each call advances the hash constant once."""
+    """SeedSequence's hash of a 32-bit word, given as an int or as a uint32 array.
+
+    Each call advances the hash constant once.
+    """
     const = init
 
-    def hash_words(value: np.ndarray) -> np.ndarray:
+    def hash_words(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = const * mult & _U32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        value = value * const & _U32
+        return value ^ (value >> 16)
 
     return hash_words
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return r ^ (r >> np.uint32(16))
+def _mix(x, y):
+    """SeedSequence's pool mix of two ints or of two uint32 arrays."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
+    return r ^ (r >> 16)
 
 
 def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:

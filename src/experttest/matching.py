@@ -112,25 +112,27 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     that table. Distance-0 pairs come first, and for all but vanishingly
     small coordinates they are the pairs of equal rows, which one sort
     groups. The rest is found in rounds. Each round builds a KD tree on the
-    records still free and collects the pairs within a radius ``r``: just
-    above the ``need``-th smallest nearest-free-neighbour distance, where
-    ``need`` is the number of pairs still missing. The candidates are
-    scanned in ``(distance, i, j)`` order and a pair is accepted while its
-    distance is at most ``r * (1 - 1e-9)``. Up to that limit every free pair
-    is a candidate, so each accepted pair is the global greedy choice at its
-    step, whatever ``r`` is. Greedy on the records still free continues
-    greedy on all records, so the next round starts over on them; once at
-    most 64 records are free, one dense scan over their pairs finishes.
+    records still free and collects the pairs within a radius ``r``. The
+    candidates are scanned in ``(distance, i, j)`` order and a pair is
+    accepted while its distance is at most ``r * (1 - 1e-9)``. Up to that
+    limit every free pair is a candidate, so each accepted pair is the
+    global greedy choice at its step, whatever ``r`` is. Greedy on the
+    records still free continues greedy on all records, so the next round
+    starts over on them; once at most 64 records are free, one dense scan
+    over their pairs finishes.
 
-    The radius only sets how much one round takes. The nearest-neighbour
-    distances are queried in the first round and reused after it: a record's
-    distance to its nearest free neighbour can only grow as records are
-    taken, so the stored values are lower bounds. A round that takes no
-    pair doubles the radius. After such a round the distances are queried
-    again if the bound is 0, which doubling cannot move, or if the round
-    before took no pair either.
+    The radius only sets how much one round takes. It is just above the
+    ``need``-th smallest nearest-free-neighbour distance, where ``need`` is
+    the number of pairs still missing, and at least twice the last round's
+    radius. A round that ends short of L took every free pair within its
+    limit, so a round at or below its radius could take nothing. The
+    nearest-neighbour distances are queried in the first round and reused
+    after it: a record's distance to its nearest free neighbour can only
+    grow as records are taken, so the stored values are lower bounds. They
+    are queried again only after a round at radius 0 takes no pair, since
+    doubling cannot move a radius of 0.
 
-    Typical inputs need a handful of rounds, each O(m log m + c log c) time
+    Typical inputs need two to six rounds, each O(m log m + c log c) time
     and O(m + c) memory for m free records and c candidates, where c is
     usually of the order of ``need``. Distances come from the same
     column-by-column kernel as :meth:`DistanceMetric.distance`. scipy's
@@ -162,7 +164,7 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     found = len(zero)
     nearest = np.empty(n)  # per record, a lower bound on its distance to the nearest free record
     requery = True
-    grow = 1.0
+    r = 0.0  # the last KD round's radius
     while found < L:
         idx = np.flatnonzero(free)
         if idx.size <= _DENSE_TAIL:
@@ -178,8 +180,9 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
             need = L - found
             bound = np.partition(nearest[idx], need - 1)[need - 1]
             # just above the need-th distance, so that with exact distances
-            # the closest free pair lies inside the acceptance limit below
-            r = bound * grow * (1 + 1e-8)
+            # the closest free pair lies inside the acceptance limit below;
+            # at least twice the last radius, which the last round used up
+            r = max(bound * (1 + 1e-8), 2 * r)
             ii, jj = tree.query_pairs(r, output_type="ndarray").T
             # the tree's own distance arithmetic may differ from the kernel's
             # in the last bits; the margin keeps every accepted pair well inside
@@ -201,11 +204,9 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         pairs.append(np.column_stack((ii[taken], jj[taken])))
         dists.append(dist[taken])
         found += len(taken)
-        # an empty round leaves the free records and the bound as they were:
-        # doubling cannot move a bound of 0, and a second empty round in a
-        # row (grow > 1) means the bounds lag far behind the distances
-        requery = not taken and (bound == 0 or grow > 1)
-        grow = 1.0 if taken else 2 * grow
+        # an empty round at radius 0 would repeat itself: doubling cannot
+        # move it, so only fresh bounds can
+        requery = not taken and r == 0
     return Matching(np.concatenate(pairs), np.concatenate(dists))
 
 

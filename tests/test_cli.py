@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from experttest import cli
 from experttest.cli import (
     ColumnSpec,
     DuplicateColumn,
@@ -216,6 +218,30 @@ class TestRunReport:
         assert isinstance(row["tau"], float)
         assert row["validity"] is not None
         assert row["validity"]["union_bound"] >= row["validity"]["theorem1_bound"] - 1e-12
+
+    def test_infinite_smoothness_written_as_strict_json(self, tmp_path):
+        # Smoothness(inf) is allowed in the library; its JSON must still parse
+        # under a strict reader that has no Infinity literal
+        d = gen_validity_cube(60, 2)
+        report = run_report(d, [5, 20], K=20, alpha=0.05, loss=LossSpec.squared_error(),
+                            metric=DistanceMetric.euclidean(), master_seed=0,
+                            smoothness_C=math.inf)
+        doc = report_to_json(report)
+        assert doc["config"]["smoothness_C"] == "inf"
+        path = tmp_path / "report.json"
+        cli._write_json(str(path), doc)
+
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        assert json.loads(path.read_text(), parse_constant=refuse) == doc
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json(str(path), {"cells": [{"rate": value}]})
+        assert not path.exists()
 
     def test_epsilon_annotations(self):
         exact = gen_expertise_pairs(ExpertiseConfig(n=100, delta=0.1, seed=1))

@@ -131,6 +131,12 @@ class TestSwapMasks:
     @example(seed=5, K=B, L=9, cut=0.5)
     @example(seed=5, K=B + 1, L=9, cut=0.5)
     @example(seed=-3, K=2 * B + 3, L=40, cut=0.2)
+    # seeds whose 32-bit halves hit the edges of the word hash, past one block
+    @example(seed=0, K=2 * B + 3, L=5, cut=0.4)
+    @example(seed=-1, K=B + 1, L=70, cut=0.9)
+    @example(seed=2**32, K=2 * B, L=2, cut=0.5)
+    @example(seed=2**64 - 1, K=B + 7, L=128, cut=0.1)
+    @example(seed=12345, K=100, L=17, cut=0.6)
     @settings(max_examples=100, deadline=None)
     def test_equals_stacked_swap_streams(self, seed, K, L, cut):
         mask = swap_mask(seed, K, L)

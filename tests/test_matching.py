@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,16 @@ from hypothesis import strategies as st
 
 from experttest.core import Dataset, DistanceMetric, derive_seed
 from experttest.matching import Matching, TooManyPairs, greedy_match, pair_distance_summary
-from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs
+from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
 
 L2 = DistanceMetric.euclidean()
+
+
+def clustered(rng, n, dim):
+    """Three quarters of the records in a tight N(0, 1e-3) cluster, the rest N(0, 1)."""
+    x = rng.normal(0.0, 1.0, (n, dim))
+    x[: 3 * n // 4] *= 1e-3
+    return x
 
 
 def points(xs):
@@ -136,6 +144,7 @@ class TestGreedyMatch:
                 "tiny_triples",
                 "expertise",
                 "zero_weights",
+                "clustered",
             ]
         ),
         n=st.integers(2, 300),
@@ -149,6 +158,10 @@ class TestGreedyMatch:
     @example(kind="tiny", n=300, dim=1, seed=3, depth=1.0)
     @example(kind="triples", n=300, dim=3, seed=4, depth=1.0)
     @example(kind="tiny_triples", n=300, dim=2, seed=3, depth=1.0)
+    # large enough that two or more KD rounds run before the dense tail
+    @example(kind="one_decimal", n=1500, dim=4, seed=5, depth=1.0)
+    @example(kind="uniform", n=1500, dim=9, seed=6, depth=0.6)
+    @example(kind="clustered", n=1501, dim=3, seed=7, depth=0.9)
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_greedy(self, kind, n, dim, seed, depth):
         # the KD rounds must give exactly the dense matcher's pairs, order and
@@ -180,6 +193,10 @@ class TestGreedyMatch:
             x[groups[:, 1]] = x[groups[:, 2]] = x[groups[:, 0]]
             if kind == "tiny_triples":
                 x *= rng.choice([1e-170, 1e-162, 1e-150])
+        elif kind == "clustered":
+            # the first rounds empty the cluster, and the radius that did so is
+            # far below the distances between the outer records
+            x = clustered(rng, n, dim)
         elif kind == "expertise":
             n += n % 2
             x = gen_expertise_pairs(ExpertiseConfig(n, 0.0, seed)).x
@@ -195,6 +212,43 @@ class TestGreedyMatch:
         want = dense_greedy_match(d, L, metric)
         assert np.array_equal(got.pairs, want.pairs)
         assert np.array_equal(got.distances, want.distances)
+
+    def test_each_round_at_least_doubles_the_radius(self, monkeypatch):
+        # a round that ends short of L took every free pair within its radius,
+        # so a later round at or below that radius could take nothing
+        import scipy.spatial
+
+        radii = []
+
+        class RecordingTree(scipy.spatial.cKDTree):
+            def query_pairs(self, r, *args, **kwargs):
+                radii.append(r)
+                return super().query_pairs(r, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        rng = np.random.default_rng(3)
+        for d, L in [
+            (gen_validity_cube(4000, 0), 1000),
+            (points(clustered(rng, 4000, 3)), 2000),
+            (points(rng.random((4000, 9))), 2000),
+        ]:
+            radii.clear()
+            greedy_match(d, L, L2)
+            assert len(radii) >= 2
+            assert all(b >= 2 * a for a, b in zip(radii, radii[1:])), radii
+
+    def test_clustered_input_memory_bounded(self):
+        # a radius rule fitted to the cluster's scale pulls millions of
+        # candidate pairs from among the outer records (about 900 MiB)
+        x = clustered(np.random.default_rng(2), 4000, 3)
+        tracemalloc.start()
+        try:
+            m = greedy_match(points(x), 2000, L2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 2000
+        assert peak < 64 << 20
 
 
 class TestBruteForceOracle:
