@@ -9,10 +9,12 @@ test suite does not collect it. The inputs mirror the workloads of
 ``perfbench/``: a 4000-row CSV of recorded binary decisions (two integer
 features, two lab values to one decimal place, with duplicate records), the
 validity cube at n = 500, and one test at a ``power`` shape (n = 600,
-L = 75, K = 1000, zero-one loss) and at a ``validity`` shape (n = 500,
-L = 250, K = 200, squared loss). Every engine call takes a new seed, as
-every test of the ``power`` workload does, so none reuses the seed words
-of the one before.
+L = 75, K = 1000, zero-one loss), at a ``validity`` shape (n = 500,
+L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
+decisions, L = 1000, K = 1000, zero-one loss). Every engine call takes a
+new seed, as every test of the ``power`` workload does, so none reuses the
+seed words of the one before; the seed-word hash is also timed alone,
+uncached, at K = 1000.
 
 Three more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
@@ -109,15 +111,23 @@ def test_swap_mask_blocks(benchmark, K, L):
     assert benchmark(draw) == K
 
 
+def test_swap_seed_words_uncached(benchmark):
+    seeds = count()
+    words = benchmark(lambda: engine._swap_seed_words.__wrapped__(next(seeds), 1000))
+    assert words.shape == (1000, 4)
+
+
 @pytest.mark.parametrize(
-    "d, L, K, loss",
+    "make, L, K, loss",
     [
-        (gen_expertise_pairs(ExpertiseConfig(n=600, delta=0.2, seed=0)), 75, 1000, LossSpec.zero_one()),
-        (gen_validity_cube(500, 0), 250, 200, LossSpec.squared_error()),
+        (lambda: gen_expertise_pairs(ExpertiseConfig(n=600, delta=0.2, seed=0)), 75, 1000, LossSpec.zero_one()),
+        (lambda: gen_validity_cube(500, 0), 250, 200, LossSpec.squared_error()),
+        (lambda: normalize_features(audit_like()), 1000, 1000, LossSpec.zero_one()),
     ],
-    ids=["power", "validity"],
+    ids=["power", "validity", "audit"],
 )
-def test_expert_test_with_matching(benchmark, d, L, K, loss):
+def test_expert_test_with_matching(benchmark, make, L, K, loss):
+    d = make()
     m = greedy_match(d, L, L2)
     seeds = count()
 

@@ -1,7 +1,7 @@
 """Shared domain types: datasets, loss functions, distance metrics, seeded RNG streams.
 
 Everything here is an immutable value object; instances are safe to share
-across concurrent workers. Randomness throughout the package flows through
+across concurrent workers. Every random draw in the package is a draw of a
 :func:`stream`, so any two runs with the same master seed produce
 bit-identical results.
 """
@@ -43,10 +43,13 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
 
     Equal ``(master_seed, path)`` always yield identical draw sequences;
     distinct paths yield statistically independent streams; path entries
-    must be nonnegative. This is the single entry point for randomness in the
-    package, which makes results reproducible under any execution order of
-    independent work items. The engine reserves first path entries >= 2**32
-    for its resampling streams, so other code should stick to small ones.
+    must be nonnegative. Keying every draw by its path makes results
+    reproducible under any execution order of independent work items. The
+    engine reserves first path entries >= 2**32 for its resampling streams,
+    so other code should stick to small ones. It seeds those streams' ``PCG64``
+    generators from hashed words without calling this function, but resample
+    k's draws equal ``stream(seed, 2**32 + k)``'s;
+    ``tests/test_engine.py::TestSwapMasks`` checks it.
     """
     seq = np.random.SeedSequence(master_seed & _U64, spawn_key=path)
     return np.random.default_rng(seq)

@@ -10,26 +10,32 @@ Loss comparisons are computed from per-pair swap deltas rather than by
 rebuilding each resampled dataset. For binary losses the delta of every
 executed swap is plus or minus one (fp_cost + fn_cost) unit, so comparisons
 and ties reduce to exact integer counts, the same as scoring each resampled
-dataset. For squared error the per-pair deltas are summed in floating
-point; that sum can round differently from rescoring each resampled dataset
-in full, so a resample whose loss change is within rounding of zero can be
-counted on the other side of the observed loss.
+dataset. When every delta is an integer and their absolute values sum below
+2**53 (the binary units, or squared error on integer-valued outcomes and
+predictions), every partial sum of a resample's deltas is exact in floating
+point, so the comparison is one matrix product per block. Any other squared
+error deltas are summed in floating point in one fixed order; that sum can
+round differently from rescoring each resampled dataset in full, so a
+resample whose loss change is within rounding of zero can be counted on the
+other side of the observed loss.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
-building K seed sequences: it hashes all K seed states at once, seeds each
-``PCG64`` from its row, and reads the streams a block of at most
-``_BLOCK_ROWS`` resamples at a time (:func:`_swap_mask_blocks`), so no
-Python code runs per resample. Each block is compared and reduced to two
-counts before the next is drawn, which bounds the working memory to
-``_BLOCK_ROWS`` x L whatever K is. Row k depends only on (seed, k), so the K
-resamples can still be evaluated in any order (or concurrently) without
-changing the result. A property test checks the concatenated blocks against
-the stacked streams.
+building K seed sequences: it hashes all K seed states at once, and one
+seeder hands each ``PCG64`` its row in turn, so the only Python code that
+runs per resample is that seeder's ``generate_state`` call. numpy's
+C-level iterators build and draw the streams a block of at most
+``_BLOCK_ROWS`` resamples at a time (:func:`_swap_mask_blocks`). Each block is
+compared and reduced to two counts before the next is drawn, which bounds the
+working memory to ``_BLOCK_ROWS`` x L whatever K is. Row k depends only on
+(seed, k), so the K resamples can still be evaluated in any order (or
+concurrently) without changing the result. A property test checks the
+concatenated blocks against the stacked streams.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import methodcaller
 from typing import Iterator
 
@@ -184,15 +190,15 @@ def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
 
     Row k of the concatenated blocks is ``swap_stream(master_seed, k).random(L) < 0.5``.
     Rather than build K seed sequences, the K seed states are derived at once
-    and each ``PCG64`` seeds itself from its row; the streams are built and
-    drawn by C-level iterators and each block is read with one ``fromiter``.
-    ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a draw is below
-    1/2 exactly when its raw 64-bit output is below 2**63.
+    and one seeder hands them to the K ``PCG64``s in order; the streams are
+    built and drawn by C-level iterators and each block is read with one
+    ``fromiter``. ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a
+    draw is below 1/2 exactly when its raw 64-bit output is below 2**63.
     """
     if K >= _SWAP_STREAM_BASE:
         raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
-    streams = map(np.random.PCG64, map(_SeedWords, _swap_seed_words(master_seed, K)))
-    raws = map(methodcaller("random_raw", L), streams)
+    seeder = _StateRows(_swap_seed_words(master_seed, K))
+    raws = map(methodcaller("random_raw", L), map(np.random.PCG64, repeat(seeder, K)))
     row = np.dtype((np.uint64, (L,)))
     return (
         np.fromiter(raws, dtype=row, count=min(_BLOCK_ROWS, K - start)) < _HALF_RAW
@@ -200,14 +206,56 @@ def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
     )
 
 
-class _SeedWords(ISeedSequence):
-    """Seed sequence whose state is precomputed: ``PCG64`` asks for 4 uint64 words."""
+class _StateRows(ISeedSequence):
+    """Seed sequence that returns the rows of a precomputed state array in turn.
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+    ``PCG64`` calls ``generate_state(4, uint64)`` exactly once, when it is
+    built, so the i-th ``PCG64`` built from one instance is seeded by row i.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._next_row = iter(rows).__next__
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        return self._next_row()
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of SeedSequence's first n word hashes.
+
+    Hash step t XORs its word with constant t and multiplies it by constant
+    t + 1, so the constants advance independently of the data.
+    """
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _U32)
+    return list(zip(consts[:-1], consts[1:]))
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hash of a 32-bit word, for ints or for uint32 arrays."""
+    value = (value ^ xor) * mult & _U32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's pool mix of two ints or of two uint32 arrays."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
+    return r ^ (r >> 16)
+
+
+def _columns(steps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiply constants of hash steps, as two (steps, 1) uint32 columns."""
+    return tuple(np.array(c, dtype=np.uint32)[:, None] for c in zip(*steps))
+
+
+# the pool hash runs 4 steps for the seed's entropy words, 12 for the pool
+# mixes and 4 each for the spawn key's words k and 1, one per pool word
+_POOL_STEPS = _hash_constants(_INIT_A, _MULT_A, 24)
+_WORD_K_STEPS = _columns(_POOL_STEPS[16:20])
+_WORD_ONE_HASHES = np.array([_hash(1, *c) for c in _POOL_STEPS[20:24]], dtype=np.uint32)[:, None]
+# the state hash runs one step per output word
+_STATE_STEPS = _columns(_hash_constants(_INIT_B, _MULT_B, 8))
 
 
 @lru_cache(maxsize=1)
@@ -216,56 +264,31 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
 
     numpy's SeedSequence hash: the entropy words are the seed's two 32-bit
     halves padded to the pool size, then the spawn key's words ``k`` and
-    ``1``. The hash constants advance independently of the data, so every
-    stream shares them. The seed's words are the same for every k and are
-    hashed in Python ints; from the word ``k`` on, the hash is vectorised
-    over k.
+    ``1``. The seed's words are the same for every k and are hashed in
+    Python ints. From the word ``k`` on, the hash runs as array passes over
+    k: the four pool words' mixes with the hashes of words ``k`` and ``1``
+    as one (4, K) pass, and the eight output words as one (8, K) pass, each
+    row with its own hash constants.
 
     The last result is kept, because a sweep over L tests one (seed, K)
     several times in a row; it is read-only, since every caller shares it.
     """
-    hashmix = _hash_steps(_INIT_A, _MULT_A)
     seed = master_seed & _U64
-    pool = [hashmix(w) for w in (seed & _U32, seed >> 32, 0, 0)]
+    steps = iter(_POOL_STEPS)
+    pool = [_hash(w, *next(steps)) for w in (seed & _U32, seed >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    # one-element arrays wrap on overflow like the (K,) ones, with no warning
-    pool = [np.array([w], dtype=np.uint32) for w in pool]
-    for word in (np.arange(K, dtype=np.uint32), np.array([1], dtype=np.uint32)):
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    generate = _hash_steps(_INIT_B, _MULT_B)
-    words = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # little-endian pairs of 32-bit words make the four 64-bit state words
-    state = np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    # uint32 arrays wrap on overflow silently, where numpy scalars would warn
+    word_k = _hash(np.arange(K, dtype=np.uint32), *_WORD_K_STEPS)
+    pool = _mix(_mix(np.array(pool, dtype=np.uint32)[:, None], word_k), _WORD_ONE_HASHES)
+    # output word i hashes pool word i % 4
+    words = _hash(np.vstack([pool, pool]), *_STATE_STEPS)
+    # as numpy does: little-endian pairs of 32-bit words make each 64-bit word
+    state = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
     state.flags.writeable = False
     return state
-
-
-def _hash_steps(init: int, mult: int):
-    """SeedSequence's hash of a 32-bit word, given as an int or as a uint32 array.
-
-    Each call advances the hash constant once.
-    """
-    const = init
-
-    def hash_words(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _U32
-        value = value * const & _U32
-        return value ^ (value >> 16)
-
-    return hash_words
-
-
-def _mix(x, y):
-    """SeedSequence's pool mix of two ints or of two uint32 arrays."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
-    return r ^ (r >> 16)
 
 
 def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:
@@ -304,11 +327,14 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
         # and comparisons are exact integer arithmetic
         delta = inc.astype(np.int64) - dec
 
+    # when every row's sum is exact in any order, a matrix product gives the
+    # same sums as the elementwise product and row sum, which otherwise keep
+    # each row's one float reduction order whatever the block size
+    exact = _sums_exact(delta)
+    whole = delta.astype(np.float64)
     less = ties = 0
     for mask in _swap_mask_blocks(cfg.master_seed, cfg.K, cfg.L):
-        # an elementwise product and a row sum, not mask @ delta: each row
-        # keeps the one float reduction order whatever the block size
-        diff = (mask * delta).sum(axis=1)
+        diff = mask @ whole if exact else (mask * delta).sum(axis=1)
         less += int(np.count_nonzero(diff < 0))
         ties += int(np.count_nonzero(diff == 0))
 
@@ -324,6 +350,17 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
         observed_loss=observed,
         binary_swap_counts=counts,
     )
+
+
+def _sums_exact(delta: np.ndarray) -> bool:
+    """Whether every sum of a subset of ``delta`` is exact in float64, in any order.
+
+    That holds when every entry is an integer and their absolute values sum
+    below 2**53, since every partial sum is then an integer no larger. It
+    covers the binary losses' units and squared error on integer-valued
+    outcomes and predictions.
+    """
+    return bool((delta == np.trunc(delta)).all()) and float(np.abs(delta).sum()) < 2.0**53
 
 
 def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:

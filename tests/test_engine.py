@@ -52,16 +52,48 @@ def paired_binary_dataset(increase, decrease, neutral=0):
     return Dataset(x, y, p)
 
 
-def tenths_cube(n, seed):
-    """Validity-cube features with outcomes and predictions drawn from {0.1, 0.2, 0.3}.
-
-    Squared-loss swap deltas on such values often cancel in exact
-    arithmetic, so the sign of a resample's float sum of deltas can depend
-    on its summation order.
-    """
+def cube_with_outcomes(n, seed, values):
+    """Validity-cube features with outcomes and predictions drawn from ``values``."""
     d = gen_validity_cube(n, seed)
     rng = np.random.default_rng(seed)
-    return Dataset(d.x, rng.choice([0.1, 0.2, 0.3], n), rng.choice([0.1, 0.2, 0.3], n))
+    return Dataset(d.x, rng.choice(values, n), rng.choice(values, n))
+
+
+def audit_like(n, seed):
+    """Binary outcomes and decisions on integer and one-decimal features, with duplicate records.
+
+    The decisions are a weak expert's, so about as many swaps decrease the
+    loss as increase it, and most pairs' outcomes agree, which makes them
+    neutral: resamples fall on both sides of the observed loss and on it.
+    """
+    rng = np.random.default_rng(seed)
+    age = rng.integers(18, 91, n).astype(np.float64)
+    visits = rng.poisson(3.0, n).astype(np.float64)
+    hgb = np.round(rng.normal(13.5, 1.6, n), 1)
+    x = np.column_stack([age, visits, hgb])
+    risk = 0.04 * (age - 55) + 0.3 * (visits - 3) - 0.4 * (hgb - 13.5) + rng.normal(0.0, 1.0, n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-risk))).astype(np.float64)
+    y_hat = (risk + rng.normal(0.0, 10.0, n) > 0).astype(np.float64)
+    return Dataset(x, y, y_hat)
+
+
+def named_dataset(name, n, seed):
+    """The engine tests' inputs.
+
+    ``integers`` has integer-valued outcomes and predictions, whose
+    squared-loss deltas sum exactly in any order. On ``tenths`` the deltas
+    often cancel in exact arithmetic, so the sign of a resample's float sum
+    can depend on its summation order; ``decimals`` has one-decimal values
+    like lab results.
+    """
+    return {
+        "pairs": lambda: gen_expertise_pairs(ExpertiseConfig(n=n, delta=0.1, seed=seed)),
+        "cube": lambda: gen_validity_cube(n, seed),
+        "tenths": lambda: cube_with_outcomes(n, seed, [0.1, 0.2, 0.3]),
+        "integers": lambda: cube_with_outcomes(n, seed, [0.0, 1.0, 2.0, 3.0, 7.0]),
+        "decimals": lambda: cube_with_outcomes(n, seed, [4.7, 12.1, 13.5, 13.6, 0.9]),
+        "audit": lambda: audit_like(n, seed),
+    }[name]()
 
 
 class TestResampleOnce:
@@ -115,6 +147,8 @@ def swap_mask(seed, K, L):
     return np.concatenate(blocks)
 
 
+# a numpy scalar in the seed-word hash would warn on overflow where arrays wrap
+@pytest.mark.filterwarnings("error")
 class TestSwapMasks:
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
@@ -351,29 +385,53 @@ class TestExpertTest:
             ("pairs", LossSpec.squared_error()),
             ("cube", LossSpec.squared_error()),
             ("tenths", LossSpec.squared_error()),
+            ("audit", LossSpec.zero_one()),
+            ("audit", LossSpec.squared_error()),
+            ("integers", LossSpec.squared_error()),
+            ("decimals", LossSpec.squared_error()),
         ],
     )
     def test_blocks_match_whole_mask(self, data, loss, K):
         # comparing block by block must count exactly what one comparison of
-        # the whole stacked mask counts
-        d = {
-            "pairs": gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.1, seed=12)),
-            "cube": gen_validity_cube(120, 12),
-            "tenths": tenths_cube(120, 12),
-        }[data]
+        # the whole stacked mask counts, on the matrix product that integer
+        # deltas take and on the elementwise sums of the others
+        n, L = (4000, 1000) if data == "audit" else (120, 40)
+        d = named_dataset(data, n, 12)
+        m = greedy_match(d, L, L2)
         for seed in (0, 2**64 - 1, 8128):
-            cfg = self.cfg(L=40, K=K, loss=loss, master_seed=seed)
-            m = greedy_match(d, cfg.L, cfg.metric)
+            cfg = self.cfg(L=L, K=K, loss=loss, master_seed=seed)
             r = expert_test_with_matching(d, m, cfg)
             tau = whole_mask_tau(d, m, cfg)
             assert (r.tau, r.effective_p) == (tau, tau + 1.0 / (K + 1))
-            counts = classify_swaps(d, m) if data == "pairs" else None
+            counts = classify_swaps(d, m) if data in ("pairs", "audit") else None
             assert r.binary_swap_counts == counts
 
-    def test_working_memory_bounded_by_blocks(self):
+    @pytest.mark.parametrize(
+        "data, exact",
+        [("audit", True), ("integers", True), ("decimals", False), ("tenths", False), ("cube", False)],
+    )
+    def test_matrix_product_only_for_exact_sums(self, data, exact):
+        d = named_dataset(data, 200, 3)
+        delta = engine._swap_deltas(d, greedy_match(d, 50, L2), LossSpec.squared_error())
+        assert engine._sums_exact(delta) is exact
+
+    def test_sums_exact_needs_integers_below_2_53(self):
+        assert engine._sums_exact(np.array([-1, 0, 1] * 10, dtype=np.int64))
+        assert engine._sums_exact(np.array([2.0**52, -(2.0**51), 1.0]))
+        assert not engine._sums_exact(np.array([2.0**52, 2.0**52]))
+        assert not engine._sums_exact(np.array([1.0, 0.5]))
+        assert not engine._sums_exact(np.array([1.0, np.inf]))
+        assert not engine._sums_exact(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize(
+        "data, loss",
+        [("audit", LossSpec.zero_one()), ("cube", LossSpec.squared_error())],
+        ids=["zero-one", "squared"],
+    )
+    def test_working_memory_bounded_by_blocks(self, data, loss):
         # a whole K x L float mask * delta would take 160 MB here
-        d = gen_validity_cube(4000, 3)
-        cfg = self.cfg(L=2000, K=10_000, loss=LossSpec.squared_error())
+        d = named_dataset(data, 4000, 3)
+        cfg = self.cfg(L=2000, K=10_000, loss=loss)
         m = greedy_match(d, cfg.L, cfg.metric)
         tracemalloc.start()
         try:
