@@ -172,13 +172,19 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     return SwapCounts(n_inc, n_dec, len(m) - n_inc - n_dec)
 
 
-def _swap_class_masks(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
+def _swap_class_masks(
+    d: Dataset, m: Matching, binary_checked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs whose swap increases and decreases the mistake count.
+
+    The matched values are checked for being binary in one scan, which
+    ``binary_checked`` skips for a caller that has already checked every
+    record.
+    """
     pi, pj = m.pairs.T
-    y1, y2 = d.y[pi], d.y[pj]
-    p1, p2 = d.y_hat[pi], d.y_hat[pj]
-    for arr in (y1, y2, p1, p2):
-        if not np.isin(arr, (0.0, 1.0)).all():
-            raise NonBinaryData("matched records must have y and y_hat in {0, 1}")
+    y1, y2, p1, p2 = matched = np.stack((d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]))
+    if not binary_checked and not np.isin(matched, (0.0, 1.0)).all():
+        raise NonBinaryData("matched records must have y and y_hat in {0, 1}")
     differ = y1 != y2
     inc = differ & (p1 == y1) & (p2 == y2)
     dec = differ & (p1 == y2) & (p2 == y1)
@@ -249,11 +255,12 @@ def _columns(steps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(c, dtype=np.uint32)[:, None] for c in zip(*steps))
 
 
-# the pool hash runs 4 steps for the seed's entropy words, 12 for the pool
-# mixes and 4 each for the spawn key's words k and 1, one per pool word
-_POOL_STEPS = _hash_constants(_INIT_A, _MULT_A, 24)
-_WORD_K_STEPS = _columns(_POOL_STEPS[16:20])
-_WORD_ONE_HASHES = np.array([_hash(1, *c) for c in _POOL_STEPS[20:24]], dtype=np.uint32)[:, None]
+# the pool hash runs 4 steps for the seed's entropy words and 12 for the pool
+# mixes, which give SeedSequence(seed).pool, then 4 each for the spawn key's
+# words k and 1, one per pool word
+_POOL_STEPS = _hash_constants(_INIT_A, _MULT_A, 24)[16:]
+_WORD_K_STEPS = _columns(_POOL_STEPS[:4])
+_WORD_ONE_HASHES = np.array([_hash(1, *c) for c in _POOL_STEPS[4:]], dtype=np.uint32)[:, None]
 # the state hash runs one step per output word
 _STATE_STEPS = _columns(_hash_constants(_INIT_B, _MULT_B, 8))
 
@@ -264,25 +271,21 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
 
     numpy's SeedSequence hash: the entropy words are the seed's two 32-bit
     halves padded to the pool size, then the spawn key's words ``k`` and
-    ``1``. The seed's words are the same for every k and are hashed in
-    Python ints. From the word ``k`` on, the hash runs as array passes over
-    k: the four pool words' mixes with the hashes of words ``k`` and ``1``
-    as one (4, K) pass, and the eight output words as one (8, K) pass, each
+    ``1``. The seed's words are the same for every k, and hashing them
+    gives the pool of ``SeedSequence(master_seed & U64)``, which pads a
+    seed without a spawn key with the same zeros, so that pool is taken as
+    it is. From the word ``k`` on, the hash runs as array passes over k:
+    the four pool words' mixes with the hashes of words ``k`` and ``1`` as
+    one (4, K) pass, and the eight output words as one (8, K) pass, each
     row with its own hash constants.
 
     The last result is kept, because a sweep over L tests one (seed, K)
     several times in a row; it is read-only, since every caller shares it.
     """
-    seed = master_seed & _U64
-    steps = iter(_POOL_STEPS)
-    pool = [_hash(w, *next(steps)) for w in (seed & _U32, seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    pool = np.random.SeedSequence(master_seed & _U64).pool[:, None]
     # uint32 arrays wrap on overflow silently, where numpy scalars would warn
     word_k = _hash(np.arange(K, dtype=np.uint32), *_WORD_K_STEPS)
-    pool = _mix(_mix(np.array(pool, dtype=np.uint32)[:, None], word_k), _WORD_ONE_HASHES)
+    pool = _mix(_mix(pool, word_k), _WORD_ONE_HASHES)
     # output word i hashes pool word i % 4
     words = _hash(np.vstack([pool, pool]), *_STATE_STEPS)
     # as numpy does: little-endian pairs of 32-bit words make each 64-bit word
@@ -309,7 +312,8 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     observed = dataset_loss(d, cfg.loss)
 
     try:
-        inc, dec = _swap_class_masks(d, matching)
+        # a loss that requires binary data made dataset_loss check every record
+        inc, dec = _swap_class_masks(d, matching, binary_checked=cfg.loss.requires_binary)
     except NonBinaryData:
         counts = None
     else:

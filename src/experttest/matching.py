@@ -23,9 +23,6 @@ __all__ = [
     "pair_distance_summary",
 ]
 
-# free records at or below which one dense scan finishes the matching
-_DENSE_TAIL = 64
-
 
 class TooManyPairs(ExpertTestError, ValueError):
     """Requested more disjoint pairs than floor(n/2)."""
@@ -118,8 +115,7 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     limit every free pair is a candidate, so each accepted pair is the
     global greedy choice at its step, whatever ``r`` is. Greedy on the
     records still free continues greedy on all records, so the next round
-    starts over on them; once at most 64 records are free, one dense scan
-    over their pairs finishes.
+    starts over on them, until L pairs are taken.
 
     The radius only sets how much one round takes. It is just above the
     ``need``-th smallest nearest-free-neighbour distance, where ``need`` is
@@ -129,8 +125,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     nearest-neighbour distances are queried in the first round and reused
     after it: a record's distance to its nearest free neighbour can only
     grow as records are taken, so the stored values are lower bounds. They
-    are queried again only after a round at radius 0 takes no pair, since
-    doubling cannot move a radius of 0.
+    are queried again only after a round at radius 0, since doubling cannot
+    move a radius of 0.
 
     Typical inputs need two to six rounds, each O(m log m + c log c) time
     and O(m + c) memory for m free records and c candidates, where c is
@@ -145,7 +141,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         If ``L`` exceeds floor(n/2).
     ValueError
         If ``L < 1``, if the metric's weights do not match the feature
-        dimension, or if weighting makes a feature NaN or infinite.
+        dimension, if weighting makes a feature NaN or infinite, or if the
+        scaled features span so wide that squared pair distances overflow.
     """
     n = d.n
     if L < 1:
@@ -157,37 +154,39 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     # NaN or infinite coordinates would stall the rounds below
     if not np.isfinite(x).all():
         raise ValueError("metric-scaled features must be finite; check the metric weights")
+    # the KD tree squares radii of up to about twice the largest pair distance
+    with np.errstate(over="ignore"):
+        span = 8 * np.square(x.max(0) - x.min(0)).sum()
+    if not np.isfinite(span):
+        raise ValueError("metric-scaled feature span too wide; squared pair distances overflow")
     free = np.ones(n, dtype=bool)
     zero = _identical_pairs(x)[:L]
     free[zero.ravel()] = False
     pairs, dists = [zero], [np.zeros(len(zero))]  # one entry per round
     found = len(zero)
     nearest = np.empty(n)  # per record, a lower bound on its distance to the nearest free record
-    requery = True
     r = 0.0  # the last KD round's radius
     while found < L:
-        idx = np.flatnonzero(free)
-        if idx.size <= _DENSE_TAIL:
-            ii, jj = np.triu_indices(idx.size, k=1)
-            limit = np.inf
-        else:
-            from scipy.spatial import cKDTree
+        from scipy.spatial import cKDTree
 
-            sub = x[idx]
-            tree = cKDTree(sub)
-            if requery:
-                nearest[idx] = tree.query(sub, k=2)[0][:, 1]
-            need = L - found
-            bound = np.partition(nearest[idx], need - 1)[need - 1]
-            # just above the need-th distance, so that with exact distances
-            # the closest free pair lies inside the acceptance limit below;
-            # at least twice the last radius, which the last round used up
-            r = max(bound * (1 + 1e-8), 2 * r)
-            ii, jj = tree.query_pairs(r, output_type="ndarray").T
-            # the tree's own distance arithmetic may differ from the kernel's
-            # in the last bits; the margin keeps every accepted pair well inside
-            # r, and r == 0 still admits the exact zeros it collected
-            limit = r * (1 - 1e-9)
+        idx = np.flatnonzero(free)
+        sub = x[idx]
+        tree = cKDTree(sub)
+        # in the first round and after a round at radius 0, which doubling
+        # cannot move: only fresh bounds can
+        if r == 0:
+            nearest[idx] = tree.query(sub, k=2)[0][:, 1]
+        need = L - found
+        bound = np.partition(nearest[idx], need - 1)[need - 1]
+        # just above the need-th distance, so that with exact distances
+        # the closest free pair lies inside the acceptance limit below;
+        # at least twice the last radius, which the last round used up
+        r = max(bound * (1 + 1e-8), 2 * r)
+        ii, jj = tree.query_pairs(r, output_type="ndarray").T
+        # the tree's own distance arithmetic may differ from the kernel's
+        # in the last bits; the margin keeps every accepted pair well inside
+        # r, and r == 0 still admits the exact zeros it collected
+        limit = r * (1 - 1e-9)
         ii, jj = idx[ii], idx[jj]
         dist = row_distances(x, ii, jj)
         # (distance, i, j) order: the first candidate with both endpoints free
@@ -204,9 +203,6 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         pairs.append(np.column_stack((ii[taken], jj[taken])))
         dists.append(dist[taken])
         found += len(taken)
-        # an empty round at radius 0 would repeat itself: doubling cannot
-        # move it, so only fresh bounds can
-        requery = not taken and r == 0
     return Matching(np.concatenate(pairs), np.concatenate(dists))
 
 

@@ -132,6 +132,20 @@ class TestGreedyMatch:
         with pytest.raises(ValueError):
             greedy_match(d, 10, DistanceMetric.weighted_euclidean([weight, 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_overflowing_feature_span_rejected(self, n):
+        # finite features whose pair distances square past float64's range
+        # fail up front at any n, without an overflow warning
+        x = np.random.default_rng(n).random((n, 3)) * 1e200
+        with pytest.raises(ValueError, match="span"):
+            greedy_match(points(x), n // 2, L2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_finite_span_still_matches(self):
+        d = points(np.random.default_rng(4).random((100, 3)) * 1e150)
+        assert greedy_match(d, 50, L2) == dense_greedy_match(d, 50, L2)
+
     @given(
         kind=st.sampled_from(
             [
@@ -158,7 +172,13 @@ class TestGreedyMatch:
     @example(kind="tiny", n=300, dim=1, seed=3, depth=1.0)
     @example(kind="triples", n=300, dim=3, seed=4, depth=1.0)
     @example(kind="tiny_triples", n=300, dim=2, seed=3, depth=1.0)
-    # large enough that two or more KD rounds run before the dense tail
+    # small inputs: the KD rounds run down to the last free pair
+    @example(kind="uniform", n=2, dim=3, seed=8, depth=1.0)
+    @example(kind="lattice", n=3, dim=1, seed=9, depth=1.0)
+    @example(kind="one_decimal", n=64, dim=2, seed=10, depth=1.0)
+    @example(kind="clustered", n=65, dim=3, seed=11, depth=1.0)
+    @example(kind="tiny_triples", n=40, dim=2, seed=12, depth=1.0)
+    # large enough that two or more KD rounds run
     @example(kind="one_decimal", n=1500, dim=4, seed=5, depth=1.0)
     @example(kind="uniform", n=1500, dim=9, seed=6, depth=0.6)
     @example(kind="clustered", n=1501, dim=3, seed=7, depth=0.9)
@@ -228,6 +248,7 @@ class TestGreedyMatch:
         monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
         rng = np.random.default_rng(3)
         for d, L in [
+            (gen_validity_cube(60, 0), 30),
             (gen_validity_cube(4000, 0), 1000),
             (points(clustered(rng, 4000, 3)), 2000),
             (points(rng.random((4000, 9))), 2000),
