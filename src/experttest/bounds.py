@@ -85,7 +85,9 @@ def _interval_deviation(c: float, dist: float) -> float:
     # deviation because r and 1/r imply mirrored swap probabilities
     if dist == 0.0:
         return 0.0  # an identical pair, even at c = inf, where c * dist is NaN
-    hi = (1.0 + c * dist) ** 2
+    # squared by multiplication, which overflows to inf where float ** raises
+    root = 1.0 + c * dist
+    hi = root * root
     return max(_deviation(hi), _deviation(1.0 / hi))
 
 

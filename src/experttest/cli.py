@@ -579,7 +579,7 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    if args.l_values:
+    if args.l_values is not None:
         cells = run_power_vs_L(
             n=args.n, delta=args.delta, L_values=args.l_values, K=args.resamples,
             alpha=args.alpha, trials=args.trials, master_seed=args.seed,

@@ -7,17 +7,18 @@ swap distribution, which is evidence that predictions carry information the
 features do not.
 
 Loss comparisons are computed from per-pair swap deltas rather than by
-rebuilding each resampled dataset. For binary losses the delta of every
-executed swap is plus or minus one (fp_cost + fn_cost) unit, so comparisons
-and ties reduce to exact integer counts, the same as scoring each resampled
-dataset. When every delta is an integer and their absolute values sum below
-2**53 (the binary units, or squared error on integer-valued outcomes and
-predictions), every partial sum of a resample's deltas is exact in floating
-point, so the comparison is one matrix product per block. Any other squared
-error deltas are summed in floating point in one fixed order; that sum can
-round differently from rescoring each resampled dataset in full, so a
-resample whose loss change is within rounding of zero can be counted on the
-other side of the observed loss.
+rebuilding each resampled dataset, one path for every loss. For binary
+losses every delta is exactly 0 or plus or minus (fp_cost + fn_cost), so the
+engine takes its sign instead: a resample's sum of signs is an exact integer
+with the sign of its loss change, and comparisons and ties are the same as
+scoring each resampled dataset. When every delta is an integer and their
+absolute values sum below 2**53 (the binary signs, or squared error on
+integer-valued outcomes and predictions), every partial sum of a resample's
+deltas is exact in floating point, so the comparison is one matrix product
+per block. Any other squared error deltas are summed in floating point in
+one fixed order; that sum can round differently from rescoring each
+resampled dataset in full, so a resample whose loss change is within
+rounding of zero can be counted on the other side of the observed loss.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
@@ -159,36 +160,22 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     currently correct the swap creates a false positive and a false negative
     (increase); if both are currently wrong it removes one of each
     (decrease); every other configuration leaves any mistake-count-monotone
-    loss unchanged (neutral).
+    loss unchanged (neutral). The matched values are checked for being
+    binary in one scan.
 
     Raises
     ------
     NonBinaryData
         If any matched record has a non-binary outcome or prediction.
     """
-    inc, dec = _swap_class_masks(d, m)
-    n_inc = int(inc.sum())
-    n_dec = int(dec.sum())
-    return SwapCounts(n_inc, n_dec, len(m) - n_inc - n_dec)
-
-
-def _swap_class_masks(
-    d: Dataset, m: Matching, binary_checked: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs whose swap increases and decreases the mistake count.
-
-    The matched values are checked for being binary in one scan, which
-    ``binary_checked`` skips for a caller that has already checked every
-    record.
-    """
     pi, pj = m.pairs.T
     y1, y2, p1, p2 = matched = np.stack((d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]))
-    if not binary_checked and not np.isin(matched, (0.0, 1.0)).all():
+    if not np.isin(matched, (0.0, 1.0)).all():
         raise NonBinaryData("matched records must have y and y_hat in {0, 1}")
     differ = y1 != y2
-    inc = differ & (p1 == y1) & (p2 == y2)
-    dec = differ & (p1 == y2) & (p2 == y1)
-    return inc, dec
+    n_inc = int(np.count_nonzero(differ & (p1 == y1) & (p2 == y2)))
+    n_dec = int(np.count_nonzero(differ & (p1 == y2) & (p2 == y1)))
+    return SwapCounts(n_inc, n_dec, len(m) - n_inc - n_dec)
 
 
 def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
@@ -310,26 +297,18 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     if len(matching) != cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
     observed = dataset_loss(d, cfg.loss)
-
     try:
-        # a loss that requires binary data made dataset_loss check every record
-        inc, dec = _swap_class_masks(d, matching, binary_checked=cfg.loss.requires_binary)
+        counts = classify_swaps(d, matching)
     except NonBinaryData:
         counts = None
-    else:
-        n_inc, n_dec = int(inc.sum()), int(dec.sum())
-        counts = SwapCounts(n_inc, n_dec, cfg.L - n_inc - n_dec)
-    # a binary loss passed dataset_loss's compatibility check, so inc and dec exist
-    if not cfg.loss.requires_binary:
-        delta = _swap_deltas(d, matching, cfg.loss)
-    elif cfg.loss.fp_cost + cfg.loss.fn_cost == 0.0:
-        delta = np.zeros(cfg.L, dtype=np.int64)
-    else:
-        # every executed increase swap adds one false positive and one false
-        # negative; every executed decrease swap removes one of each, so the
-        # loss difference is (fp_cost + fn_cost) times the sum of these units
-        # and comparisons are exact integer arithmetic
-        delta = inc.astype(np.int64) - dec
+    delta = _swap_deltas(d, matching, cfg.loss)
+    if cfg.loss.requires_binary:
+        # a pair's two per-record losses add to the same float in either
+        # order, so each delta is exactly 0 or +-(fp_cost + fn_cost), and its
+        # sign scores every resample as the unit-weighted sum does; inf - inf
+        # (NaN), from costs near the float maximum, comes only from a neutral
+        # pair, and neither comparison counts it
+        delta = (delta > 0).astype(np.int64) - (delta < 0)
 
     # when every row's sum is exact in any order, a matrix product gives the
     # same sums as the elementwise product and row sum, which otherwise keep
@@ -361,8 +340,8 @@ def _sums_exact(delta: np.ndarray) -> bool:
 
     That holds when every entry is an integer and their absolute values sum
     below 2**53, since every partial sum is then an integer no larger. It
-    covers the binary losses' units and squared error on integer-valued
-    outcomes and predictions.
+    covers the signs that score the binary losses and squared error on
+    integer-valued outcomes and predictions.
     """
     return bool((delta == np.trunc(delta)).all()) and float(np.abs(delta).sum()) < 2.0**53
 

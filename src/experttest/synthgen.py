@@ -308,8 +308,12 @@ def run_power_curve(
     """Empirical rejection frequency over an (n, delta) grid of expertise worlds.
 
     ``L_rule`` maps each sample size to the number of pairs (for example
-    ``lambda n: n // 8``). Zero-one loss.
+    ``lambda n: n // 8``). Zero-one loss. An empty grid is a ``ValueError``.
     """
+    if not len(n_values):
+        raise ValueError("need at least one n value")
+    if not len(delta_values):
+        raise ValueError("need at least one delta value")
     cells = []
     for i, n in enumerate(n_values):
         L = L_rule(n)

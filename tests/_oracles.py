@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 
 from experttest.core import Dataset, DistanceMetric, ExpertTestError, LossSpec, row_distances
-from experttest.engine import TestConfig, _swap_class_masks, swap_stream, tie_break_stream
+from experttest.engine import TestConfig, swap_stream, tie_break_stream
 from experttest.matching import Matching, TooManyPairs
 
 _SCAN_CHUNK = 1 << 16
@@ -156,8 +156,7 @@ def whole_mask_tau(d: Dataset, m: Matching, cfg: TestConfig) -> float:
     """The engine's ``tau``, compared on one whole stacked mask instead of row blocks."""
     mask = stacked_swap_mask(cfg.master_seed, cfg.K, cfg.L)
     if cfg.loss.requires_binary:
-        inc, dec = _swap_class_masks(d, m)
-        less, ties = _compare_binary(inc, dec, cfg.loss, mask)
+        less, ties = _compare_binary(d, m, cfg.loss, mask)
     else:
         less, ties = _compare_generic(d, m, cfg.loss, mask)
     coins = tie_break_stream(cfg.master_seed).random(int(ties.sum())) < 0.5
@@ -165,14 +164,19 @@ def whole_mask_tau(d: Dataset, m: Matching, cfg: TestConfig) -> float:
 
 
 def _compare_binary(
-    inc: np.ndarray, dec: np.ndarray, loss: LossSpec, mask: np.ndarray
+    d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # every executed increase swap adds one false positive and one false
-    # negative; every executed decrease swap removes one of each, so the loss
-    # difference is (fp_cost + fn_cost) * (executed increases - decreases)
-    # and comparisons are exact integer arithmetic
-    executed_inc = (mask & inc).sum(axis=1)
-    executed_dec = (mask & dec).sum(axis=1)
+    # a pair's swap adds a false positive and a false negative when it makes
+    # two mistakes out of none, and removes one of each when it makes none
+    # out of two; a swap that keeps the pair's mistake count moves nothing,
+    # so the loss difference is (fp_cost + fn_cost) * (executed increases -
+    # decreases) and comparisons are exact integer arithmetic
+    pi, pj = m.pairs.T
+    y1, y2, p1, p2 = d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]
+    before = (p1 != y1).astype(int) + (p2 != y2)
+    after = (p2 != y1).astype(int) + (p1 != y2)
+    executed_inc = (mask & (after > before)).sum(axis=1)
+    executed_dec = (mask & (after < before)).sum(axis=1)
     unit = loss.fp_cost + loss.fn_cost if loss.variant == "weighted_binary" else 2.0
     diff = executed_inc - executed_dec
     if unit == 0.0:

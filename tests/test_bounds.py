@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestEpsilonStar:
         assert epsilon_star(d, m, Smoothness(np.inf)) == 0.5
         d, m = matched_points([1.0, 1.0, 4.0, 4.0])
         assert epsilon_star(d, m, Smoothness(np.inf)) == 0.0
+
+    def test_huge_finite_constant_gives_trivial_bound(self):
+        # (1 + C * t)**2 overflows float64 here: the bound is C = inf's, not an error
+        d, m = matched_points([0.0, 0.5], L=1)
+        for c in (1e155, 1e200, sys.float_info.max):
+            assert epsilon_star(d, m, Smoothness(c)) == 0.5
+        assert adjusted_threshold(0.05, 1e200, Matching([(0, 1)], [1.0]), 1, 99) == 0.0
 
     def test_smoothness_single_pair(self):
         # odds ratio interval endpoint r = (1 + 1 * 0.1)^2 = 1.21

@@ -308,6 +308,20 @@ class TestCliMain:
         assert doc["rows"][0]["L"] == 60
         assert doc["rows"][0]["validity"] is not None
 
+    def test_huge_finite_smoothness_constant_reports_trivial_bound(self, tmp_path):
+        p, names = clinical_format_fixture(tmp_path)
+        out_json = tmp_path / "run.json"
+        code = main([
+            "report", str(p), "--features", ",".join(names),
+            "--outcome", "outcome", "--prediction", "admitted",
+            "--pairs", "60", "--resamples", "50", "--seed", "3",
+            "--normalize", "--smoothness-C", "1e200", "--json", str(out_json),
+        ])
+        assert code == 0
+        row = json.loads(out_json.read_text())["rows"][0]
+        assert row["mismatched_pairs"] > 0
+        assert row["validity"]["epsilon_star"] == 0.5
+
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)
         args = [
@@ -490,6 +504,18 @@ class TestCliMain:
             assert code == 1
             err = json.loads(capsys.readouterr().err)
             assert err == {"error": "ValueError", "message": "need at least one L value"}
+
+    @pytest.mark.parametrize("option, message", [
+        ("--l-values", "need at least one L value"),
+        ("--n-values", "need at least one n value"),
+        ("--deltas", "need at least one delta value"),
+    ], ids=["l-values", "n-values", "deltas"])
+    def test_power_needs_a_value_in_each_list(self, option, message, capsys):
+        # an empty --l-values must not fall back to the (n, delta) grid
+        code = main(["power", option, ",", "--trials", "1", "--resamples", "5"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": message}
 
     def test_match_stats_subcommand(self, tmp_path, capsys):
         p, names = clinical_format_fixture(tmp_path)

@@ -389,6 +389,8 @@ class TestExpertTest:
             ("audit", LossSpec.squared_error()),
             ("integers", LossSpec.squared_error()),
             ("decimals", LossSpec.squared_error()),
+            # a unit of 0.8, whose float multiples do not all sum exactly
+            ("pairs", LossSpec.weighted_binary(0.3, 0.5)),
         ],
     )
     def test_blocks_match_whole_mask(self, data, loss, K):
@@ -466,10 +468,23 @@ class TestExpertTest:
             LossSpec.weighted_binary(1, 5),
             LossSpec.weighted_binary(5, 1),
             LossSpec.weighted_binary(1, 1),
+            LossSpec.weighted_binary(0.3, 0.5),
         ]
         results = [expert_test(d, self.cfg(L=75, K=200, loss=lo, master_seed=777)) for lo in losses]
         assert len({r.tau for r in results}) == 1
         assert len({r.binary_swap_counts for r in results}) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_costs_near_float_max_score_like_zero_one(self):
+        # two such costs add to inf, so a pair with two mistakes of one kind
+        # has a swap delta of inf - inf, though its swap changes nothing
+        d = audit_like(400, 12)
+        m = greedy_match(d, 150, L2)
+        want = expert_test_with_matching(d, m, self.cfg(L=150, K=200, master_seed=777)).tau
+        for loss in (LossSpec.weighted_binary(1e308, 1e308), LossSpec.weighted_binary(1e308, 1)):
+            cfg = self.cfg(L=150, K=200, loss=loss, master_seed=777)
+            assert expert_test_with_matching(d, m, cfg).tau == whole_mask_tau(d, m, cfg) == want
 
     def test_mean_tau_matches_analytic_value(self):
         for trial, (a, b) in enumerate([(3, 1), (0, 2), (4, 4)]):

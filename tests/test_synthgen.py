@@ -203,6 +203,12 @@ class TestRunners:
         with pytest.raises(TooManyPairs):
             run_type1_curve(n=20, L_values=[11], K=10, alpha=0.05, trials=2, master_seed=0)
 
+    def test_power_curve_needs_a_grid(self):
+        with pytest.raises(ValueError, match="n value"):
+            run_power_curve([], [0.1], lambda n: 5, K=10, alpha=0.05, trials=2, master_seed=0)
+        with pytest.raises(ValueError, match="delta value"):
+            run_power_curve([20], [], lambda n: 5, K=10, alpha=0.05, trials=2, master_seed=0)
+
     def test_zero_trials_rejected(self):
         # a study without trials has no rejection rate
         with pytest.raises(ValueError, match="trial"):
