@@ -12,9 +12,13 @@ validity cube at n = 500, and one test at a ``power`` shape (n = 600,
 L = 75, K = 1000, zero-one loss), at a ``validity`` shape (n = 500,
 L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
 decisions, L = 1000, K = 1000, zero-one loss). Every engine call takes a
-new seed, as every test of the ``power`` workload does, so none reuses the
-seed words of the one before; the seed-word hash is also timed alone,
-uncached, at K = 1000.
+new seed, as every test of the ``power`` workload does, so none reads the
+mask the one before kept; the seed-word hash is also timed alone, at
+K = 1000. Two sweeps test one seed at every L of a workload, largest
+first, as the ``validity`` runner (n = 500, L = 250 down to 25, K = 200,
+squared loss) and an ``audit`` report (L = 1000, 500, 250, 125, K = 1000,
+zero-one loss) do: the first L draws the mask and the others read the kept
+one. Each sweep takes a new seed.
 
 Three more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
@@ -113,7 +117,7 @@ def test_swap_mask_blocks(benchmark, K, L):
 
 def test_swap_seed_words_uncached(benchmark):
     seeds = count()
-    words = benchmark(lambda: engine._swap_seed_words.__wrapped__(next(seeds), 1000))
+    words = benchmark(lambda: engine._swap_seed_words(next(seeds), 1000))
     assert words.shape == (1000, 4)
 
 
@@ -136,3 +140,29 @@ def test_expert_test_with_matching(benchmark, make, L, K, loss):
         return expert_test_with_matching(d, m, cfg)
 
     assert benchmark(run).K == K
+
+
+@pytest.mark.parametrize(
+    "make, L_values, K, loss",
+    [
+        (lambda: gen_validity_cube(500, 0), range(250, 0, -25), 200, LossSpec.squared_error()),
+        (lambda: normalize_features(audit_like()), (1000, 500, 250, 125), 1000, LossSpec.zero_one()),
+    ],
+    ids=["validity", "audit"],
+)
+def test_expert_test_sweep(benchmark, make, L_values, K, loss):
+    d = make()
+    full = greedy_match(d, max(L_values), L2)
+    seeds = count()
+
+    def sweep():
+        seed = next(seeds)
+        return [
+            expert_test_with_matching(
+                d, full.prefix(L),
+                TestConfig(L=L, K=K, alpha=0.05, loss=loss, metric=L2, master_seed=seed),
+            )
+            for L in L_values
+        ]
+
+    assert [r.L for r in benchmark(sweep)] == list(L_values)

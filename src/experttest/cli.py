@@ -253,8 +253,10 @@ def run_report(
     """
     L_values = [int(L) for L in L_values]
     full = greedy_match(d, _largest_L(L_values), metric)
-    rows = []
-    for L in L_values:
+    rows = [None] * len(L_values)
+    # largest L first: the engine keeps the mask it draws, and a smaller L at
+    # the same seed and K reads a prefix of it instead of drawing again
+    for i, L in sorted(enumerate(L_values), key=itemgetter(1), reverse=True):
         matching = full.prefix(L)
         cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=master_seed)
         res = expert_test_with_matching(d, matching, cfg)
@@ -262,19 +264,17 @@ def run_report(
         if smoothness_C is not None:
             bound = validity_bound(d, matching, Smoothness(smoothness_C), alpha, K)
         counts = res.binary_swap_counts
-        rows.append(
-            ReportRow(
-                L=L,
-                mismatched_pairs=res.mismatch_count,
-                swaps_increase=None if counts is None else counts.increase,
-                swaps_decrease=None if counts is None else counts.decrease,
-                tau=res.tau,
-                effective_p=res.effective_p,
-                rejected=res.rejected,
-                observed_loss=res.observed_loss,
-                epsilon_note=_epsilon_note(res.mismatch_count, bound),
-                validity=bound,
-            )
+        rows[i] = ReportRow(
+            L=L,
+            mismatched_pairs=res.mismatch_count,
+            swaps_increase=None if counts is None else counts.increase,
+            swaps_decrease=None if counts is None else counts.decrease,
+            tau=res.tau,
+            effective_p=res.effective_p,
+            rejected=res.rejected,
+            observed_loss=res.observed_loss,
+            epsilon_note=_epsilon_note(res.mismatch_count, bound),
+            validity=bound,
         )
     return Report(
         rows=tuple(rows),

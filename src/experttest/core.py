@@ -6,6 +6,7 @@ across concurrent workers. Every random draw in the package is a draw of a
 bit-identical results.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -236,7 +237,16 @@ def dataset_loss(d: Dataset, loss: LossSpec) -> float:
     if loss.variant == _WEIGHTED:
         n_fp = int(((y == 0.0) & (y_hat == 1.0)).sum())
         n_fn = int(((y == 1.0) & (y_hat == 0.0)).sum())
-        return (loss.fp_cost * n_fp + loss.fn_cost * n_fn) / d.n
+        total = loss.fp_cost * n_fp + loss.fn_cost * n_fn
+        if math.isinf(total):
+            # finite costs whose sum overflows: their mean is at most the
+            # larger cost, so it is finite, and exact arithmetic reaches it;
+            # imported here, since importing fractions (and decimal) takes
+            # about 5 ms and no other input needs it
+            from fractions import Fraction
+
+            return float((Fraction(loss.fp_cost) * n_fp + Fraction(loss.fn_cost) * n_fn) / d.n)
+        return total / d.n
     per = loss.per_record(y, y_hat)
     return float(np.sort(per).sum() / d.n)
 

@@ -27,15 +27,24 @@ seeder hands each ``PCG64`` its row in turn, so the only Python code that
 runs per resample is that seeder's ``generate_state`` call. numpy's
 C-level iterators build and draw the streams a block of at most
 ``_BLOCK_ROWS`` resamples at a time (:func:`_swap_mask_blocks`). Each block is
-compared and reduced to two counts before the next is drawn, which bounds the
-working memory to ``_BLOCK_ROWS`` x L whatever K is. Row k depends only on
-(seed, k), so the K resamples can still be evaluated in any order (or
-concurrently) without changing the result. A property test checks the
+compared and reduced to two counts before the next is drawn, and the drawn
+decisions are packed into bits about ``_PACK_BYTES`` of them at a time, which
+bounds the working memory whatever K is. Row k depends
+only on (seed, k), so the K resamples can still be evaluated in any order
+(or concurrently) without changing the result. A property test checks the
 concatenated blocks against the stacked streams.
+
+The last mask drawn to its end is kept, packed into K x L / 8 bytes (2.5 MB
+at K = 10 000, L = 2000). A later test at the same seed and K and an L no
+larger reads the first L columns of every kept row instead of drawing, since
+a smaller L reads a prefix of every stream; so a sweep over L at one seed,
+largest L first, draws the mask once. Any other seed, K or larger L draws
+again and replaces what is kept. The kept value is one tuple of read-only
+arrays, assigned only when a draw has reached its last block, so a draw
+that is abandoned or interleaved with another never leaves part of a mask.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from operator import methodcaller
 from typing import Iterator
@@ -87,6 +96,16 @@ _U32 = (1 << 32) - 1
 _HALF_RAW = np.uint64(1 << 63)
 # resamples drawn and compared per block; 32 to 256 measured within noise
 _BLOCK_ROWS = 64
+# bools drawn into one array and packed with one call, in whole blocks and
+# at least one: a pack call per 64-row block cost about 1.5 us at L = 25 to
+# 150, one call on 1000 rows 4 to 7 us, and a larger array grows the peak
+# memory of a test at large L
+_PACK_BYTES = 1 << 16
+
+# (master_seed, K, L, the mask's groups of _group_rows(L) rows, each packed
+# row after row into bits) of the last mask drawn to its end, which a sweep
+# over L at one seed reads again; it is replaced whole, never changed
+_kept_mask: tuple[int, int, int, tuple[np.ndarray, ...]] | None = None
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -187,16 +206,58 @@ def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
     built and drawn by C-level iterators and each block is read with one
     ``fromiter``. ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a
     draw is below 1/2 exactly when its raw 64-bit output is below 2**63.
+
+    A call with the seed and K of the kept mask and an L no larger than its
+    own unpacks the kept mask instead of drawing.
     """
     if K >= _SWAP_STREAM_BASE:
         raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
+    kept = _kept_mask
+    if kept is not None and kept[:2] == (master_seed, K) and L <= kept[2]:
+        return _unpacked_blocks(kept[3], K, kept[2], L)
+    return _drawn_blocks(master_seed, K, L)
+
+
+def _drawn_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
+    """Draw the mask block by block, and keep it packed once its last block is drawn.
+
+    Each group of ``_group_rows(L)`` rows is drawn into one bool array,
+    whose blocks are handed out as views, and packed with one call after its
+    last block is compared; the caller only reads the blocks.
+    """
+    global _kept_mask
     seeder = _StateRows(_swap_seed_words(master_seed, K))
     raws = map(methodcaller("random_raw", L), map(np.random.PCG64, repeat(seeder, K)))
     row = np.dtype((np.uint64, (L,)))
-    return (
-        np.fromiter(raws, dtype=row, count=min(_BLOCK_ROWS, K - start)) < _HALF_RAW
-        for start in range(0, K, _BLOCK_ROWS)
-    )
+    packed = []
+    group_rows = _group_rows(L)
+    for start in range(0, K, group_rows):
+        group = np.empty((min(group_rows, K - start), L), dtype=bool)
+        for first in range(0, len(group), _BLOCK_ROWS):
+            block = group[first : first + _BLOCK_ROWS]
+            np.less(np.fromiter(raws, dtype=row, count=len(block)), _HALF_RAW, block)
+            yield block
+        bits = np.packbits(group)
+        bits.flags.writeable = False
+        packed.append(bits)
+    _kept_mask = (master_seed, K, L, tuple(packed))
+
+
+def _unpacked_blocks(
+    packed: tuple[np.ndarray, ...], K: int, drawn_L: int, L: int
+) -> Iterator[np.ndarray]:
+    """The first L columns of a kept mask drawn at ``drawn_L``, in the blocks a draw gives."""
+    group_rows = _group_rows(drawn_L)
+    for start, bits in zip(range(0, K, group_rows), packed):
+        rows = min(group_rows, K - start)
+        group = np.unpackbits(bits, count=rows * drawn_L).view(bool).reshape(rows, drawn_L)[:, :L]
+        for first in range(0, rows, _BLOCK_ROWS):
+            yield group[first : first + _BLOCK_ROWS]
+
+
+def _group_rows(L: int) -> int:
+    """Rows of a mask of L columns that are drawn into one array and packed together."""
+    return _BLOCK_ROWS * max(1, _PACK_BYTES // (_BLOCK_ROWS * L))
 
 
 class _StateRows(ISeedSequence):
@@ -252,7 +313,6 @@ _WORD_ONE_HASHES = np.array([_hash(1, *c) for c in _POOL_STEPS[4:]], dtype=np.ui
 _STATE_STEPS = _columns(_hash_constants(_INIT_B, _MULT_B, 8))
 
 
-@lru_cache(maxsize=1)
 def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     """Row k is ``SeedSequence(master_seed & U64, spawn_key=(2**32 + k,)).generate_state(4, uint64)``.
 
@@ -265,9 +325,6 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     the four pool words' mixes with the hashes of words ``k`` and ``1`` as
     one (4, K) pass, and the eight output words as one (8, K) pass, each
     row with its own hash constants.
-
-    The last result is kept, because a sweep over L tests one (seed, K)
-    several times in a row; it is read-only, since every caller shares it.
     """
     pool = np.random.SeedSequence(master_seed & _U64).pool[:, None]
     # uint32 arrays wrap on overflow silently, where numpy scalars would warn
@@ -276,9 +333,7 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     # output word i hashes pool word i % 4
     words = _hash(np.vstack([pool, pool]), *_STATE_STEPS)
     # as numpy does: little-endian pairs of 32-bit words make each 64-bit word
-    state = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-    state.flags.writeable = False
-    return state
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:

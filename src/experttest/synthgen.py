@@ -14,6 +14,7 @@ evaluated cell by cell in any order with deterministic results.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -410,7 +411,9 @@ def _trial_taus(
         if full is None or not np.array_equal(ds.x, x):
             x, full = ds.x, greedy_match(ds, max(L_values), metric)
         seed = derive_seed(master_seed, domain, 1, *cell, t)
-        for j, L in enumerate(L_values):
+        # largest L first: the engine keeps the mask it draws, and a smaller L
+        # at the same seed and K reads a prefix of it instead of drawing again
+        for j, L in sorted(enumerate(L_values), key=itemgetter(1), reverse=True):
             cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed)
             taus[t, j] = expert_test_with_matching(ds, full.prefix(L), cfg).tau
     return taus

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,16 +182,22 @@ class TestNormalizeFeatures:
 
 class TestRunReport:
     def test_rows_match_standalone_tests(self):
+        # rows come out in the caller's order, whatever order the L values
+        # are tested in, and a repeated L gives the same row twice
         d = gen_expertise_pairs(ExpertiseConfig(n=400, delta=0.3, seed=4))
         loss, metric = LossSpec.zero_one(), DistanceMetric.euclidean()
-        report = run_report(d, [25, 100, 200], K=300, alpha=0.05, loss=loss,
-                            metric=metric, master_seed=12)
-        for row in report.rows:
-            cfg = TestConfig(L=row.L, K=300, alpha=0.05, loss=loss, metric=metric, master_seed=12)
-            res = expert_test(d, cfg)
-            assert row.tau == res.tau
-            assert row.mismatched_pairs == res.mismatch_count
-            assert row.swaps_increase == res.binary_swap_counts.increase
+        for L_values in ([25, 100, 200], [200, 100, 25], [100, 25, 200], [100, 25, 100, 200]):
+            report = run_report(d, L_values, K=300, alpha=0.05, loss=loss,
+                                metric=metric, master_seed=12)
+            assert [row.L for row in report.rows] == L_values
+            for row in report.rows:
+                cfg = TestConfig(L=row.L, K=300, alpha=0.05, loss=loss, metric=metric, master_seed=12)
+                res = expert_test(d, cfg)
+                assert (row.tau, row.effective_p, row.observed_loss) == (
+                    res.tau, res.effective_p, res.observed_loss
+                )
+                assert row.mismatched_pairs == res.mismatch_count
+                assert row.swaps_increase == res.binary_swap_counts.increase
 
     def test_tau_shrinks_with_more_pairs_and_sentinel_appears(self):
         # stronger evidence accumulates with L; at K=1000 the L=500 row
@@ -321,6 +328,26 @@ class TestCliMain:
         row = json.loads(out_json.read_text())["rows"][0]
         assert row["mismatched_pairs"] > 0
         assert row["validity"]["epsilon_star"] == 0.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_costs_whose_sum_overflows_report_a_finite_loss(self, tmp_path):
+        # each cost is finite but fp_cost * n_fp + fn_cost * n_fn is not; the
+        # mean is at most the larger cost, so the JSON must hold it
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 4, (200, 2)).astype(float)
+        y, y_hat = rng.integers(0, 2, (2, 200)).astype(float)
+        p = tmp_path / "binary.csv"
+        write_rows(p, ["f1", "f2", "y", "yhat"], np.column_stack([x, y, y_hat]).tolist())
+        args = ["report", str(p), "--features", "f1,f2", "--outcome", "y", "--prediction", "yhat",
+                "--pairs", "50", "--resamples", "100", "--seed", "3"]
+        out_json, zero_one_json = tmp_path / "run.json", tmp_path / "zero_one.json"
+        assert main(args + ["--loss", "weighted:fp=1e308,fn=1e308", "--json", str(out_json)]) == 0
+        assert main(args + ["--json", str(zero_one_json)]) == 0
+        row = json.loads(out_json.read_text())["rows"][0]
+        n_fp, n_fn = int(((y == 0) & (y_hat == 1)).sum()), int(((y == 1) & (y_hat == 0)).sum())
+        assert row["observed_loss"] == float(Fraction(1e308) * (n_fp + n_fn) / 200)
+        assert row["tau"] == json.loads(zero_one_json.read_text())["rows"][0]["tau"]
 
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)

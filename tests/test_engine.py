@@ -147,6 +147,10 @@ def swap_mask(seed, K, L):
     return np.concatenate(blocks)
 
 
+def no_draw(*args):
+    raise AssertionError("swap streams drawn again")
+
+
 # a numpy scalar in the seed-word hash would warn on overflow where arrays wrap
 @pytest.mark.filterwarnings("error")
 class TestSwapMasks:
@@ -175,9 +179,9 @@ class TestSwapMasks:
     def test_equals_stacked_swap_streams(self, seed, K, L, cut):
         mask = swap_mask(seed, K, L)
         assert np.array_equal(mask, stacked_swap_mask(seed, K, L))
-        # a smaller L reads a prefix of every stream
+        # a smaller L reads a prefix of every stream, here from the kept mask
         l = max(1, round(cut * L))
-        assert np.array_equal(mask[:, :l], swap_mask(seed, K, l))
+        assert np.array_equal(swap_mask(seed, K, l), stacked_swap_mask(seed, K, l))
 
     def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
         # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k < 2**32
@@ -194,18 +198,78 @@ class TestSwapMasks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_seed_words_reused_read_only(self):
-        words = engine._swap_seed_words(11, B + 5)
-        assert engine._swap_seed_words(11, B + 5) is words
-        assert not words.flags.writeable
+    def test_kept_mask_read_only_and_replaced(self, monkeypatch):
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        swap_mask(11, B + 5, 20)
+        kept = engine._kept_mask
+        assert type(kept) is tuple and kept[:3] == (11, B + 5, 20)
+        (packed,) = kept[3]
+        assert packed.nbytes == -(-(B + 5) * 20 // 8)
+        assert not packed.flags.writeable
         with pytest.raises(ValueError):
-            words[0, 0] = 0
-        fresh = engine._swap_seed_words.__wrapped__(11, B + 5)
-        # another (seed, K) replaces the kept words; the masks stay right
+            packed[0] = 0
+        # another (seed, K) replaces the kept mask; the masks stay right
         for seed, K in [(12, B + 5), (11, 3), (11, B + 5)]:
             assert np.array_equal(swap_mask(seed, K, 20), stacked_swap_mask(seed, K, 20))
-        assert np.array_equal(words, fresh)
-        assert np.array_equal(engine._swap_seed_words(11, B + 5), fresh)
+            assert engine._kept_mask[:3] == (seed, K, 20)
+        assert engine._kept_mask is not kept
+
+    @pytest.mark.parametrize(
+        "K, L",
+        # the last K spans three packed groups, the last of them partial
+        [(B - 1, 40), (B, 40), (B + 1, 40), (2 * B + 3, 40),
+         (2 * engine._group_rows(300) + B + 1, 300)],
+    )
+    def test_smaller_L_reads_kept_mask(self, monkeypatch, K, L):
+        # the unpacked prefix must be the streams' own first draws, group by
+        # group, not just the columns the first draw handed out
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        swap_mask(7, K, L)
+        kept = engine._kept_mask
+        monkeypatch.setattr(engine, "_swap_seed_words", no_draw)
+        for l in (L, L - 1, 9, 1):
+            assert np.array_equal(swap_mask(7, K, l), stacked_swap_mask(7, K, l))
+        assert engine._kept_mask is kept
+
+    def test_larger_L_or_other_stream_redraws(self, monkeypatch):
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        # each call's (seed, K, L), then what is kept after it
+        calls = [
+            ((3, 70, 10), (3, 70, 10)),
+            ((3, 70, 25), (3, 70, 25)),  # a larger L
+            ((3, 70, 10), (3, 70, 25)),  # a hit keeps the larger draw
+            ((4, 70, 10), (4, 70, 10)),  # another seed
+            ((3, 70, 10), (3, 70, 10)),
+            ((3, 71, 5), (3, 71, 5)),  # another K
+            ((3, 70, 5), (3, 70, 5)),
+        ]
+        for (seed, K, L), kept in calls:
+            assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
+            assert engine._kept_mask[:3] == kept
+
+    def test_unfinished_draw_is_not_kept(self, monkeypatch):
+        K = 2 * B + 3
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        swap_mask(5, K, 20)
+        kept = engine._kept_mask
+        # abandoned after one block
+        blocks = engine._swap_mask_blocks(6, K, 30)
+        next(blocks)
+        blocks.close()
+        assert engine._kept_mask is kept
+        assert np.array_equal(swap_mask(6, K, 10), stacked_swap_mask(6, K, 10))
+        # two draws interleaved block by block: each is kept only when it ends
+        a, b = engine._swap_mask_blocks(8, K, 20), engine._swap_mask_blocks(9, K, 20)
+        got_a, got_b = [], []
+        for block_a, block_b in zip(a, b):
+            got_a.append(block_a)
+            got_b.append(block_b)
+            assert engine._kept_mask[:3] == (6, K, 10)
+        assert engine._kept_mask[:3] == (8, K, 20)
+        assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(8, K, 20))
+        assert next(b, None) is None and engine._kept_mask[:3] == (9, K, 20)
+        assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(9, K, 20))
+        assert np.array_equal(swap_mask(9, K, 7), stacked_swap_mask(9, K, 7))
 
 
 class TestTauStatistic:

@@ -277,33 +277,39 @@ class TestRunnerSeedLayout:
                 expected.append((n, delta, n // 4, 4, sum(rejected)))
         assert [(c.n, c.delta, c.L, c.trials, c.rejections) for c in cells] == expected
 
+    # each list is also run descending, unsorted and with a repeated L: the
+    # cells follow the caller's order whatever order the L values are tested in
+    def orders(self, L_values):
+        a, b, c = L_values
+        return [[a, b, c], [c, b, a], [b, c, a], [b, a, b, c]]
+
     def test_power_vs_L(self):
-        L_values = [4, 10, 20]
-        cells = run_power_vs_L(
-            n=40, delta=0.15, L_values=L_values, K=30, alpha=self.ALPHA, trials=6,
-            master_seed=self.SEED,
-        )
-        rejections = [0] * len(L_values)
-        for t in range(6):
-            ds = gen_expertise_pairs(
-                ExpertiseConfig(n=40, delta=0.15, seed=derive_seed(self.SEED, 3, 0, t))
+        for L_values in self.orders([4, 10, 20]):
+            cells = run_power_vs_L(
+                n=40, delta=0.15, L_values=L_values, K=30, alpha=self.ALPHA, trials=6,
+                master_seed=self.SEED,
             )
-            for k, L in enumerate(L_values):
-                rejections[k] += self.literal(ds, L, LossSpec.zero_one(), 3, 1, t).rejected
-        assert [(c.L, c.trials, c.rejections) for c in cells] == [
-            (L, 6, r) for L, r in zip(L_values, rejections)
-        ]
+            rejections = [0] * len(L_values)
+            for t in range(6):
+                ds = gen_expertise_pairs(
+                    ExpertiseConfig(n=40, delta=0.15, seed=derive_seed(self.SEED, 3, 0, t))
+                )
+                for k, L in enumerate(L_values):
+                    rejections[k] += self.literal(ds, L, LossSpec.zero_one(), 3, 1, t).rejected
+            assert [(c.L, c.trials, c.rejections) for c in cells] == [
+                (L, 6, r) for L, r in zip(L_values, rejections)
+            ]
 
     def test_type1_curve(self):
-        L_values = [3, 10, 20]
-        cells = run_type1_curve(
-            n=40, L_values=L_values, K=30, alpha=self.ALPHA, trials=6, master_seed=self.SEED
-        )
-        rejections = [0] * len(L_values)
-        for t in range(6):
-            ds = gen_validity_cube(40, derive_seed(self.SEED, 4, 0, t))
-            for k, L in enumerate(L_values):
-                rejections[k] += self.literal(ds, L, LossSpec.squared_error(), 4, 1, t).rejected
-        assert [(c.L, c.trials, c.rejections) for c in cells] == [
-            (L, 6, r) for L, r in zip(L_values, rejections)
-        ]
+        for L_values in self.orders([3, 10, 20]):
+            cells = run_type1_curve(
+                n=40, L_values=L_values, K=30, alpha=self.ALPHA, trials=6, master_seed=self.SEED
+            )
+            rejections = [0] * len(L_values)
+            for t in range(6):
+                ds = gen_validity_cube(40, derive_seed(self.SEED, 4, 0, t))
+                for k, L in enumerate(L_values):
+                    rejections[k] += self.literal(ds, L, LossSpec.squared_error(), 4, 1, t).rejected
+            assert [(c.L, c.trials, c.rejections) for c in cells] == [
+                (L, 6, r) for L, r in zip(L_values, rejections)
+            ]
