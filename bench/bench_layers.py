@@ -14,7 +14,10 @@ L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
 decisions, L = 1000, K = 1000, zero-one loss). Every engine call takes a
 new seed, as every test of the ``power`` workload does, so none reads the
 mask the one before kept; the seed-word hash is also timed alone, at
-K = 1000. Two sweeps test one seed at every L of a workload, largest
+K = 1000. The ``power`` runner only needs each test's verdict, so the
+``power``-shaped test is also timed with ``verdict_only``, which stops
+comparing once the test can no longer reject, on the null world
+(delta = 0, where most tests stop early) and at delta = 0.2. Two sweeps test one seed at every L of a workload, largest
 first, as the ``validity`` runner (n = 500, L = 250 down to 25, K = 200,
 squared loss) and an ``audit`` report (L = 1000, 500, 250, 125, K = 1000,
 zero-one loss) do: the first L draws the mask and the others read the kept
@@ -140,6 +143,20 @@ def test_expert_test_with_matching(benchmark, make, L, K, loss):
         return expert_test_with_matching(d, m, cfg)
 
     assert benchmark(run).K == K
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2], ids=["delta0", "delta02"])
+def test_expert_test_verdict(benchmark, delta):
+    d = gen_expertise_pairs(ExpertiseConfig(n=600, delta=delta, seed=0))
+    m = greedy_match(d, 75, L2)
+    seeds = count()
+
+    def run():
+        cfg = TestConfig(L=75, K=1000, alpha=0.05, loss=LossSpec.zero_one(), metric=L2,
+                         master_seed=next(seeds))
+        return expert_test_with_matching(d, m, cfg, verdict_only=True)
+
+    assert benchmark(run).K == 1000
 
 
 @pytest.mark.parametrize(

@@ -34,16 +34,29 @@ only on (seed, k), so the K resamples can still be evaluated in any order
 (or concurrently) without changing the result. A property test checks the
 concatenated blocks against the stacked streams.
 
-The last mask drawn to its end is kept, packed into K x L / 8 bytes (2.5 MB
-at K = 10 000, L = 2000). A later test at the same seed and K and an L no
-larger reads the first L columns of every kept row instead of drawing, since
-a smaller L reads a prefix of every stream; so a sweep over L at one seed,
-largest L first, draws the mask once. Any other seed, K or larger L draws
-again and replaces what is kept. The kept value is one tuple of read-only
-arrays, assigned only when a draw has reached its last block, so a draw
-that is abandoned or interleaved with another never leaves part of a mask.
+The rows of the last mask drawn are kept, packed into L / 8 bytes a row
+(2.5 MB at K = 10 000, L = 2000). A later test at the same seed and K and
+an L no larger reads the first L columns of every kept row instead of
+drawing, since a smaller L reads a prefix of every stream, and draws any
+rows not yet drawn at the kept L, which extends what is kept; so a sweep
+over L at one seed, largest L first, draws each row of the mask at most
+once. Any other seed, K or larger L draws again and replaces what is
+kept. The kept value is one tuple of read-only arrays, assigned when a
+draw ends or is closed, so a draw that is interleaved with another leaves
+the rows of the one that ended last, never part of a row or a mix.
+
+A test that only needs its verdict (``verdict_only``, which
+``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
+comparing after the first block at which the resamples so far below the
+observed loss already exceed alpha * K
+(compared as ``less / K > alpha``, the float rule of ``rejected``); the tie
+coins can only add to that count, so such a test cannot reject. Its result
+has ``rejected`` false and no ``tau``, and the rows it drew are kept. A test
+that can still reject compares all K rows, so every verdict is the full
+test's.
 """
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import repeat
 from operator import methodcaller
@@ -102,10 +115,11 @@ _BLOCK_ROWS = 64
 # memory of a test at large L
 _PACK_BYTES = 1 << 16
 
-# (master_seed, K, L, the mask's groups of _group_rows(L) rows, each packed
-# row after row into bits) of the last mask drawn to its end, which a sweep
-# over L at one seed reads again; it is replaced whole, never changed
-_kept_mask: tuple[int, int, int, tuple[np.ndarray, ...]] | None = None
+# (master_seed, K, L, rows, groups) of the last mask drawn: its first rows
+# rows, drawn at L, as (row count, bits packed row after row) groups in row
+# order; a sweep over L at one seed reads it again and draws on from its end.
+# It is replaced whole, never changed
+_kept_mask: tuple[int, int, int, int, tuple[tuple[int, np.ndarray], ...]] | None = None
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -153,16 +167,18 @@ class SwapCounts:
 class TestResult:
     """Outcome of one test run.
 
-    ``tau`` is always a multiple of 1/K. ``effective_p`` is
-    ``tau + 1/(K + 1)``, the tightest level at which the run rejects.
+    ``tau`` is a multiple of 1/K. ``effective_p`` is ``tau + 1/(K + 1)``,
+    the tightest level at which the run rejects. Both are None when a
+    ``verdict_only`` test stopped once it could no longer reject; such a
+    result has ``rejected`` false.
     ``binary_swap_counts`` is filled whenever every matched record is binary,
     regardless of the loss used.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
-    tau: float
-    effective_p: float
+    tau: float | None
+    effective_p: float | None
     rejected: bool
     L: int
     K: int
@@ -207,52 +223,57 @@ def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
     ``fromiter``. ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a
     draw is below 1/2 exactly when its raw 64-bit output is below 2**63.
 
-    A call with the seed and K of the kept mask and an L no larger than its
-    own unpacks the kept mask instead of drawing.
+    The rows kept at this seed and K, drawn at an L no smaller, are read
+    first; the rest are drawn at the kept L (or at L when nothing is kept
+    for this call), each group of ``_group_rows`` rows into one bool array
+    whose blocks are handed out as views. When the generator ends or is
+    closed, every row it drew is packed and kept with the rows it read; a
+    generator that only read leaves the kept mask as it was. The caller
+    only reads the blocks.
     """
+    global _kept_mask
     if K >= _SWAP_STREAM_BASE:
         raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
     kept = _kept_mask
-    if kept is not None and kept[:2] == (master_seed, K) and L <= kept[2]:
-        return _unpacked_blocks(kept[3], K, kept[2], L)
-    return _drawn_blocks(master_seed, K, L)
-
-
-def _drawn_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
-    """Draw the mask block by block, and keep it packed once its last block is drawn.
-
-    Each group of ``_group_rows(L)`` rows is drawn into one bool array,
-    whose blocks are handed out as views, and packed with one call after its
-    last block is compared; the caller only reads the blocks.
-    """
-    global _kept_mask
-    seeder = _StateRows(_swap_seed_words(master_seed, K))
-    raws = map(methodcaller("random_raw", L), map(np.random.PCG64, repeat(seeder, K)))
-    row = np.dtype((np.uint64, (L,)))
-    packed = []
-    group_rows = _group_rows(L)
-    for start in range(0, K, group_rows):
-        group = np.empty((min(group_rows, K - start), L), dtype=bool)
-        for first in range(0, len(group), _BLOCK_ROWS):
-            block = group[first : first + _BLOCK_ROWS]
-            np.less(np.fromiter(raws, dtype=row, count=len(block)), _HALF_RAW, block)
-            yield block
-        bits = np.packbits(group)
-        bits.flags.writeable = False
-        packed.append(bits)
-    _kept_mask = (master_seed, K, L, tuple(packed))
-
-
-def _unpacked_blocks(
-    packed: tuple[np.ndarray, ...], K: int, drawn_L: int, L: int
-) -> Iterator[np.ndarray]:
-    """The first L columns of a kept mask drawn at ``drawn_L``, in the blocks a draw gives."""
-    group_rows = _group_rows(drawn_L)
-    for start, bits in zip(range(0, K, group_rows), packed):
-        rows = min(group_rows, K - start)
-        group = np.unpackbits(bits, count=rows * drawn_L).view(bool).reshape(rows, drawn_L)[:, :L]
-        for first in range(0, rows, _BLOCK_ROWS):
+    if kept is None or kept[:2] != (master_seed, K) or L > kept[2]:
+        kept = (master_seed, K, L, 0, ())
+    drawn_L, rows, groups = kept[2:]
+    for group_len, bits in groups:
+        group = np.unpackbits(bits, count=group_len * drawn_L).view(bool)
+        group = group.reshape(group_len, drawn_L)[:, :L]
+        for first in range(0, group_len, _BLOCK_ROWS):
             yield group[first : first + _BLOCK_ROWS]
+    if rows == K:
+        return
+    seeder = _StateRows(_swap_seed_words(master_seed, K)[rows:])
+    raws = map(methodcaller("random_raw", drawn_L), map(np.random.PCG64, repeat(seeder, K - rows)))
+    row = np.dtype((np.uint64, (drawn_L,)))
+    group_rows = _group_rows(drawn_L)
+    drawn = []
+    filled = 0  # rows of the group being drawn that are drawn but not packed
+    try:
+        for start in range(rows, K, group_rows):
+            group = np.empty((min(group_rows, K - start), drawn_L), dtype=bool)
+            for first in range(0, len(group), _BLOCK_ROWS):
+                block = group[first : first + _BLOCK_ROWS]
+                np.less(np.fromiter(raws, dtype=row, count=len(block)), _HALF_RAW, block)
+                filled = first + len(block)
+                yield block[:, :L]
+            drawn.append(_packed(group))
+            filled = 0
+    finally:
+        if filled:
+            drawn.append(_packed(group[:filled]))
+        if drawn:
+            rows += sum(group_len for group_len, _ in drawn)
+            _kept_mask = (master_seed, K, drawn_L, rows, groups + tuple(drawn))
+
+
+def _packed(group: np.ndarray) -> tuple[int, np.ndarray]:
+    """A group's row count and its bools packed row after row into read-only bits."""
+    bits = np.packbits(group)
+    bits.flags.writeable = False
+    return len(group), bits
 
 
 def _group_rows(L: int) -> int:
@@ -342,12 +363,23 @@ def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:
     return expert_test_with_matching(d, matching, cfg)
 
 
-def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -> TestResult:
+def expert_test_with_matching(
+    d: Dataset, matching: Matching, cfg: TestConfig, *, verdict_only: bool = False
+) -> TestResult:
     """Like :func:`expert_test` but reusing a precomputed matching.
 
     ``matching`` must be the greedy matching of ``d`` at ``cfg.L`` (or a
     prefix of a longer greedy matching, which is the same thing); results are
     bit-identical to :func:`expert_test`.
+
+    With ``verdict_only`` set, the comparison stops after the first block
+    at which ``less / K > alpha``, where ``less`` counts the resamples so far
+    whose loss is below the observed loss: the tie coins only add to it, so
+    tau is already above alpha. Such a result has ``rejected`` false and
+    ``tau`` and ``effective_p`` None, and the tie-break stream is not drawn;
+    ``rejected`` is always the full test's. The rows drawn before the stop
+    are kept, and a later test at the same seed and K and an L no larger
+    reads them and draws on from there.
     """
     if len(matching) != cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
@@ -371,17 +403,24 @@ def expert_test_with_matching(d: Dataset, matching: Matching, cfg: TestConfig) -
     exact = _sums_exact(delta)
     whole = delta.astype(np.float64)
     less = ties = 0
-    for mask in _swap_mask_blocks(cfg.master_seed, cfg.K, cfg.L):
-        diff = mask @ whole if exact else (mask * delta).sum(axis=1)
-        less += int(np.count_nonzero(diff < 0))
-        ties += int(np.count_nonzero(diff == 0))
-
-    coins = tie_break_stream(cfg.master_seed).random(ties) < 0.5
-    tau = (less + int(coins.sum())) / cfg.K
+    tau = None
+    # closed on a stop, so the rows drawn so far are kept before returning
+    with closing(_swap_mask_blocks(cfg.master_seed, cfg.K, cfg.L)) as blocks:
+        for mask in blocks:
+            diff = mask @ whole if exact else (mask * delta).sum(axis=1)
+            less += int(np.count_nonzero(diff < 0))
+            ties += int(np.count_nonzero(diff == 0))
+            # int / int is correctly rounded, so monotone in less: this is
+            # TestResult.rejected's rule failing for every count of coins
+            if verdict_only and less / cfg.K > cfg.alpha:
+                break
+        else:
+            coins = tie_break_stream(cfg.master_seed).random(ties) < 0.5
+            tau = (less + int(coins.sum())) / cfg.K
     return TestResult(
         tau=tau,
-        effective_p=tau + 1.0 / (cfg.K + 1),
-        rejected=tau <= cfg.alpha,
+        effective_p=None if tau is None else tau + 1.0 / (cfg.K + 1),
+        rejected=tau is not None and tau <= cfg.alpha,
         L=cfg.L,
         K=cfg.K,
         mismatch_count=matching.mismatch_count,
@@ -402,11 +441,18 @@ def _sums_exact(delta: np.ndarray) -> bool:
 
 
 def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:
-    """Per-pair change in summed per-record loss when the pair's predictions are exchanged."""
+    """Per-pair change in summed per-record loss when the pair's predictions are exchanged.
+
+    Per-record losses near the float maximum (costs such as 1e308) make a
+    pair's summed losses inf and its delta inf - inf. The binary losses take
+    each delta's sign, and a NaN counts on neither side of the comparison,
+    so those operations do not warn.
+    """
     pi, pj = m.pairs.T
-    unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
-    swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
-    return swapped - unswapped
+    with np.errstate(over="ignore", invalid="ignore"):
+        unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
+        swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
+        return swapped - unswapped
 
 
 def exact_binary_p(increase: int, decrease: int) -> float:

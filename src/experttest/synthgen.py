@@ -27,7 +27,7 @@ from .core import (
     derive_seed,
     stream,
 )
-from .engine import TestConfig, expert_test_with_matching
+from .engine import TestConfig, TestResult, expert_test_with_matching
 from .matching import greedy_match
 
 __all__ = [
@@ -290,11 +290,11 @@ def run_toy_study(
     matching, so rejections measure power; with it true the null holds with
     respect to the feature space and rejections measure false discoveries.
     """
-    taus = _trial_taus(
+    results = _trial_results(
         lambda seed: gen_toy(ToyExampleConfig(n=n, seed=seed, include_u_in_features=include_u)),
-        [L], K, alpha, LossSpec.squared_error(), trials, master_seed, _TOY,
+        [L], K, alpha, LossSpec.squared_error(), trials, master_seed, _TOY, verdict_only=False,
     )
-    return StudyResult(tuple(taus[:, 0].tolist()), alpha)
+    return StudyResult(tuple(r.tau for (r,) in results), alpha)
 
 
 def run_power_curve(
@@ -319,11 +319,12 @@ def run_power_curve(
     for i, n in enumerate(n_values):
         L = L_rule(n)
         for j, delta in enumerate(delta_values):
-            taus = _trial_taus(
+            results = _trial_results(
                 lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),
                 [L], K, alpha, LossSpec.zero_one(), trials, master_seed, _POWER, i, j,
+                verdict_only=True,
             )
-            rejections = int((taus <= alpha).sum())
+            (rejections,) = _rejections(results)
             cells.append(PowerCell(n=n, delta=delta, L=L, trials=trials, rejections=rejections))
     return cells
 
@@ -343,13 +344,13 @@ def run_power_vs_L(
     which keeps per-L comparisons tight; every cell is still bit-identical to
     a standalone run at that L. Zero-one loss.
     """
-    taus = _trial_taus(
+    results = _trial_results(
         lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),
-        L_values, K, alpha, LossSpec.zero_one(), trials, master_seed, _POWER_L,
+        L_values, K, alpha, LossSpec.zero_one(), trials, master_seed, _POWER_L, verdict_only=True,
     )
     return [
         PowerCell(n=n, delta=delta, L=int(L), trials=trials, rejections=r)
-        for L, r in zip(L_values, (taus <= alpha).sum(axis=0).tolist())
+        for L, r in zip(L_values, _rejections(results))
     ]
 
 
@@ -367,17 +368,18 @@ def run_type1_curve(
     alpha is the approximation error induced by mismatched pairs; rates
     climb toward 1 as L approaches n/2.
     """
-    taus = _trial_taus(
+    results = _trial_results(
         lambda seed: gen_validity_cube(n, seed),
         L_values, K, alpha, LossSpec.squared_error(), trials, master_seed, _TYPE1,
+        verdict_only=True,
     )
     return [
         Type1Cell(L=int(L), trials=trials, rejections=r)
-        for L, r in zip(L_values, (taus <= alpha).sum(axis=0).tolist())
+        for L, r in zip(L_values, _rejections(results))
     ]
 
 
-def _trial_taus(
+def _trial_results(
     draw: Callable[[int], Dataset],
     L_values: Sequence[int],
     K: int,
@@ -387,16 +389,17 @@ def _trial_taus(
     master_seed: int,
     domain: int,
     *cell: int,
-) -> np.ndarray:
-    """The trial loop behind every runner: a (trials, len(L_values)) array of tau.
+    verdict_only: bool,
+) -> list[list[TestResult]]:
+    """The trial loop behind every runner: each trial's test results, one per L value.
 
     Trial t tests ``draw(derive_seed(master_seed, domain, 0, *cell, t))`` at
     every L, all under ``derive_seed(master_seed, domain, 1, *cell, t)`` and
-    on prefixes of one greedy matching at the largest L, so each entry is
-    bit-identical to a standalone ``expert_test`` of that trial's data.
-    Greedy matching depends on the features alone, so a trial whose features
-    equal the previous trial's reuses its matching. Euclidean metric; a
-    runner's rejections are ``taus <= alpha``, as in ``TestResult.rejected``.
+    on prefixes of one greedy matching at the largest L, so each result is
+    bit-identical to a standalone ``expert_test`` of that trial's data, or,
+    with ``verdict_only``, has its ``rejected``. Greedy matching depends on
+    the features alone, so a trial whose features equal the previous
+    trial's reuses its matching. Euclidean metric.
     """
     L_values = [int(L) for L in L_values]
     if not L_values:
@@ -404,16 +407,23 @@ def _trial_taus(
     if trials < 1:
         raise ValueError("need at least one trial")
     metric = DistanceMetric.euclidean()
-    taus = np.empty((trials, len(L_values)))
+    results = []
     x = full = None
     for t in range(trials):
         ds = draw(derive_seed(master_seed, domain, 0, *cell, t))
         if full is None or not np.array_equal(ds.x, x):
             x, full = ds.x, greedy_match(ds, max(L_values), metric)
         seed = derive_seed(master_seed, domain, 1, *cell, t)
-        # largest L first: the engine keeps the mask it draws, and a smaller L
-        # at the same seed and K reads a prefix of it instead of drawing again
+        row = [None] * len(L_values)
+        # largest L first: the engine keeps the rows it draws, and a smaller L
+        # at the same seed and K reads them instead of drawing again
         for j, L in sorted(enumerate(L_values), key=itemgetter(1), reverse=True):
             cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed)
-            taus[t, j] = expert_test_with_matching(ds, full.prefix(L), cfg).tau
-    return taus
+            row[j] = expert_test_with_matching(ds, full.prefix(L), cfg, verdict_only=verdict_only)
+        results.append(row)
+    return results
+
+
+def _rejections(results: list[list[TestResult]]) -> list[int]:
+    """Rejections at each L value over the trials of :func:`_trial_results`."""
+    return [sum(r.rejected for r in column) for column in zip(*results)]

@@ -1,9 +1,10 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against, and a draw recorder."""
 
 from typing import Sequence
 
 import numpy as np
 
+from experttest import engine
 from experttest.core import Dataset, DistanceMetric, ExpertTestError, LossSpec, row_distances
 from experttest.engine import TestConfig, swap_stream, tie_break_stream
 from experttest.matching import Matching, TooManyPairs
@@ -150,6 +151,25 @@ def tau_statistic(
 def stacked_swap_mask(master_seed: int, K: int, L: int) -> np.ndarray:
     """The whole K x L swap mask: row k is the first L decisions of swap stream k."""
     return np.stack([swap_stream(master_seed, k).random(L) < 0.5 for k in range(K)])
+
+
+def record_swap_streams(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the seed words of every swap stream the engine builds, one entry per row drawn.
+
+    A row read from the kept mask builds no stream, and the words of row k
+    at one seed are unique to (seed, k), so a repeated entry is a row drawn
+    twice.
+    """
+    built = []
+    generate_state = engine._StateRows.generate_state
+
+    def record(self, n_words, dtype=np.uint32):
+        words = generate_state(self, n_words, dtype)
+        built.append(tuple(words.tolist()))
+        return words
+
+    monkeypatch.setattr(engine._StateRows, "generate_state", record)
+    return built
 
 
 def whole_mask_tau(d: Dataset, m: Matching, cfg: TestConfig) -> float:

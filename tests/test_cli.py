@@ -349,6 +349,23 @@ class TestCliMain:
         assert row["observed_loss"] == float(Fraction(1e308) * (n_fp + n_fn) / 200)
         assert row["tau"] == json.loads(zero_one_json.read_text())["rows"][0]["tau"]
 
+    def test_costs_whose_sum_overflows_leave_stderr_empty(self, tmp_path):
+        # run as a process, so that a numpy RuntimeWarning would show on stderr
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 4, (200, 2)).astype(float)
+        y, y_hat = rng.integers(0, 2, (2, 200)).astype(float)
+        p = tmp_path / "binary.csv"
+        write_rows(p, ["f1", "f2", "y", "yhat"], np.column_stack([x, y, y_hat]).tolist())
+        proc = subprocess.run(
+            [sys.executable, "-m", "experttest.cli", "report", str(p), "--features", "f1,f2",
+             "--outcome", "y", "--prediction", "yhat", "--pairs", "50", "--resamples", "100",
+             "--seed", "3", "--loss", "weighted:fp=1e308,fn=1e308"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)
         args = [

@@ -1,8 +1,16 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import resample_once, stacked_swap_mask, tau_statistic, whole_mask_tau
+from _oracles import (
+    record_swap_streams,
+    resample_once,
+    stacked_swap_mask,
+    tau_statistic,
+    whole_mask_tau,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
@@ -202,8 +210,9 @@ class TestSwapMasks:
         monkeypatch.setattr(engine, "_kept_mask", None)
         swap_mask(11, B + 5, 20)
         kept = engine._kept_mask
-        assert type(kept) is tuple and kept[:3] == (11, B + 5, 20)
-        (packed,) = kept[3]
+        assert type(kept) is tuple and kept[:4] == (11, B + 5, 20, B + 5)
+        ((rows, packed),) = kept[4]
+        assert rows == B + 5
         assert packed.nbytes == -(-(B + 5) * 20 // 8)
         assert not packed.flags.writeable
         with pytest.raises(ValueError):
@@ -247,29 +256,163 @@ class TestSwapMasks:
             assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
             assert engine._kept_mask[:3] == kept
 
-    def test_unfinished_draw_is_not_kept(self, monkeypatch):
+    def test_closed_draw_keeps_rows_it_yielded(self, monkeypatch):
         K = 2 * B + 3
         monkeypatch.setattr(engine, "_kept_mask", None)
         swap_mask(5, K, 20)
         kept = engine._kept_mask
-        # abandoned after one block
+        # closed after one block: that block's rows replace the kept mask
         blocks = engine._swap_mask_blocks(6, K, 30)
+        next(blocks)
+        assert engine._kept_mask is kept
+        blocks.close()
+        assert engine._kept_mask[:4] == (6, K, 30, B)
+        assert np.array_equal(kept_rows(), stacked_swap_mask(6, B, 30))
+        # a read that stops within the kept rows leaves them as they are
+        kept = engine._kept_mask
+        blocks = engine._swap_mask_blocks(6, K, 10)
         next(blocks)
         blocks.close()
         assert engine._kept_mask is kept
-        assert np.array_equal(swap_mask(6, K, 10), stacked_swap_mask(6, K, 10))
-        # two draws interleaved block by block: each is kept only when it ends
+        # two draws interleaved block by block: each is kept when it ends
         a, b = engine._swap_mask_blocks(8, K, 20), engine._swap_mask_blocks(9, K, 20)
         got_a, got_b = [], []
         for block_a, block_b in zip(a, b):
             got_a.append(block_a)
             got_b.append(block_b)
-            assert engine._kept_mask[:3] == (6, K, 10)
-        assert engine._kept_mask[:3] == (8, K, 20)
+            assert engine._kept_mask is kept
+        assert engine._kept_mask[:4] == (8, K, 20, K)
         assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(8, K, 20))
-        assert next(b, None) is None and engine._kept_mask[:3] == (9, K, 20)
+        assert next(b, None) is None and engine._kept_mask[:4] == (9, K, 20, K)
         assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(9, K, 20))
+        assert np.array_equal(kept_rows(), stacked_swap_mask(9, K, 20))
         assert np.array_equal(swap_mask(9, K, 7), stacked_swap_mask(9, K, 7))
+        # two draws of one seed, interleaved and closed at different rows:
+        # the one closed last is kept whole, a prefix of the same streams
+        for n_a, n_b in [(1, 2), (2, 1), (3, 1)]:
+            monkeypatch.setattr(engine, "_kept_mask", None)
+            a, b = engine._swap_mask_blocks(10, K, 20), engine._swap_mask_blocks(10, K, 20)
+            for i in range(max(n_a, n_b)):
+                if i < n_a:
+                    next(a)
+                if i < n_b:
+                    next(b)
+            a.close()
+            assert engine._kept_mask[:4] == (10, K, 20, min(K, n_a * B))
+            b.close()
+            assert engine._kept_mask[:4] == (10, K, 20, min(K, n_b * B))
+            assert np.array_equal(kept_rows(), stacked_swap_mask(10, n_b * B, 20))
+
+    @pytest.mark.parametrize(
+        "K, L, stop",
+        [(B + 1, 40, 1), (2 * B + 3, 40, 1), (2 * B + 3, 40, 2),
+         (2 * engine._group_rows(300) + B + 1, 300, 3),
+         (2 * engine._group_rows(300) + B + 1, 300, engine._group_rows(300) // B + 1)],
+    )
+    def test_read_after_stop_and_continuation_equal_streams(self, monkeypatch, K, L, stop):
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        blocks = engine._swap_mask_blocks(4, K, L)
+        for _ in range(stop):
+            next(blocks)
+        blocks.close()
+        assert engine._kept_mask[:4] == (4, K, L, stop * B)
+        built = record_swap_streams(monkeypatch)
+        # the first call reads the kept rows and draws the rest at the kept L
+        for l in (L - 1, L, 9, 1):
+            assert np.array_equal(swap_mask(4, K, l), stacked_swap_mask(4, K, l))
+        assert len(built) == K - stop * B
+        assert engine._kept_mask[:4] == (4, K, L, K)
+        assert np.array_equal(kept_rows(), stacked_swap_mask(4, K, L))
+
+
+def kept_rows():
+    """Every row of the kept mask, at the L it was drawn at."""
+    _, _, L, rows, groups = engine._kept_mask
+    assert sum(n for n, _ in groups) == rows
+    return np.concatenate(
+        [np.unpackbits(bits, count=n * L).view(bool).reshape(n, L) for n, bits in groups]
+    )
+
+
+def verdict_dataset(kind, half, seed):
+    """The inputs of the verdict-only property test, with 2 * half records."""
+    n = 2 * half
+    if kind == "neutral":
+        increase, decrease = np.random.default_rng(seed).integers(0, half // 3 + 1, 2)
+        return paired_binary_dataset(increase, decrease, half - increase - decrease)
+    if kind == "tenths":
+        return cube_with_outcomes(n, seed, [round(0.1 * i, 1) for i in range(10)])
+    return gen_expertise_pairs(ExpertiseConfig(n=n, delta={"pairs0": 0.0, "pairs02": 0.2}[kind], seed=seed))
+
+
+class TestVerdictOnly:
+    @given(
+        kind=st.sampled_from(["neutral", "tenths", "pairs0", "pairs02"]),
+        half=st.integers(2, 60),
+        L=st.integers(1, 60),
+        K=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.001, 0.999),
+    )
+    # tau = alpha exactly, where alpha * K rounds below the integer count
+    # (0.29 * 100) or above it (0.07 * 100), with no tie coins
+    @example(kind="tenths", half=30, L=30, K=100, seed=158, alpha=0.07)
+    @example(kind="tenths", half=30, L=30, K=100, seed=428, alpha=0.29)
+    @example(kind="pairs02", half=20, L=20, K=100, seed=50, alpha=0.07)
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_equals_full_test(self, kind, half, L, K, seed, alpha):
+        d = verdict_dataset(kind, half, seed)
+        L = min(L, half)
+        loss = LossSpec.squared_error() if kind == "tenths" else LossSpec.zero_one()
+        m = greedy_match(d, L, L2)
+        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=L2, master_seed=seed)
+        # the verdict draws, the full test reads what it kept and draws on
+        engine._kept_mask = None
+        verdict = expert_test_with_matching(d, m, cfg, verdict_only=True)
+        full = expert_test_with_matching(d, m, cfg)
+        assert full == whole_result(d, m, cfg)
+        assert verdict.rejected == full.rejected
+        if verdict.tau is None:
+            assert verdict == replace(full, tau=None, effective_p=None)
+        else:
+            assert verdict == full
+        # at alpha = tau the full test rejects, with tau * K resamples at or
+        # below the observed loss: a stop on any count that low is wrong
+        if 0.0 < full.tau < 1.0:
+            at_tau = replace(cfg, alpha=full.tau)
+            engine._kept_mask = None
+            assert expert_test_with_matching(d, m, at_tau, verdict_only=True) == replace(
+                full, rejected=True
+            )
+
+    def test_stopped_test_draws_no_tie_coins(self, monkeypatch):
+        def fail(seed):
+            raise AssertionError("tie-break stream built for a stopped test")
+
+        monkeypatch.setattr(engine, "tie_break_stream", fail)
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built = record_swap_streams(monkeypatch)
+        d = gen_expertise_pairs(ExpertiseConfig(n=200, delta=0.0, seed=4))
+        cfg = TestConfig(L=50, K=1000, alpha=0.05, loss=LossSpec.zero_one(), metric=L2, master_seed=9)
+        r = expert_test_with_matching(d, greedy_match(d, 50, L2), cfg, verdict_only=True)
+        assert (r.tau, r.effective_p, r.rejected) == (None, None, False)
+        # stopped after whole blocks, whose rows are kept
+        assert len(built) % B == 0 and len(built) < cfg.K
+        assert engine._kept_mask[:4] == (9, cfg.K, 50, len(built))
+
+
+def whole_result(d, m, cfg):
+    """The full test's result, with tau from one comparison of the whole stacked mask."""
+    tau = whole_mask_tau(d, m, cfg)
+    try:
+        counts = classify_swaps(d, m)
+    except NonBinaryData:
+        counts = None
+    return engine.TestResult(
+        tau=tau, effective_p=tau + 1.0 / (cfg.K + 1), rejected=tau <= cfg.alpha, L=cfg.L,
+        K=cfg.K, mismatch_count=m.mismatch_count, observed_loss=dataset_loss(d, cfg.loss),
+        binary_swap_counts=counts,
+    )
 
 
 class TestTauStatistic:
@@ -548,7 +691,11 @@ class TestExpertTest:
         want = expert_test_with_matching(d, m, self.cfg(L=150, K=200, master_seed=777)).tau
         for loss in (LossSpec.weighted_binary(1e308, 1e308), LossSpec.weighted_binary(1e308, 1)):
             cfg = self.cfg(L=150, K=200, loss=loss, master_seed=777)
-            assert expert_test_with_matching(d, m, cfg).tau == whole_mask_tau(d, m, cfg) == want
+            # the oracle's sums overflow as they will; the engine's must not warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tau = expert_test_with_matching(d, m, cfg).tau
+            assert tau == whole_mask_tau(d, m, cfg) == want
 
     def test_mean_tau_matches_analytic_value(self):
         for trial, (a, b) in enumerate([(3, 1), (0, 2), (4, 4)]):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from _oracles import record_swap_streams
 from scipy import stats
 
+from experttest import engine
 from experttest.core import DistanceMetric, LossSpec, dataset_loss, derive_seed
 from experttest.engine import TestConfig, expert_test
 from experttest.matching import TooManyPairs, greedy_match
@@ -313,3 +315,54 @@ class TestRunnerSeedLayout:
             assert [(c.L, c.trials, c.rejections) for c in cells] == [
                 (L, 6, r) for L, r in zip(L_values, rejections)
             ]
+
+
+class TestRunnerDraws:
+    """A verdict-only runner stops its tests early and draws no swap-stream row twice.
+
+    A trial's largest L draws the rows its test compares, and each smaller L
+    at that seed reads them, drawing on from the first row not yet drawn;
+    the rejections are those of full tests on the same seed paths.
+    """
+
+    SEED, K, TRIALS = 23, 300, 6
+
+    def full_rejections(self, datasets, L_values, loss, domain):
+        return [
+            sum(
+                expert_test(ds, TestConfig(
+                    L=L, K=self.K, alpha=0.05, loss=loss, metric=L2,
+                    master_seed=derive_seed(self.SEED, domain, 1, t),
+                )).rejected
+                for t, ds in enumerate(datasets)
+            )
+            for L in L_values
+        ]
+
+    @pytest.mark.parametrize("L_values", [[10, 25, 50], [50, 25, 10], [25, 50, 10], [25, 10, 25, 50]])
+    def test_power_vs_L(self, monkeypatch, L_values):
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built = record_swap_streams(monkeypatch)
+        cells = run_power_vs_L(
+            n=120, delta=0.0, L_values=L_values, K=self.K, alpha=0.05, trials=self.TRIALS,
+            master_seed=self.SEED,
+        )
+        assert len(set(built)) == len(built) < self.TRIALS * self.K
+        datasets = [
+            gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.0, seed=derive_seed(self.SEED, 3, 0, t)))
+            for t in range(self.TRIALS)
+        ]
+        want = self.full_rejections(datasets, L_values, LossSpec.zero_one(), 3)
+        assert [c.rejections for c in cells] == want
+
+    @pytest.mark.parametrize("L_values", [[5, 15, 30], [30, 15, 5], [15, 30, 5], [15, 5, 15, 30]])
+    def test_type1_curve(self, monkeypatch, L_values):
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built = record_swap_streams(monkeypatch)
+        cells = run_type1_curve(
+            n=120, L_values=L_values, K=self.K, alpha=0.05, trials=self.TRIALS, master_seed=self.SEED
+        )
+        assert len(set(built)) == len(built) < self.TRIALS * self.K
+        datasets = [gen_validity_cube(120, derive_seed(self.SEED, 4, 0, t)) for t in range(self.TRIALS)]
+        want = self.full_rejections(datasets, L_values, LossSpec.squared_error(), 4)
+        assert [c.rejections for c in cells] == want
