@@ -23,6 +23,12 @@ squared loss) and an ``audit`` report (L = 1000, 500, 250, 125, K = 1000,
 zero-one loss) do: the first L draws the mask and the others read the kept
 one. Each sweep takes a new seed.
 
+Two parts of each test's preamble are timed alone: ``Matching.prefix``
+(L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
+``power`` shape) and the swap classification as the engine runs it, which
+classifies only when every matched record is binary (the validity cube at
+L = 250, which is not binary, and the audit records at L = 1000, which are).
+
 Three more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
 (L = n/4), a tight cluster of 3000 records with 1000 spread around it
@@ -106,6 +112,39 @@ def test_greedy_match_counter_inputs(benchmark, make, L):
     d = make()
     m = benchmark(greedy_match, d, L, L2)
     assert len(m) == L
+
+
+@pytest.mark.parametrize(
+    "make, n_pairs, L",
+    [
+        (lambda: gen_validity_cube(500, 0), 250, 125),
+        (lambda: gen_expertise_pairs(ExpertiseConfig(n=600, delta=0.2, seed=0)), 75, 75),
+    ],
+    ids=["validity", "power"],
+)
+def test_prefix(benchmark, make, n_pairs, L):
+    full = greedy_match(make(), n_pairs, L2)
+    assert len(benchmark(full.prefix, L)) == L
+
+
+def swap_counts(d, m):
+    """The engine's swap classification: counts when every matched record is binary, else None."""
+    return engine.classify_swaps(d, m) if engine._matched_binary(d, m) else None
+
+
+@pytest.mark.parametrize(
+    "make, L, binary",
+    [
+        (lambda: gen_validity_cube(500, 0), 250, False),
+        (lambda: normalize_features(audit_like()), 1000, True),
+    ],
+    ids=["validity", "audit"],
+)
+def test_classify_swaps(benchmark, make, L, binary):
+    d = make()
+    m = greedy_match(d, L, L2)
+    counts = benchmark(swap_counts, d, m)
+    assert (counts is not None) == binary
 
 
 @pytest.mark.parametrize("K, L", [(1000, 75), (200, 250)])

@@ -30,6 +30,7 @@ from .core import (
     stream,
 )
 from .engine import (
+    LossOverflow,
     NonBinaryData,
     SwapCounts,
     TestConfig,
@@ -85,6 +86,7 @@ __all__ = [
     "TestConfig",
     "TestResult",
     "SwapCounts",
+    "LossOverflow",
     "NonBinaryData",
     "expert_test",
     "expert_test_with_matching",

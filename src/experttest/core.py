@@ -81,7 +81,8 @@ class Dataset:
 
     All values must be finite; missing data is rejected at construction,
     never imputed. Arrays are copied and frozen, so a dataset never changes
-    after it is built.
+    after it is built. Which records are binary is decided once, here:
+    :attr:`binary_records` and :meth:`is_binary` read the stored result.
     """
 
     def __init__(self, x, y, y_hat) -> None:
@@ -101,9 +102,11 @@ class Dataset:
             raise ValueError("feature dimension must be at least 1")
         if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(y_hat).all()):
             raise ValueError("all values must be finite; missing data is not supported")
-        for arr in (x, y, y_hat):
+        binary = ((y == 0.0) | (y == 1.0)) & ((y_hat == 0.0) | (y_hat == 1.0))
+        for arr in (x, y, y_hat, binary):
             arr.flags.writeable = False
         self._x, self._y, self._y_hat = x, y, y_hat
+        self._binary, self._all_binary = binary, bool(binary.all())
 
     @property
     def x(self) -> np.ndarray:
@@ -116,6 +119,11 @@ class Dataset:
     @property
     def y_hat(self) -> np.ndarray:
         return self._y_hat
+
+    @property
+    def binary_records(self) -> np.ndarray:
+        """Read-only per-record flags: True where the outcome and the prediction are both 0 or 1."""
+        return self._binary
 
     @property
     def n(self) -> int:
@@ -142,9 +150,7 @@ class Dataset:
 
     def is_binary(self) -> bool:
         """True when every outcome and prediction is exactly 0 or 1."""
-        return bool(
-            np.isin(self._y, (0.0, 1.0)).all() and np.isin(self._y_hat, (0.0, 1.0)).all()
-        )
+        return self._all_binary
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The hypothesis test: pair-swap resampling, the tau statistic, and rejection.
 
 The test statistic is the fraction of resampled datasets whose loss falls
-below the observed loss, with exact ties broken by independent fair coins. A
+below the observed loss, with exact ties broken by independent fair coins:
+the first draws of ``tie_break_stream(seed)``, one per tie. A test without
+ties builds no tie-break stream, since zero coins add nothing to tau. A
 small tau means the expert's observed loss is unusually good relative to the
 swap distribution, which is evidence that predictions carry information the
 features do not.
@@ -19,6 +21,8 @@ per block. Any other squared error deltas are summed in floating point in
 one fixed order; that sum can round differently from rescoring each
 resampled dataset in full, so a resample whose loss change is within
 rounding of zero can be counted on the other side of the observed loss.
+Squared errors too large for float64 raise :class:`LossOverflow`: their
+deltas would be infinite or NaN, and a NaN counts on neither side.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
@@ -56,6 +60,7 @@ that can still reject compares all K rows, so every verdict is the full
 test's.
 """
 
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import repeat
@@ -77,6 +82,7 @@ from .core import (
 from .matching import Matching, greedy_match
 
 __all__ = [
+    "LossOverflow",
     "NonBinaryData",
     "TestConfig",
     "TestResult",
@@ -92,6 +98,10 @@ __all__ = [
 
 class NonBinaryData(ExpertTestError):
     """Swap classification is only defined for binary outcomes and predictions."""
+
+
+class LossOverflow(ExpertTestError, ValueError):
+    """The squared errors of the data overflow float64, so no loss comparison is exact."""
 
 
 # Stream ids reserved on the master seed: one stream per resample index plus a
@@ -195,22 +205,28 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     currently correct the swap creates a false positive and a false negative
     (increase); if both are currently wrong it removes one of each
     (decrease); every other configuration leaves any mistake-count-monotone
-    loss unchanged (neutral). The matched values are checked for being
-    binary in one scan.
+    loss unchanged (neutral). Whether every matched record is binary is read
+    from the dataset's stored flags (:attr:`Dataset.binary_records`), without
+    a scan when the whole dataset is binary.
 
     Raises
     ------
     NonBinaryData
         If any matched record has a non-binary outcome or prediction.
     """
-    pi, pj = m.pairs.T
-    y1, y2, p1, p2 = matched = np.stack((d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]))
-    if not np.isin(matched, (0.0, 1.0)).all():
+    if not _matched_binary(d, m):
         raise NonBinaryData("matched records must have y and y_hat in {0, 1}")
+    pi, pj = m.pairs.T
+    y1, y2, p1, p2 = d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]
     differ = y1 != y2
     n_inc = int(np.count_nonzero(differ & (p1 == y1) & (p2 == y2)))
     n_dec = int(np.count_nonzero(differ & (p1 == y2) & (p2 == y1)))
     return SwapCounts(n_inc, n_dec, len(m) - n_inc - n_dec)
+
+
+def _matched_binary(d: Dataset, m: Matching) -> bool:
+    """Whether every record of the matching has a binary outcome and prediction."""
+    return d.is_binary() or bool(d.binary_records[m.pairs].all())
 
 
 def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
@@ -380,14 +396,19 @@ def expert_test_with_matching(
     ``rejected`` is always the full test's. The rows drawn before the stop
     are kept, and a later test at the same seed and K and an L no larger
     reads them and draws on from there.
+
+    Raises
+    ------
+    LossOverflow
+        If the loss is squared error and the observed loss or the sum of
+        the absolute per-pair swap deltas is not finite in float64.
     """
     if len(matching) != cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
-    observed = dataset_loss(d, cfg.loss)
-    try:
-        counts = classify_swaps(d, matching)
-    except NonBinaryData:
-        counts = None
+    with np.errstate(over="ignore"):
+        # squared errors that overflow raise LossOverflow below instead
+        observed = dataset_loss(d, cfg.loss)
+    counts = classify_swaps(d, matching) if _matched_binary(d, matching) else None
     delta = _swap_deltas(d, matching, cfg.loss)
     if cfg.loss.requires_binary:
         # a pair's two per-record losses add to the same float in either
@@ -396,6 +417,8 @@ def expert_test_with_matching(
         # (NaN), from costs near the float maximum, comes only from a neutral
         # pair, and neither comparison counts it
         delta = (delta > 0).astype(np.int64) - (delta < 0)
+    else:
+        _check_finite(observed, delta)
 
     # when every row's sum is exact in any order, a matrix product gives the
     # same sums as the elementwise product and row sum, which otherwise keep
@@ -415,8 +438,9 @@ def expert_test_with_matching(
             if verdict_only and less / cfg.K > cfg.alpha:
                 break
         else:
-            coins = tie_break_stream(cfg.master_seed).random(ties) < 0.5
-            tau = (less + int(coins.sum())) / cfg.K
+            # no coins to draw, no stream to build
+            heads = int((tie_break_stream(cfg.master_seed).random(ties) < 0.5).sum()) if ties else 0
+            tau = (less + heads) / cfg.K
     return TestResult(
         tau=tau,
         effective_p=None if tau is None else tau + 1.0 / (cfg.K + 1),
@@ -427,6 +451,20 @@ def expert_test_with_matching(
         observed_loss=observed,
         binary_swap_counts=counts,
     )
+
+
+def _check_finite(observed: float, delta: np.ndarray) -> None:
+    """Raise :class:`LossOverflow` unless the observed loss and ``sum(|delta|)`` are finite.
+
+    A NaN delta (inf - inf) counts on neither side of the comparison, and an
+    infinite delta or an overflowing sum of finite ones can count on the
+    wrong side, so a test on such data would report a verdict it never
+    computed.
+    """
+    with np.errstate(over="ignore"):
+        spread = float(np.abs(delta).sum())
+    if not (math.isfinite(observed) and math.isfinite(spread)):
+        raise LossOverflow("squared errors overflow float64; rescale y and y_hat")
 
 
 def _sums_exact(delta: np.ndarray) -> bool:

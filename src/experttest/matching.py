@@ -70,10 +70,18 @@ class Matching:
         )
 
     def prefix(self, L: int) -> "Matching":
-        """First ``L`` selected pairs; identical to running the greedy matcher at L."""
+        """First ``L`` selected pairs; identical to running the greedy matcher at L.
+
+        A prefix of a checked matching passes every check of
+        ``__post_init__`` by construction, so it is not checked again: its
+        arrays are read-only views of this matching's first ``L`` rows.
+        """
         if not 0 <= L <= len(self):
             raise ValueError(f"prefix length {L} out of range")
-        return Matching(self.pairs[:L], self.distances[:L])
+        head = object.__new__(Matching)
+        object.__setattr__(head, "pairs", self.pairs[:L])
+        object.__setattr__(head, "distances", self.distances[:L])
+        return head
 
     @property
     def mismatch_count(self) -> int:

@@ -366,6 +366,26 @@ class TestCliMain:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["report", "test"])
+    def test_squared_errors_that_overflow_fail_with_json_error(self, tmp_path, capsys, command):
+        # tau used to read 0.0, a rejection, with only a RuntimeWarning to show
+        rng = np.random.default_rng(7)
+        y, y_hat = rng.normal(0.0, 1e160, (2, 200))
+        p = tmp_path / "huge.csv"
+        write_rows(p, ["f1", "f2", "y", "yhat"],
+                   np.column_stack([rng.random((200, 2)), y, y_hat]).tolist())
+        out_json = tmp_path / "run.json"
+        code = main([command, str(p), "--features", "f1,f2", "--outcome", "y",
+                     "--prediction", "yhat", "--pairs", "50", "--resamples", "100",
+                     "--loss", "squared", "--seed", "3", "--json", str(out_json)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "LossOverflow" and "overflow float64" in err["message"]
+        assert not out_json.exists()
+
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)
         args = [

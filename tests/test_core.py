@@ -109,6 +109,19 @@ class TestDataset:
         assert binary_dataset([0, 1], [1, 0]).is_binary()
         assert not Dataset([[0.0], [0.0]], [0.0, 0.5], [0.0, 1.0]).is_binary()
 
+    def test_binary_flags_equal_isin_rule(self):
+        values = np.array([0.0, -0.0, 1.0, 0.5, 2.0, 1e308, -1.0, 1.0 + 2**-52])
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            # every other dataset draws from 0, -0 and 1 alone, so is binary throughout
+            y, y_hat = values[rng.integers(0, 3 if seed % 2 else len(values), (2, n))]
+            d = Dataset(np.zeros((n, 1)), y, y_hat)
+            rule = np.isin(y, (0.0, 1.0)) & np.isin(y_hat, (0.0, 1.0))
+            assert d.binary_records.tolist() == rule.tolist()
+            assert d.is_binary() == bool(rule.all())
+            assert not d.binary_records.flags.writeable
+
 
 class TestDistanceMetric:
     @given(st.integers(0, 2**32 - 1))

@@ -26,6 +26,7 @@ from experttest.core import (
     stream,
 )
 from experttest.engine import (
+    LossOverflow,
     NonBinaryData,
     SwapCounts,
     TestConfig,
@@ -457,6 +458,51 @@ class TestClassifySwaps:
         with pytest.raises(NonBinaryData):
             classify_swaps(d, greedy_match(d, 1, L2))
 
+    def test_only_matched_records_must_be_binary(self):
+        # the third pair, taken last, holds the one non-binary record
+        d = Dataset([0.0, 0.0, 1.0, 1.0, 5.0, 5.5], [0, 1, 0, 1, 0.5, 1], [0, 1, 1, 0, 0, 1])
+        full = greedy_match(d, 3, L2)
+        assert not d.is_binary() and full.pairs[2].tolist() == [4, 5]
+        assert classify_swaps(d, full.prefix(2)) == SwapCounts(1, 1, 0)
+        with pytest.raises(NonBinaryData):
+            classify_swaps(d, full)
+        cfg = TestConfig(L=2, K=20, alpha=0.05, loss=LossSpec.squared_error(), metric=L2, master_seed=3)
+        assert expert_test_with_matching(d, full.prefix(2), cfg).binary_swap_counts == SwapCounts(1, 1, 0)
+        cfg = replace(cfg, L=3)
+        assert expert_test_with_matching(d, full, cfg).binary_swap_counts is None
+
+
+class TestTieCoins:
+    def cfg(self, loss, seed):
+        return TestConfig(L=40, K=300, alpha=0.05, loss=loss, metric=L2, master_seed=seed)
+
+    def test_no_tie_stream_without_ties(self, monkeypatch):
+        def fail(seed):
+            raise AssertionError("tie-break stream built for a test without ties")
+
+        d = gen_validity_cube(120, 5)
+        m = greedy_match(d, 40, L2)
+        cfg = self.cfg(LossSpec.squared_error(), 13)
+        monkeypatch.setattr(engine, "tie_break_stream", fail)
+        r = expert_test_with_matching(d, m, cfg)
+        assert r.tau == whole_mask_tau(d, m, cfg)
+        assert 0.0 < r.tau < 1.0
+
+    def test_one_tie_stream_with_ties(self, monkeypatch):
+        built = []
+
+        def recorded(seed):
+            built.append(seed)
+            return tie_break_stream(seed)
+
+        d = paired_binary_dataset(3, 3, 10)
+        m = greedy_match(d, 16, L2)
+        cfg = replace(self.cfg(LossSpec.zero_one(), 21), L=16)
+        monkeypatch.setattr(engine, "tie_break_stream", recorded)
+        r = expert_test_with_matching(d, m, cfg)
+        assert built == [21]
+        assert r.tau == whole_mask_tau(d, m, cfg)
+
 
 class TestExactBinaryP:
     def test_no_loss_changing_pairs_is_half(self):
@@ -696,6 +742,30 @@ class TestExpertTest:
                 warnings.simplefilter("error")
                 tau = expert_test_with_matching(d, m, cfg).tau
             assert tau == whole_mask_tau(d, m, cfg) == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("equal", [False, True], ids=["independent", "swaps-only"])
+    def test_squared_errors_that_overflow_raise(self, equal):
+        # independent: (y - y_hat)**2 overflows in the observed loss itself;
+        # swaps-only: y_hat = y, so the observed loss is 0 and only the
+        # swapped squared errors overflow
+        rng = np.random.default_rng(0)
+        y, y_hat = rng.normal(0.0, 1e160, (2, 200))
+        d = Dataset(rng.random((200, 2)), y, y if equal else y_hat)
+        cfg = self.cfg(L=50, K=100, loss=LossSpec.squared_error())
+        with pytest.raises(LossOverflow, match="overflow float64"):
+            expert_test(d, cfg)
+        assert issubclass(LossOverflow, ValueError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_squared_errors_give_a_finite_tau(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.random((200, 2)), *rng.normal(0.0, 1e150, (2, 200)))
+        cfg = self.cfg(L=50, K=100, loss=LossSpec.squared_error())
+        m = greedy_match(d, 50, L2)
+        r = expert_test_with_matching(d, m, cfg)
+        assert r.tau == whole_mask_tau(d, m, cfg) and 0.0 < r.tau < 1.0
+        assert np.isfinite(r.observed_loss)
 
     def test_mean_tau_matches_analytic_value(self):
         for trial, (a, b) in enumerate([(3, 1), (0, 2), (4, 4)]):

@@ -362,6 +362,49 @@ class TestMatchingType:
         assert len(m) == 0 and m.max_distance == 0.0
 
 
+class TestTrustedPrefix:
+    """A prefix of a checked matching is built from views, without checking again."""
+
+    @pytest.fixture
+    def m(self):
+        return greedy_match(gen_validity_cube(60, 3), 20, L2)
+
+    def test_views_share_memory_and_are_read_only(self, m):
+        head = m.prefix(7)
+        assert np.shares_memory(head.pairs, m.pairs)
+        assert np.shares_memory(head.distances, m.distances)
+        assert not head.pairs.flags.writeable and not head.distances.flags.writeable
+        assert head == Matching(m.pairs[:7], m.distances[:7])
+
+    def test_post_init_not_called(self, m, monkeypatch):
+        calls = []
+        check = Matching.__post_init__
+
+        def counted(self):
+            calls.append(len(self.distances))
+            check(self)
+
+        monkeypatch.setattr(Matching, "__post_init__", counted)
+        head = m.prefix(12).prefix(5)
+        assert calls == [] and len(head) == 5
+        Matching(head.pairs, head.distances)
+        assert calls == [5]
+
+    def test_empty_prefix(self, m):
+        head = m.prefix(0)
+        assert head.pairs.shape == (0, 2) and head.distances.shape == (0,)
+        assert head.mismatch_count == 0 and head.max_distance == 0.0
+        assert head == Matching([], [])
+
+    def test_whole_prefix_equals_matching(self, m):
+        assert m.prefix(len(m)) == m
+
+    @pytest.mark.parametrize("L", [-1, 21])
+    def test_out_of_range_rejected(self, m, L):
+        with pytest.raises(ValueError, match="out of range"):
+            m.prefix(L)
+
+
 class TestPairDistanceSummary:
     def test_all_duplicates(self):
         d = points([1.0, 1.0, 2.0, 2.0])
