@@ -13,8 +13,10 @@ L = 75, K = 1000, zero-one loss), at a ``validity`` shape (n = 500,
 L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
 decisions, L = 1000, K = 1000, zero-one loss). Every engine call takes a
 new seed, as every test of the ``power`` workload does, so none reads the
-mask the one before kept; the seed-word hash is also timed alone, at
-K = 1000. The ``power`` runner only needs each test's verdict, so the
+mask the one before kept. The swap-mask draw is also timed alone, at the
+``power`` and ``validity`` shapes (K = 1000, L = 75 and K = 200, L = 250):
+each call reads every block of a new ``_SwapMask``, so it draws and packs
+them all, and none is kept. So is the seed-word hash, at K = 1000. The ``power`` runner only needs each test's verdict, so the
 ``power``-shaped test is also timed with ``verdict_only``, which stops
 comparing once the test can no longer reject, on the null world
 (delta = 0, where most tests stop early) and at delta = 0.2. Two sweeps test one seed at every L of a workload, largest
@@ -152,7 +154,7 @@ def test_swap_mask_blocks(benchmark, K, L):
     seeds = count()
 
     def draw():
-        return sum(block.shape[0] for block in engine._swap_mask_blocks(next(seeds), K, L))
+        return sum(block.shape[0] for block in engine._SwapMask(next(seeds), K, L).blocks(L))
 
     assert benchmark(draw) == K
 

@@ -151,7 +151,8 @@ def adjusted_threshold(alpha: float, C: float, m: Matching, L: int, K: int) -> f
     Uses the matching's maximum pair distance and the smoothness constant to
     bound epsilon-star, then lowers the threshold by the excess type-I terms:
     ``max(0, alpha - (1 - (1 - eps)**L) - 1/(K+1))``. Conservative, possibly
-    zero (then the test can never reject at this configuration).
+    zero: then Theorem 1 leaves no level at this configuration. A zero is
+    not a verdict; ``tau <= 0`` still holds whenever ``tau`` is 0.
     """
     eps = _interval_deviation(Smoothness(C).C, m.max_distance)  # Smoothness validates C
     return _corrected_level(alpha, eps, L, K)

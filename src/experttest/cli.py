@@ -346,7 +346,13 @@ def parse_loss(text: str) -> LossSpec:
     if text == "squared":
         return LossSpec.squared_error()
     if text.startswith("weighted:"):
-        parts = dict(item.split("=", 1) for item in text[len("weighted:"):].split(","))
+        parts = {}
+        for item in text[len("weighted:"):].split(","):
+            key, _, value = item.partition("=")
+            if key in parts or key not in ("fp", "fn"):
+                problem = "repeated" if key in parts else "unknown"
+                raise argparse.ArgumentTypeError(f"weighted loss takes fp=<r>,fn=<r> once each: {problem} key {key!r}")
+            parts[key] = value
         try:
             return LossSpec.weighted_binary(float(parts["fp"]), float(parts["fn"]))
         except KeyError as exc:

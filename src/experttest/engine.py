@@ -30,24 +30,20 @@ building K seed sequences: it hashes all K seed states at once, and one
 seeder hands each ``PCG64`` its row in turn, so the only Python code that
 runs per resample is that seeder's ``generate_state`` call. numpy's
 C-level iterators build and draw the streams a block of at most
-``_BLOCK_ROWS`` resamples at a time (:func:`_swap_mask_blocks`). Each block is
-compared and reduced to two counts before the next is drawn, and the drawn
-decisions are packed into bits about ``_PACK_BYTES`` of them at a time, which
-bounds the working memory whatever K is. Row k depends
-only on (seed, k), so the K resamples can still be evaluated in any order
-(or concurrently) without changing the result. A property test checks the
+``_BLOCK_ROWS`` resamples at a time (:class:`_SwapMask`), and each block
+is compared and reduced to two counts before the next is read, which
+bounds the working memory whatever K is. A property test checks the
 concatenated blocks against the stacked streams.
 
-The rows of the last mask drawn are kept, packed into L / 8 bytes a row
-(2.5 MB at K = 10 000, L = 2000). A later test at the same seed and K and
-an L no larger reads the first L columns of every kept row instead of
-drawing, since a smaller L reads a prefix of every stream, and draws any
-rows not yet drawn at the kept L, which extends what is kept; so a sweep
-over L at one seed, largest L first, draws each row of the mask at most
-once. Any other seed, K or larger L draws again and replaces what is
-kept. The kept value is one tuple of read-only arrays, assigned when a
-draw ends or is closed, so a draw that is interleaved with another leaves
-the rows of the one that ended last, never part of a row or a mix.
+Each block is packed into bits, L / 8 bytes a row, when it is drawn, and
+the mask of the last (seed, K) drawn is kept (2.5 MB at K = 10 000,
+L = 2000). A later test at the same seed and K and an L no larger reads
+the first L columns of each block already drawn, since a smaller L reads a
+prefix of every stream, and draws the others at the kept L; so a sweep over
+L at one seed, largest L first, draws each row at most once. Any other
+seed, K or larger L starts a new mask, which is kept in place of the old.
+A block depends only on (seed, K, L, its index), so the result does not
+depend on which test drew it, or in what order.
 
 A test that only needs its verdict (``verdict_only``, which
 ``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
@@ -61,7 +57,6 @@ test's.
 """
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import repeat
 from operator import methodcaller
@@ -117,19 +112,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _U32 = (1 << 32) - 1
 _HALF_RAW = np.uint64(1 << 63)
-# resamples drawn and compared per block; 32 to 256 measured within noise
+# resamples drawn, packed and compared per block; 32 to 256 measured within noise
 _BLOCK_ROWS = 64
-# bools drawn into one array and packed with one call, in whole blocks and
-# at least one: a pack call per 64-row block cost about 1.5 us at L = 25 to
-# 150, one call on 1000 rows 4 to 7 us, and a larger array grows the peak
-# memory of a test at large L
-_PACK_BYTES = 1 << 16
-
-# (master_seed, K, L, rows, groups) of the last mask drawn: its first rows
-# rows, drawn at L, as (row count, bits packed row after row) groups in row
-# order; a sweep over L at one seed reads it again and draws on from its end.
-# It is replaced whole, never changed
-_kept_mask: tuple[int, int, int, int, tuple[tuple[int, np.ndarray], ...]] | None = None
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -229,72 +213,60 @@ def _matched_binary(d: Dataset, m: Matching) -> bool:
     return d.is_binary() or bool(d.binary_records[m.pairs].all())
 
 
-def _swap_mask_blocks(master_seed: int, K: int, L: int) -> Iterator[np.ndarray]:
-    """The K x L Bernoulli(1/2) swap decisions, as bool blocks of at most ``_BLOCK_ROWS`` rows.
+class _SwapMask:
+    """The K x L Bernoulli(1/2) swap decisions at one seed, drawn a block at a time.
 
-    Row k of the concatenated blocks is ``swap_stream(master_seed, k).random(L) < 0.5``.
-    Rather than build K seed sequences, the K seed states are derived at once
-    and one seeder hands them to the K ``PCG64``s in order; the streams are
-    built and drawn by C-level iterators and each block is read with one
-    ``fromiter``. ``Generator.random`` returns ``(raw >> 11) * 2**-53``, so a
-    draw is below 1/2 exactly when its raw 64-bit output is below 2**63.
-
-    The rows kept at this seed and K, drawn at an L no smaller, are read
-    first; the rest are drawn at the kept L (or at L when nothing is kept
-    for this call), each group of ``_group_rows`` rows into one bool array
-    whose blocks are handed out as views. When the generator ends or is
-    closed, every row it drew is packed and kept with the rows it read; a
-    generator that only read leaves the kept mask as it was. The caller
-    only reads the blocks.
+    Row k is ``swap_stream(master_seed, k).random(L) < 0.5``. Block i, rows
+    ``_BLOCK_ROWS * i`` on, is drawn the first time a reader reaches it and
+    stored in ``bits`` under i, packed row after row. ``Generator.random``
+    returns ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when
+    its raw 64-bit output is below 2**63.
     """
+
+    def __init__(self, master_seed: int, K: int, L: int) -> None:
+        if K >= _SWAP_STREAM_BASE:
+            raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
+        self.master_seed, self.K, self.L = master_seed, K, L
+        self.bits: dict[int, np.ndarray] = {}
+        self._words = _swap_seed_words(master_seed, K)
+
+    def blocks(self, L: int) -> Iterator[np.ndarray]:
+        """The first L (at most ``self.L``) columns, in bool blocks of ``_BLOCK_ROWS`` rows; only read them."""
+        raws = None  # this reader's raw draws, from the first row of the block it is at
+        for i, start in enumerate(range(0, self.K, _BLOCK_ROWS)):
+            rows = min(_BLOCK_ROWS, self.K - start)
+            bits = self.bits.get(i)
+            if bits is None:
+                if raws is None:
+                    raws = self._raws(start)
+                block = np.fromiter(raws, dtype=(np.uint64, (self.L,)), count=rows) < _HALF_RAW
+                bits = np.packbits(block)
+                bits.flags.writeable = False
+                self.bits.setdefault(i, bits)
+            else:
+                raws = None
+                block = np.unpackbits(bits, count=rows * self.L).view(bool).reshape(rows, self.L)
+            yield block[:, :L]
+
+    def _raws(self, start: int) -> Iterator[np.ndarray]:
+        """Each row's ``self.L`` raw draws from row ``start`` on, one seeder handing each ``PCG64`` its row."""
+        seeder = _StateRows(self._words[start:])
+        streams = map(np.random.PCG64, repeat(seeder, self.K - start))
+        return map(methodcaller("random_raw", self.L), streams)
+
+
+# the last mask asked for; a sweep over L at one seed, largest L first,
+# reads it again and draws no row twice
+_kept_mask: _SwapMask | None = None
+
+
+def _swap_mask(master_seed: int, K: int, L: int) -> _SwapMask:
+    """The kept mask if it is at this seed and K and drawn at an L no smaller, else a new one, kept."""
     global _kept_mask
-    if K >= _SWAP_STREAM_BASE:
-        raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
     kept = _kept_mask
-    if kept is None or kept[:2] != (master_seed, K) or L > kept[2]:
-        kept = (master_seed, K, L, 0, ())
-    drawn_L, rows, groups = kept[2:]
-    for group_len, bits in groups:
-        group = np.unpackbits(bits, count=group_len * drawn_L).view(bool)
-        group = group.reshape(group_len, drawn_L)[:, :L]
-        for first in range(0, group_len, _BLOCK_ROWS):
-            yield group[first : first + _BLOCK_ROWS]
-    if rows == K:
-        return
-    seeder = _StateRows(_swap_seed_words(master_seed, K)[rows:])
-    raws = map(methodcaller("random_raw", drawn_L), map(np.random.PCG64, repeat(seeder, K - rows)))
-    row = np.dtype((np.uint64, (drawn_L,)))
-    group_rows = _group_rows(drawn_L)
-    drawn = []
-    filled = 0  # rows of the group being drawn that are drawn but not packed
-    try:
-        for start in range(rows, K, group_rows):
-            group = np.empty((min(group_rows, K - start), drawn_L), dtype=bool)
-            for first in range(0, len(group), _BLOCK_ROWS):
-                block = group[first : first + _BLOCK_ROWS]
-                np.less(np.fromiter(raws, dtype=row, count=len(block)), _HALF_RAW, block)
-                filled = first + len(block)
-                yield block[:, :L]
-            drawn.append(_packed(group))
-            filled = 0
-    finally:
-        if filled:
-            drawn.append(_packed(group[:filled]))
-        if drawn:
-            rows += sum(group_len for group_len, _ in drawn)
-            _kept_mask = (master_seed, K, drawn_L, rows, groups + tuple(drawn))
-
-
-def _packed(group: np.ndarray) -> tuple[int, np.ndarray]:
-    """A group's row count and its bools packed row after row into read-only bits."""
-    bits = np.packbits(group)
-    bits.flags.writeable = False
-    return len(group), bits
-
-
-def _group_rows(L: int) -> int:
-    """Rows of a mask of L columns that are drawn into one array and packed together."""
-    return _BLOCK_ROWS * max(1, _PACK_BYTES // (_BLOCK_ROWS * L))
+    if kept is None or (kept.master_seed, kept.K) != (master_seed, K) or L > kept.L:
+        kept = _kept_mask = _SwapMask(master_seed, K, L)
+    return kept
 
 
 class _StateRows(ISeedSequence):
@@ -393,9 +365,9 @@ def expert_test_with_matching(
     whose loss is below the observed loss: the tie coins only add to it, so
     tau is already above alpha. Such a result has ``rejected`` false and
     ``tau`` and ``effective_p`` None, and the tie-break stream is not drawn;
-    ``rejected`` is always the full test's. The rows drawn before the stop
+    ``rejected`` is always the full test's. The blocks drawn before the stop
     are kept, and a later test at the same seed and K and an L no larger
-    reads them and draws on from there.
+    reads them and draws the rest.
 
     Raises
     ------
@@ -427,20 +399,18 @@ def expert_test_with_matching(
     whole = delta.astype(np.float64)
     less = ties = 0
     tau = None
-    # closed on a stop, so the rows drawn so far are kept before returning
-    with closing(_swap_mask_blocks(cfg.master_seed, cfg.K, cfg.L)) as blocks:
-        for mask in blocks:
-            diff = mask @ whole if exact else (mask * delta).sum(axis=1)
-            less += int(np.count_nonzero(diff < 0))
-            ties += int(np.count_nonzero(diff == 0))
-            # int / int is correctly rounded, so monotone in less: this is
-            # TestResult.rejected's rule failing for every count of coins
-            if verdict_only and less / cfg.K > cfg.alpha:
-                break
-        else:
-            # no coins to draw, no stream to build
-            heads = int((tie_break_stream(cfg.master_seed).random(ties) < 0.5).sum()) if ties else 0
-            tau = (less + heads) / cfg.K
+    for mask in _swap_mask(cfg.master_seed, cfg.K, cfg.L).blocks(cfg.L):
+        diff = mask @ whole if exact else (mask * delta).sum(axis=1)
+        less += int(np.count_nonzero(diff < 0))
+        ties += int(np.count_nonzero(diff == 0))
+        # int / int is correctly rounded, so monotone in less: this is
+        # TestResult.rejected's rule failing for every count of coins
+        if verdict_only and less / cfg.K > cfg.alpha:
+            break
+    else:
+        # no coins to draw, no stream to build
+        heads = int((tie_break_stream(cfg.master_seed).random(ties) < 0.5).sum()) if ties else 0
+        tau = (less + heads) / cfg.K
     return TestResult(
         tau=tau,
         effective_p=None if tau is None else tau + 1.0 / (cfg.K + 1),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import record_swap_streams
 
-from experttest import cli
+from experttest import cli, engine
 from experttest.cli import (
     ColumnSpec,
     DuplicateColumn,
@@ -198,6 +200,32 @@ class TestRunReport:
                 )
                 assert row.mismatched_pairs == res.mismatch_count
                 assert row.swaps_increase == res.binary_swap_counts.increase
+
+    @pytest.mark.parametrize(
+        "L_values", [[10, 25, 50], [50, 25, 10], [25, 10, 25, 50]],
+        ids=["ascending", "descending", "repeated"],
+    )
+    def test_each_swap_row_built_at_most_once(self, monkeypatch, L_values):
+        # K spans two full 64-row blocks and part of a third
+        d = gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.1, seed=6))
+        kw = dict(K=130, alpha=0.05, loss=LossSpec.zero_one(), metric=DistanceMetric.euclidean(),
+                  master_seed=19)
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built = record_swap_streams(monkeypatch)
+        report = run_report(d, L_values, **kw)
+        assert len(set(built)) == len(built) == kw["K"]
+        for row in report.rows:
+            # a standalone test draws its own mask, not the report's
+            monkeypatch.setattr(engine, "_kept_mask", None)
+            res = expert_test(d, TestConfig(L=row.L, **kw))
+            counts = res.binary_swap_counts
+            assert (row.tau, row.effective_p, row.rejected, row.observed_loss) == (
+                res.tau, res.effective_p, res.rejected, res.observed_loss
+            )
+            assert (row.mismatched_pairs, row.swaps_increase, row.swaps_decrease) == (
+                res.mismatch_count, counts.increase, counts.decrease
+            )
+        assert [row.L for row in report.rows] == L_values
 
     def test_tau_shrinks_with_more_pairs_and_sentinel_appears(self):
         # stronger evidence accumulates with L; at K=1000 the L=500 row
@@ -600,6 +628,16 @@ class TestArgParsers:
         assert parse_loss("weighted:fp=1,fn=5") == LossSpec.weighted_binary(1, 5)
         with pytest.raises(Exception):
             parse_loss("hinge")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("weighted:fp=1,fn=2,xx=3", "'xx'"), ("weighted:fp=1,fn=2,fn=5", "repeated key 'fn'"),
+         ("weighted:fp=1,fp=1,fn=2", "repeated key 'fp'"), ("weighted:fp=1,fn=2,", "unknown key ''")],
+        ids=["unknown", "repeated-fn", "repeated-fp", "trailing-comma"],
+    )
+    def test_parse_loss_rejects_bad_weighted_keys(self, text, key):
+        with pytest.raises(argparse.ArgumentTypeError, match=key):
+            parse_loss(text)
 
     def test_parse_metric(self):
         assert parse_metric("l2") == DistanceMetric.euclidean()

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -150,10 +152,16 @@ class TestResampleOnce:
 
 def swap_mask(seed, K, L):
     """Concatenate the engine's mask blocks, checking that each is full but the last."""
-    blocks = list(engine._swap_mask_blocks(seed, K, L))
+    blocks = list(engine._swap_mask(seed, K, L).blocks(L))
     assert [b.shape for b in blocks] == [(min(B, K - s), L) for s in range(0, K, B)]
     assert all(b.dtype == bool for b in blocks)
     return np.concatenate(blocks)
+
+
+def kept_key():
+    """The seed, K and L of the kept mask."""
+    kept = engine._kept_mask
+    return kept.master_seed, kept.K, kept.L
 
 
 def no_draw(*args):
@@ -201,7 +209,7 @@ class TestSwapMasks:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="swap streams"):
-                list(engine._swap_mask_blocks(5, 2**32, 1))
+                list(engine._swap_mask(5, 2**32, 1).blocks(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,28 +219,27 @@ class TestSwapMasks:
         monkeypatch.setattr(engine, "_kept_mask", None)
         swap_mask(11, B + 5, 20)
         kept = engine._kept_mask
-        assert type(kept) is tuple and kept[:4] == (11, B + 5, 20, B + 5)
-        ((rows, packed),) = kept[4]
-        assert rows == B + 5
-        assert packed.nbytes == -(-(B + 5) * 20 // 8)
-        assert not packed.flags.writeable
-        with pytest.raises(ValueError):
-            packed[0] = 0
+        assert kept_key() == (11, B + 5, 20)
+        # one entry per block, its rows packed one after another
+        assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B * 20 // 8,)), (1, (13,))]
+        for bits in kept.bits.values():
+            assert not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[0] = 0
         # another (seed, K) replaces the kept mask; the masks stay right
         for seed, K in [(12, B + 5), (11, 3), (11, B + 5)]:
             assert np.array_equal(swap_mask(seed, K, 20), stacked_swap_mask(seed, K, 20))
-            assert engine._kept_mask[:3] == (seed, K, 20)
+            assert kept_key() == (seed, K, 20)
         assert engine._kept_mask is not kept
 
     @pytest.mark.parametrize(
         "K, L",
-        # the last K spans three packed groups, the last of them partial
-        [(B - 1, 40), (B, 40), (B + 1, 40), (2 * B + 3, 40),
-         (2 * engine._group_rows(300) + B + 1, 300)],
+        # the last K is seven full blocks and one row
+        [(B - 1, 40), (B, 40), (B + 1, 40), (2 * B + 3, 40), (7 * B + 1, 300)],
     )
     def test_smaller_L_reads_kept_mask(self, monkeypatch, K, L):
-        # the unpacked prefix must be the streams' own first draws, group by
-        # group, not just the columns the first draw handed out
+        # the unpacked prefix must be the streams' own first draws, block by
+        # block, not just the columns the first draw handed out
         monkeypatch.setattr(engine, "_kept_mask", None)
         swap_mask(7, K, L)
         kept = engine._kept_mask
@@ -255,84 +262,101 @@ class TestSwapMasks:
         ]
         for (seed, K, L), kept in calls:
             assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
-            assert engine._kept_mask[:3] == kept
+            assert kept_key() == kept
 
     def test_closed_draw_keeps_rows_it_yielded(self, monkeypatch):
         K = 2 * B + 3
         monkeypatch.setattr(engine, "_kept_mask", None)
-        swap_mask(5, K, 20)
-        kept = engine._kept_mask
-        # closed after one block: that block's rows replace the kept mask
-        blocks = engine._swap_mask_blocks(6, K, 30)
-        next(blocks)
-        assert engine._kept_mask is kept
-        blocks.close()
-        assert engine._kept_mask[:4] == (6, K, 30, B)
+        built = record_swap_streams(monkeypatch)
+        # a reader stopped after one block leaves that block kept
+        next(engine._swap_mask(6, K, 30).blocks(30))
+        assert len(built) == B
         assert np.array_equal(kept_rows(), stacked_swap_mask(6, B, 30))
-        # a read that stops within the kept rows leaves them as they are
-        kept = engine._kept_mask
-        blocks = engine._swap_mask_blocks(6, K, 10)
-        next(blocks)
-        blocks.close()
-        assert engine._kept_mask is kept
-        # two draws interleaved block by block: each is kept when it ends
-        a, b = engine._swap_mask_blocks(8, K, 20), engine._swap_mask_blocks(9, K, 20)
-        got_a, got_b = [], []
-        for block_a, block_b in zip(a, b):
-            got_a.append(block_a)
-            got_b.append(block_b)
-            assert engine._kept_mask is kept
-        assert engine._kept_mask[:4] == (8, K, 20, K)
+        # readers of two seeds interleaved block by block each read their own
+        # streams; the mask asked for last is kept
+        a, b = engine._swap_mask(8, K, 20).blocks(20), engine._swap_mask(9, K, 20).blocks(20)
+        got_a, got_b = zip(*zip(a, b))
         assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(8, K, 20))
-        assert next(b, None) is None and engine._kept_mask[:4] == (9, K, 20, K)
         assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(9, K, 20))
+        assert kept_key() == (9, K, 20)
         assert np.array_equal(kept_rows(), stacked_swap_mask(9, K, 20))
-        assert np.array_equal(swap_mask(9, K, 7), stacked_swap_mask(9, K, 7))
-        # two draws of one seed, interleaved and closed at different rows:
-        # the one closed last is kept whole, a prefix of the same streams
-        for n_a, n_b in [(1, 2), (2, 1), (3, 1)]:
+        # two readers of one mask at two L, one after the other and stopped
+        # at different blocks: each block is drawn once, by the first to reach it
+        for n_a, n_b in [(1, 2), (2, 1), (3, 3)]:
             monkeypatch.setattr(engine, "_kept_mask", None)
-            a, b = engine._swap_mask_blocks(10, K, 20), engine._swap_mask_blocks(10, K, 20)
-            for i in range(max(n_a, n_b)):
-                if i < n_a:
-                    next(a)
-                if i < n_b:
-                    next(b)
-            a.close()
-            assert engine._kept_mask[:4] == (10, K, 20, min(K, n_a * B))
-            b.close()
-            assert engine._kept_mask[:4] == (10, K, 20, min(K, n_b * B))
-            assert np.array_equal(kept_rows(), stacked_swap_mask(10, n_b * B, 20))
+            built.clear()
+            a, b = engine._swap_mask(10, K, 20).blocks(20), engine._swap_mask(10, K, 7).blocks(7)
+            got_a = [next(a) for _ in range(n_a)]
+            got_b = [next(b) for _ in range(n_b)]
+            assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(10, K, 20)[: n_a * B])
+            assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(10, K, 7)[: n_b * B])
+            rows = min(K, max(n_a, n_b) * B)
+            assert len(set(built)) == len(built) == rows
+            assert np.array_equal(kept_rows(), stacked_swap_mask(10, rows, 20))
+        # leapfrogging readers: each draws a block, reads the next one the
+        # other drew, then draws again
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built.clear()
+        readers = {20: engine._swap_mask(11, K, 20).blocks(20), 7: engine._swap_mask(11, K, 7).blocks(7)}
+        got = {20: [], 7: []}
+        for l in (20, 7, 7, 20, 20, 7):
+            got[l].append(next(readers[l]))
+        for l in (20, 7):
+            assert np.array_equal(np.concatenate(got[l]), stacked_swap_mask(11, K, l))
+        assert len(set(built)) == len(built) == K
+
+    def test_concurrent_readers_read_the_streams(self, monkeypatch):
+        K, L, readers = 5 * B + 3, 40, 8
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        mask = engine._swap_mask(12, K, L)
+        got = [None] * readers
+
+        def read(i):
+            got[i] = np.concatenate(list(mask.blocks(L - i)))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        want = stacked_swap_mask(12, K, L)
+        for i in range(readers):
+            assert np.array_equal(got[i], want[:, : L - i])
+        assert np.array_equal(kept_rows(), want)
 
     @pytest.mark.parametrize(
         "K, L, stop",
-        [(B + 1, 40, 1), (2 * B + 3, 40, 1), (2 * B + 3, 40, 2),
-         (2 * engine._group_rows(300) + B + 1, 300, 3),
-         (2 * engine._group_rows(300) + B + 1, 300, engine._group_rows(300) // B + 1)],
+        [(B + 1, 40, 1), (2 * B + 3, 40, 1), (2 * B + 3, 40, 2), (7 * B + 1, 300, 3), (7 * B + 1, 300, 4)],
     )
     def test_read_after_stop_and_continuation_equal_streams(self, monkeypatch, K, L, stop):
         monkeypatch.setattr(engine, "_kept_mask", None)
-        blocks = engine._swap_mask_blocks(4, K, L)
+        blocks = engine._swap_mask(4, K, L).blocks(L)
         for _ in range(stop):
             next(blocks)
-        blocks.close()
-        assert engine._kept_mask[:4] == (4, K, L, stop * B)
+        assert list(engine._kept_mask.bits) == list(range(stop))
         built = record_swap_streams(monkeypatch)
-        # the first call reads the kept rows and draws the rest at the kept L
+        # the first call reads the kept blocks and draws the rest at the kept L
         for l in (L - 1, L, 9, 1):
             assert np.array_equal(swap_mask(4, K, l), stacked_swap_mask(4, K, l))
         assert len(built) == K - stop * B
-        assert engine._kept_mask[:4] == (4, K, L, K)
+        assert kept_key() == (4, K, L)
         assert np.array_equal(kept_rows(), stacked_swap_mask(4, K, L))
 
 
 def kept_rows():
-    """Every row of the kept mask, at the L it was drawn at."""
-    _, _, L, rows, groups = engine._kept_mask
-    assert sum(n for n, _ in groups) == rows
-    return np.concatenate(
-        [np.unpackbits(bits, count=n * L).view(bool).reshape(n, L) for n, bits in groups]
-    )
+    """Every row of the kept mask, at the L it was drawn at; its blocks must be the first ones."""
+    kept = engine._kept_mask
+    assert sorted(kept.bits) == list(range(len(kept.bits)))
+    return np.concatenate([
+        np.unpackbits(kept.bits[i], count=n * kept.L).view(bool).reshape(n, kept.L)
+        for i, n in enumerate(min(B, kept.K - s) for s in range(0, B * len(kept.bits), B))
+    ])
 
 
 def verdict_dataset(kind, half, seed):
@@ -399,7 +423,7 @@ class TestVerdictOnly:
         assert (r.tau, r.effective_p, r.rejected) == (None, None, False)
         # stopped after whole blocks, whose rows are kept
         assert len(built) % B == 0 and len(built) < cfg.K
-        assert engine._kept_mask[:4] == (9, cfg.K, 50, len(built))
+        assert kept_key() == (9, cfg.K, 50) and len(engine._kept_mask.bits) * B == len(built)
 
 
 def whole_result(d, m, cfg):

@@ -321,7 +321,7 @@ class TestRunnerDraws:
     """A verdict-only runner stops its tests early and draws no swap-stream row twice.
 
     A trial's largest L draws the rows its test compares, and each smaller L
-    at that seed reads them, drawing on from the first row not yet drawn;
+    at that seed reads them and draws the blocks not yet drawn;
     the rejections are those of full tests on the same seed paths.
     """
 
