@@ -19,11 +19,14 @@ each call reads every block of a new ``_SwapMask``, so it draws and packs
 them all, and none is kept. So is the seed-word hash, at K = 1000. The ``power`` runner only needs each test's verdict, so the
 ``power``-shaped test is also timed with ``verdict_only``, which stops
 comparing once the test can no longer reject, on the null world
-(delta = 0, where most tests stop early) and at delta = 0.2. Two sweeps test one seed at every L of a workload, largest
-first, as the ``validity`` runner (n = 500, L = 250 down to 25, K = 200,
-squared loss) and an ``audit`` report (L = 1000, 500, 250, 125, K = 1000,
-zero-one loss) do: the first L draws the mask and the others read the kept
-one. Each sweep takes a new seed.
+(delta = 0, where most tests stop early) and at delta = 0.2. Two sweeps
+test one seed at every L of a workload on one greedy matching at the
+largest L, as the ``validity`` runner (n = 500, L = 25 to 250, K = 200,
+squared loss) and an ``audit`` report (L = 125 to 1000, K = 1000, zero-one
+loss) do, each with its L values largest first and ascending: every test
+reads the mask drawn at the matching's length, so whichever test comes
+first draws it and the others read the kept one. Each sweep takes a new
+seed.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
@@ -204,9 +207,11 @@ def test_expert_test_verdict(benchmark, delta):
     "make, L_values, K, loss",
     [
         (lambda: gen_validity_cube(500, 0), range(250, 0, -25), 200, LossSpec.squared_error()),
+        (lambda: gen_validity_cube(500, 0), range(25, 251, 25), 200, LossSpec.squared_error()),
         (lambda: normalize_features(audit_like()), (1000, 500, 250, 125), 1000, LossSpec.zero_one()),
+        (lambda: normalize_features(audit_like()), (125, 250, 500, 1000), 1000, LossSpec.zero_one()),
     ],
-    ids=["validity", "audit"],
+    ids=["validity", "validity-ascending", "audit", "audit-ascending"],
 )
 def test_expert_test_sweep(benchmark, make, L_values, K, loss):
     d = make()
@@ -217,7 +222,7 @@ def test_expert_test_sweep(benchmark, make, L_values, K, loss):
         seed = next(seeds)
         return [
             expert_test_with_matching(
-                d, full.prefix(L),
+                d, full,
                 TestConfig(L=L, K=K, alpha=0.05, loss=loss, metric=L2, master_seed=seed),
             )
             for L in L_values

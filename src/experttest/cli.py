@@ -245,26 +245,24 @@ def run_report(
     master_seed: int,
     smoothness_C: float | None = None,
 ) -> Report:
-    """Run the test at each L, sharing one greedy matching prefix.
+    """Run the test at each L, in the order given, on one greedy matching at the largest L.
 
-    Each row is bit-identical to a standalone run at that L. When a
-    smoothness constant is supplied, every row also carries its validity
-    bounds.
+    Each test reads the first L pairs of that matching and draws the swap
+    mask at its length, so every L reads the one kept mask, and each row is
+    bit-identical to a standalone run at that L. When a smoothness constant
+    is supplied, every row also carries its validity bounds.
     """
     L_values = [int(L) for L in L_values]
     full = greedy_match(d, _largest_L(L_values), metric)
-    rows = [None] * len(L_values)
-    # largest L first: the engine keeps the mask it draws, and a smaller L at
-    # the same seed and K reads a prefix of it instead of drawing again
-    for i, L in sorted(enumerate(L_values), key=itemgetter(1), reverse=True):
-        matching = full.prefix(L)
+    rows = []
+    for L in L_values:
         cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=master_seed)
-        res = expert_test_with_matching(d, matching, cfg)
+        res = expert_test_with_matching(d, full, cfg)
         bound = None
         if smoothness_C is not None:
-            bound = validity_bound(d, matching, Smoothness(smoothness_C), alpha, K)
+            bound = validity_bound(d, full.prefix(L), Smoothness(smoothness_C), alpha, K)
         counts = res.binary_swap_counts
-        rows[i] = ReportRow(
+        rows.append(ReportRow(
             L=L,
             mismatched_pairs=res.mismatch_count,
             swaps_increase=None if counts is None else counts.increase,
@@ -275,7 +273,7 @@ def run_report(
             observed_loss=res.observed_loss,
             epsilon_note=_epsilon_note(res.mismatch_count, bound),
             validity=bound,
-        )
+        ))
     return Report(
         rows=tuple(rows),
         n=d.n,

@@ -35,15 +35,16 @@ is compared and reduced to two counts before the next is read, which
 bounds the working memory whatever K is. A property test checks the
 concatenated blocks against the stacked streams.
 
-Each block is packed into bits, L / 8 bytes a row, when it is drawn, and
-the mask of the last (seed, K) drawn is kept (2.5 MB at K = 10 000,
-L = 2000). A later test at the same seed and K and an L no larger reads
-the first L columns of each block already drawn, since a smaller L reads a
-prefix of every stream, and draws the others at the kept L; so a sweep over
-L at one seed, largest L first, draws each row at most once. Any other
-seed, K or larger L starts a new mask, which is kept in place of the old.
-A block depends only on (seed, K, L, its index), so the result does not
-depend on which test drew it, or in what order.
+A test reads the first ``cfg.L`` pairs of its matching and the first
+``cfg.L`` columns of a mask drawn at the matching's length. Blocks are
+packed into bits, L / 8 bytes a row, as they are drawn, and the mask of the
+last (seed, K) drawn is kept (2.5 MB at K = 10 000, L = 2000). A later test
+at that seed and K, on a matching no longer, reads the blocks already drawn
+and draws the rest; so a sweep over L on one matching, in any order, draws
+each row at most once. Any other seed, K or longer matching starts a new
+mask, kept in place of the old. A block depends only on (seed, K, L, its
+index), so the result does not depend on which test drew it, or in what
+order.
 
 A test that only needs its verdict (``verdict_only``, which
 ``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
@@ -255,8 +256,8 @@ class _SwapMask:
         return map(methodcaller("random_raw", self.L), streams)
 
 
-# the last mask asked for; a sweep over L at one seed, largest L first,
-# reads it again and draws no row twice
+# the last mask asked for; a sweep over L on one matching at one seed reads
+# it again and draws no row twice
 _kept_mask: _SwapMask | None = None
 
 
@@ -356,9 +357,10 @@ def expert_test_with_matching(
 ) -> TestResult:
     """Like :func:`expert_test` but reusing a precomputed matching.
 
-    ``matching`` must be the greedy matching of ``d`` at ``cfg.L`` (or a
-    prefix of a longer greedy matching, which is the same thing); results are
-    bit-identical to :func:`expert_test`.
+    ``matching`` must be a greedy matching of ``d`` with at least ``cfg.L``
+    pairs; the test reads its first ``cfg.L``, so results are bit-identical
+    to :func:`expert_test`. The swap mask is drawn at the matching's length,
+    so the tests of a sweep over one matching, in any order, read one mask.
 
     With ``verdict_only`` set, the comparison stops after the first block
     at which ``less / K > alpha``, where ``less`` counts the resamples so far
@@ -366,8 +368,8 @@ def expert_test_with_matching(
     tau is already above alpha. Such a result has ``rejected`` false and
     ``tau`` and ``effective_p`` None, and the tie-break stream is not drawn;
     ``rejected`` is always the full test's. The blocks drawn before the stop
-    are kept, and a later test at the same seed and K and an L no larger
-    reads them and draws the rest.
+    are kept, and a later test at the same seed and K whose matching is no
+    longer reads them and draws the rest.
 
     Raises
     ------
@@ -375,13 +377,14 @@ def expert_test_with_matching(
         If the loss is squared error and the observed loss or the sum of
         the absolute per-pair swap deltas is not finite in float64.
     """
-    if len(matching) != cfg.L:
+    if len(matching) < cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
+    m = matching.prefix(cfg.L)
     with np.errstate(over="ignore"):
         # squared errors that overflow raise LossOverflow below instead
         observed = dataset_loss(d, cfg.loss)
-    counts = classify_swaps(d, matching) if _matched_binary(d, matching) else None
-    delta = _swap_deltas(d, matching, cfg.loss)
+    counts = classify_swaps(d, m) if _matched_binary(d, m) else None
+    delta = _swap_deltas(d, m, cfg.loss)
     if cfg.loss.requires_binary:
         # a pair's two per-record losses add to the same float in either
         # order, so each delta is exactly 0 or +-(fp_cost + fn_cost), and its
@@ -389,17 +392,19 @@ def expert_test_with_matching(
         # (NaN), from costs near the float maximum, comes only from a neutral
         # pair, and neither comparison counts it
         delta = (delta > 0).astype(np.int64) - (delta < 0)
-    else:
-        _check_finite(observed, delta)
+    with np.errstate(over="ignore"):
+        spread = float(np.abs(delta).sum())
+    # binary losses have finite costs, so their observed loss and signs pass
+    _check_finite(observed, spread)
 
     # when every row's sum is exact in any order, a matrix product gives the
     # same sums as the elementwise product and row sum, which otherwise keep
     # each row's one float reduction order whatever the block size
-    exact = _sums_exact(delta)
+    exact = _sums_exact(delta, spread)
     whole = delta.astype(np.float64)
     less = ties = 0
     tau = None
-    for mask in _swap_mask(cfg.master_seed, cfg.K, cfg.L).blocks(cfg.L):
+    for mask in _swap_mask(cfg.master_seed, cfg.K, len(matching)).blocks(cfg.L):
         diff = mask @ whole if exact else (mask * delta).sum(axis=1)
         less += int(np.count_nonzero(diff < 0))
         ties += int(np.count_nonzero(diff == 0))
@@ -417,35 +422,33 @@ def expert_test_with_matching(
         rejected=tau is not None and tau <= cfg.alpha,
         L=cfg.L,
         K=cfg.K,
-        mismatch_count=matching.mismatch_count,
+        mismatch_count=m.mismatch_count,
         observed_loss=observed,
         binary_swap_counts=counts,
     )
 
 
-def _check_finite(observed: float, delta: np.ndarray) -> None:
-    """Raise :class:`LossOverflow` unless the observed loss and ``sum(|delta|)`` are finite.
+def _check_finite(observed: float, spread: float) -> None:
+    """Raise :class:`LossOverflow` unless the observed loss and ``spread = sum(|delta|)`` are finite.
 
     A NaN delta (inf - inf) counts on neither side of the comparison, and an
     infinite delta or an overflowing sum of finite ones can count on the
     wrong side, so a test on such data would report a verdict it never
     computed.
     """
-    with np.errstate(over="ignore"):
-        spread = float(np.abs(delta).sum())
     if not (math.isfinite(observed) and math.isfinite(spread)):
         raise LossOverflow("squared errors overflow float64; rescale y and y_hat")
 
 
-def _sums_exact(delta: np.ndarray) -> bool:
+def _sums_exact(delta: np.ndarray, spread: float) -> bool:
     """Whether every sum of a subset of ``delta`` is exact in float64, in any order.
 
-    That holds when every entry is an integer and their absolute values sum
-    below 2**53, since every partial sum is then an integer no larger. It
-    covers the signs that score the binary losses and squared error on
-    integer-valued outcomes and predictions.
+    That holds when every entry is an integer and ``spread``, the sum of
+    their absolute values, is below 2**53, since every partial sum is then
+    an integer no larger. It covers the signs that score the binary losses
+    and squared error on integer-valued outcomes and predictions.
     """
-    return bool((delta == np.trunc(delta)).all()) and float(np.abs(delta).sum()) < 2.0**53
+    return bool((delta == np.trunc(delta)).all()) and spread < 2.0**53
 
 
 def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:

@@ -14,7 +14,6 @@ evaluated cell by cell in any order with deterministic results.
 """
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -340,9 +339,10 @@ def run_power_vs_L(
 ) -> list[PowerCell]:
     """Empirical power as a function of the number of pairs, at fixed (n, delta).
 
-    All L values share each trial's dataset and one greedy matching prefix,
-    which keeps per-L comparisons tight; every cell is still bit-identical to
-    a standalone run at that L. Zero-one loss.
+    All L values, in the order given, share each trial's dataset and its
+    greedy matching at the largest L, which keeps per-L comparisons tight;
+    every cell is still bit-identical to a standalone run at that L.
+    Zero-one loss.
     """
     results = _trial_results(
         lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),
@@ -394,12 +394,13 @@ def _trial_results(
     """The trial loop behind every runner: each trial's test results, one per L value.
 
     Trial t tests ``draw(derive_seed(master_seed, domain, 0, *cell, t))`` at
-    every L, all under ``derive_seed(master_seed, domain, 1, *cell, t)`` and
-    on prefixes of one greedy matching at the largest L, so each result is
-    bit-identical to a standalone ``expert_test`` of that trial's data, or,
-    with ``verdict_only``, has its ``rejected``. Greedy matching depends on
-    the features alone, so a trial whose features equal the previous
-    trial's reuses its matching. Euclidean metric.
+    every L, in the order given, all under ``derive_seed(master_seed, domain,
+    1, *cell, t)`` and on the first L pairs of one greedy matching at the
+    largest L, at whose length the engine draws the trial's one swap mask.
+    Each result is bit-identical to a standalone ``expert_test`` of that
+    trial's data, or, with ``verdict_only``, has its ``rejected``. Greedy
+    matching depends on the features alone, so a trial whose features equal
+    the previous trial's reuses its matching. Euclidean metric.
     """
     L_values = [int(L) for L in L_values]
     if not L_values:
@@ -414,12 +415,10 @@ def _trial_results(
         if full is None or not np.array_equal(ds.x, x):
             x, full = ds.x, greedy_match(ds, max(L_values), metric)
         seed = derive_seed(master_seed, domain, 1, *cell, t)
-        row = [None] * len(L_values)
-        # largest L first: the engine keeps the rows it draws, and a smaller L
-        # at the same seed and K reads them instead of drawing again
-        for j, L in sorted(enumerate(L_values), key=itemgetter(1), reverse=True):
+        row = []
+        for L in L_values:
             cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed)
-            row[j] = expert_test_with_matching(ds, full.prefix(L), cfg, verdict_only=verdict_only)
+            row.append(expert_test_with_matching(ds, full, cfg, verdict_only=verdict_only))
         results.append(row)
     return results
 

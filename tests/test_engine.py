@@ -580,6 +580,11 @@ class TestConfigValidation:
             TestConfig(L=1, K=1, alpha=1.0, loss=loss, metric=metric, master_seed=0)
 
 
+def sums_exact(delta):
+    """The engine's exact-sum check, given the spread the engine computes once per test."""
+    return engine._sums_exact(delta, float(np.abs(delta).sum()))
+
+
 class TestExpertTest:
     def cfg(self, **kw):
         base = dict(L=10, K=50, alpha=0.05, loss=LossSpec.zero_one(), metric=L2, master_seed=7)
@@ -692,15 +697,15 @@ class TestExpertTest:
     def test_matrix_product_only_for_exact_sums(self, data, exact):
         d = named_dataset(data, 200, 3)
         delta = engine._swap_deltas(d, greedy_match(d, 50, L2), LossSpec.squared_error())
-        assert engine._sums_exact(delta) is exact
+        assert sums_exact(delta) is exact
 
     def test_sums_exact_needs_integers_below_2_53(self):
-        assert engine._sums_exact(np.array([-1, 0, 1] * 10, dtype=np.int64))
-        assert engine._sums_exact(np.array([2.0**52, -(2.0**51), 1.0]))
-        assert not engine._sums_exact(np.array([2.0**52, 2.0**52]))
-        assert not engine._sums_exact(np.array([1.0, 0.5]))
-        assert not engine._sums_exact(np.array([1.0, np.inf]))
-        assert not engine._sums_exact(np.array([1.0, np.nan]))
+        assert sums_exact(np.array([-1, 0, 1] * 10, dtype=np.int64))
+        assert sums_exact(np.array([2.0**52, -(2.0**51), 1.0]))
+        assert not sums_exact(np.array([2.0**52, 2.0**52]))
+        assert not sums_exact(np.array([1.0, 0.5]))
+        assert not sums_exact(np.array([1.0, np.inf]))
+        assert not sums_exact(np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize(
         "data, loss",
@@ -723,8 +728,45 @@ class TestExpertTest:
     def test_with_matching_requires_matching_length(self):
         d = gen_expertise_pairs(ExpertiseConfig(n=40, delta=0.1, seed=0))
         m = greedy_match(d, 5, L2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matching has 5 pairs, config wants L=6"):
             expert_test_with_matching(d, m, self.cfg(L=6))
+
+    @pytest.mark.parametrize("verdict_only", [False, True], ids=["full", "verdict"])
+    @pytest.mark.parametrize(
+        "data, loss",
+        [("pairs", LossSpec.zero_one()), ("decimals", LossSpec.squared_error())],
+        ids=["zero-one", "squared-decimals"],
+    )
+    def test_longer_matching_equals_its_prefix(self, monkeypatch, data, loss, verdict_only):
+        # a test reads the first L pairs of the matching it is given, at any
+        # length, and the first L columns of the mask drawn at that length
+        d = named_dataset(data, 120, 5)
+        full = greedy_match(d, 40, L2)
+        for seed, L, alpha in [(3, 1, 0.5), (3, 7, 0.05), (11, 25, 0.5), (11, 39, 0.05), (12, 40, 0.3)]:
+            cfg = self.cfg(L=L, K=2 * B + 3, alpha=alpha, loss=loss, master_seed=seed)
+            monkeypatch.setattr(engine, "_kept_mask", None)
+            r = expert_test_with_matching(d, full, cfg, verdict_only=verdict_only)
+            assert kept_key() == (seed, cfg.K, 40)
+            monkeypatch.setattr(engine, "_kept_mask", None)
+            assert r == expert_test_with_matching(d, full.prefix(L), cfg, verdict_only=verdict_only)
+
+    @pytest.mark.parametrize(
+        "L_values", [[5, 10, 25, 40], [40, 25, 10, 5], [25, 5, 40, 10, 25]],
+        ids=["ascending", "descending", "shuffled"],
+    )
+    def test_sweep_over_full_matching_builds_each_row_once(self, monkeypatch, L_values):
+        # K spans two full 64-row blocks and part of a third
+        d = named_dataset("pairs", 120, 6)
+        full = greedy_match(d, max(L_values), L2)
+        monkeypatch.setattr(engine, "_kept_mask", None)
+        built = record_swap_streams(monkeypatch)
+        cfgs = [self.cfg(L=L, K=130, master_seed=19) for L in L_values]
+        results = [expert_test_with_matching(d, full, cfg) for cfg in cfgs]
+        assert len(set(built)) == len(built) == 130
+        for cfg, r in zip(cfgs, results):
+            # a standalone test draws its own mask, not the sweep's
+            monkeypatch.setattr(engine, "_kept_mask", None)
+            assert r == expert_test(d, cfg)
 
     def test_prefix_of_larger_matching_is_bit_identical(self):
         # resample streams draw one uniform per pair in order, so a smaller L

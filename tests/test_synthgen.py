@@ -320,9 +320,10 @@ class TestRunnerSeedLayout:
 class TestRunnerDraws:
     """A verdict-only runner stops its tests early and draws no swap-stream row twice.
 
-    A trial's largest L draws the rows its test compares, and each smaller L
-    at that seed reads them and draws the blocks not yet drawn;
-    the rejections are those of full tests on the same seed paths.
+    Every L of a trial reads the mask drawn at the length of the trial's one
+    matching, whatever order the L values come in: each test reads the rows
+    drawn so far and draws the blocks not yet drawn; the rejections are
+    those of full tests on the same seed paths.
     """
 
     SEED, K, TRIALS = 23, 300, 6
