@@ -26,7 +26,10 @@ squared loss) and an ``audit`` report (L = 125 to 1000, K = 1000, zero-one
 loss) do, each with its L values largest first and ascending: every test
 reads the mask drawn at the matching's length, so whichever test comes
 first draws it and the others read the kept one. Each sweep takes a new
-seed.
+seed. A third sweep runs the ``validity`` one on integer outcomes and
+predictions in 1-5, like Likert scores, with squared loss: its records are
+not binary, so it takes the elementwise float compare, which no workload
+of ``perfbench/`` runs on integer data.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
@@ -203,6 +206,13 @@ def test_expert_test_verdict(benchmark, delta):
     assert benchmark(run).K == 1000
 
 
+def likert_cube() -> Dataset:
+    """The validity cube at n = 500 with integer outcomes and predictions in 1-5, like Likert scores."""
+    d = gen_validity_cube(500, 0)
+    rng = np.random.default_rng(0)
+    return Dataset(d.x, rng.integers(1, 6, d.n).astype(np.float64), rng.integers(1, 6, d.n).astype(np.float64))
+
+
 @pytest.mark.parametrize(
     "make, L_values, K, loss",
     [
@@ -210,8 +220,9 @@ def test_expert_test_verdict(benchmark, delta):
         (lambda: gen_validity_cube(500, 0), range(25, 251, 25), 200, LossSpec.squared_error()),
         (lambda: normalize_features(audit_like()), (1000, 500, 250, 125), 1000, LossSpec.zero_one()),
         (lambda: normalize_features(audit_like()), (125, 250, 500, 1000), 1000, LossSpec.zero_one()),
+        (likert_cube, range(250, 0, -25), 200, LossSpec.squared_error()),
     ],
-    ids=["validity", "validity-ascending", "audit", "audit-ascending"],
+    ids=["validity", "validity-ascending", "audit", "audit-ascending", "likert"],
 )
 def test_expert_test_sweep(benchmark, make, L_values, K, loss):
     d = make()

@@ -9,20 +9,19 @@ swap distribution, which is evidence that predictions carry information the
 features do not.
 
 Loss comparisons are computed from per-pair swap deltas rather than by
-rebuilding each resampled dataset, one path for every loss. For binary
-losses every delta is exactly 0 or plus or minus (fp_cost + fn_cost), so the
-engine takes its sign instead: a resample's sum of signs is an exact integer
-with the sign of its loss change, and comparisons and ties are the same as
-scoring each resampled dataset. When every delta is an integer and their
-absolute values sum below 2**53 (the binary signs, or squared error on
-integer-valued outcomes and predictions), every partial sum of a resample's
-deltas is exact in floating point, so the comparison is one matrix product
-per block. Any other squared error deltas are summed in floating point in
-one fixed order; that sum can round differently from rescoring each
-resampled dataset in full, so a resample whose loss change is within
-rounding of zero can be counted on the other side of the observed loss.
-Squared errors too large for float64 raise :class:`LossOverflow`: their
-deltas would be infinite or NaN, and a NaN counts on neither side.
+rebuilding each resampled dataset. When every matched record is binary
+(``binary_swap_counts`` is filled), a swap raises the loss, lowers it or
+leaves it alone, whatever the loss: each delta is exactly 0 or plus or minus
+one unit (fp_cost + fn_cost, or 2 for squared error), so the engine takes
+its sign. A resample's sum of signs is an integer no larger than L, exact in
+any order, so each block is compared with one matrix product, and it ranks
+each resample as scoring its dataset does. Every other test (squared error on non-binary
+records) sums its float deltas elementwise, each row in one fixed order; that
+sum can round differently from rescoring each resampled dataset in full, so
+a resample whose loss change is within rounding of zero can be counted on
+the other side of the observed loss. Squared errors too large for float64
+raise :class:`LossOverflow`: their deltas would be infinite or NaN, and a
+NaN counts on neither side.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
@@ -361,6 +360,9 @@ def expert_test_with_matching(
     pairs; the test reads its first ``cfg.L``, so results are bit-identical
     to :func:`expert_test`. The swap mask is drawn at the matching's length,
     so the tests of a sweep over one matching, in any order, read one mask.
+    That makes a single test on a long matching draw every row at the
+    matching's length; such a test should pass ``matching.prefix(cfg.L)``
+    or call :func:`expert_test`.
 
     With ``verdict_only`` set, the comparison stops after the first block
     at which ``less / K > alpha``, where ``less`` counts the resamples so far
@@ -385,27 +387,26 @@ def expert_test_with_matching(
         observed = dataset_loss(d, cfg.loss)
     counts = classify_swaps(d, m) if _matched_binary(d, m) else None
     delta = _swap_deltas(d, m, cfg.loss)
-    if cfg.loss.requires_binary:
+    if counts is not None:
         # a pair's two per-record losses add to the same float in either
-        # order, so each delta is exactly 0 or +-(fp_cost + fn_cost), and its
-        # sign scores every resample as the unit-weighted sum does; inf - inf
-        # (NaN), from costs near the float maximum, comes only from a neutral
-        # pair, and neither comparison counts it
-        delta = (delta > 0).astype(np.int64) - (delta < 0)
+        # order, so each delta is exactly 0 or +-(one unit) and its sign
+        # ranks every resample as the unit-weighted sum does; inf - inf
+        # (NaN), from costs near the float maximum, comes only from a
+        # neutral pair, and its sign is 0
+        delta = (delta > 0).astype(np.float64) - (delta < 0)
     with np.errstate(over="ignore"):
         spread = float(np.abs(delta).sum())
-    # binary losses have finite costs, so their observed loss and signs pass
-    _check_finite(observed, spread)
+    # a NaN delta counts on neither side, and an infinite one or an
+    # overflowing sum of finite ones can count on the wrong side
+    if not (math.isfinite(observed) and math.isfinite(spread)):
+        raise LossOverflow("squared errors overflow float64; rescale y and y_hat")
 
-    # when every row's sum is exact in any order, a matrix product gives the
-    # same sums as the elementwise product and row sum, which otherwise keep
-    # each row's one float reduction order whatever the block size
-    exact = _sums_exact(delta, spread)
-    whole = delta.astype(np.float64)
     less = ties = 0
     tau = None
     for mask in _swap_mask(cfg.master_seed, cfg.K, len(matching)).blocks(cfg.L):
-        diff = mask @ whole if exact else (mask * delta).sum(axis=1)
+        # sums of signs are exact in any order; float sums keep each row's
+        # one reduction order whatever the block size
+        diff = mask @ delta if counts is not None else (mask * delta).sum(axis=1)
         less += int(np.count_nonzero(diff < 0))
         ties += int(np.count_nonzero(diff == 0))
         # int / int is correctly rounded, so monotone in less: this is
@@ -428,36 +429,14 @@ def expert_test_with_matching(
     )
 
 
-def _check_finite(observed: float, spread: float) -> None:
-    """Raise :class:`LossOverflow` unless the observed loss and ``spread = sum(|delta|)`` are finite.
-
-    A NaN delta (inf - inf) counts on neither side of the comparison, and an
-    infinite delta or an overflowing sum of finite ones can count on the
-    wrong side, so a test on such data would report a verdict it never
-    computed.
-    """
-    if not (math.isfinite(observed) and math.isfinite(spread)):
-        raise LossOverflow("squared errors overflow float64; rescale y and y_hat")
-
-
-def _sums_exact(delta: np.ndarray, spread: float) -> bool:
-    """Whether every sum of a subset of ``delta`` is exact in float64, in any order.
-
-    That holds when every entry is an integer and ``spread``, the sum of
-    their absolute values, is below 2**53, since every partial sum is then
-    an integer no larger. It covers the signs that score the binary losses
-    and squared error on integer-valued outcomes and predictions.
-    """
-    return bool((delta == np.trunc(delta)).all()) and spread < 2.0**53
-
-
 def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:
     """Per-pair change in summed per-record loss when the pair's predictions are exchanged.
 
-    Per-record losses near the float maximum (costs such as 1e308) make a
-    pair's summed losses inf and its delta inf - inf. The binary losses take
-    each delta's sign, and a NaN counts on neither side of the comparison,
-    so those operations do not warn.
+    Per-record losses near the float maximum (costs such as 1e308, or
+    squared errors that overflow) make a pair's summed losses inf and its
+    delta inf - inf. A test on binary records takes each delta's sign, where
+    a NaN's is 0, and any other raises :class:`LossOverflow` on a NaN or an
+    infinite delta, so those operations do not warn.
     """
     pi, pj = m.pairs.T
     with np.errstate(over="ignore", invalid="ignore"):

@@ -308,15 +308,19 @@ def run_power_curve(
     """Empirical rejection frequency over an (n, delta) grid of expertise worlds.
 
     ``L_rule`` maps each sample size to the number of pairs (for example
-    ``lambda n: n // 8``). Zero-one loss. An empty grid is a ``ValueError``.
+    ``lambda n: n // 8``). Zero-one loss. An empty grid, or an n whose L is
+    below 1, is a ``ValueError`` before the first trial runs.
     """
     if not len(n_values):
         raise ValueError("need at least one n value")
     if not len(delta_values):
         raise ValueError("need at least one delta value")
+    L_values = [L_rule(n) for n in n_values]
+    for n, L in zip(n_values, L_values):
+        if L < 1:
+            raise ValueError(f"n={n} gives L={L} pairs; L must be at least 1")
     cells = []
-    for i, n in enumerate(n_values):
-        L = L_rule(n)
+    for i, (n, L) in enumerate(zip(n_values, L_values)):
         for j, delta in enumerate(delta_values):
             results = _trial_results(
                 lambda seed: gen_expertise_pairs(ExpertiseConfig(n=n, delta=delta, seed=seed)),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from _oracles import record_swap_streams
 
-from experttest import cli, engine
+from experttest import cli, engine, synthgen
 from experttest.cli import (
     ColumnSpec,
     DuplicateColumn,
@@ -575,6 +575,17 @@ class TestCliMain:
         err = json.loads(proc.stderr)
         assert err["error"] == "ValueError"
         assert "--pairs-divisor" in err["message"]
+
+    def test_power_names_the_grid_cell_without_pairs(self, capsys, monkeypatch):
+        # checked before the first trial, not after every n = 200 trial has run
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synthgen, "_trial_results", no_trials)
+        code = main(["power", "--n-values", "200,2", "--deltas", "0.1"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "n=2 gives L=0 pairs; L must be at least 1"}
 
     def test_toy_subcommand(self, capsys):
         code = main([

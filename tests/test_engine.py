@@ -92,10 +92,12 @@ def named_dataset(name, n, seed):
     """The engine tests' inputs.
 
     ``integers`` has integer-valued outcomes and predictions, whose
-    squared-loss deltas sum exactly in any order. On ``tenths`` the deltas
+    squared-loss deltas sum exactly in any order, and ``huge-integers`` has
+    integers whose absolute deltas sum past 2**53. On ``tenths`` the deltas
     often cancel in exact arithmetic, so the sign of a resample's float sum
     can depend on its summation order; ``decimals`` has one-decimal values
-    like lab results.
+    like lab results. ``binary-matched`` is not binary, but every record of
+    its first n/2 greedy pairs is.
     """
     return {
         "pairs": lambda: gen_expertise_pairs(ExpertiseConfig(n=n, delta=0.1, seed=seed)),
@@ -104,7 +106,18 @@ def named_dataset(name, n, seed):
         "integers": lambda: cube_with_outcomes(n, seed, [0.0, 1.0, 2.0, 3.0, 7.0]),
         "decimals": lambda: cube_with_outcomes(n, seed, [4.7, 12.1, 13.5, 13.6, 0.9]),
         "audit": lambda: audit_like(n, seed),
+        "huge-integers": lambda: cube_with_outcomes(n, seed, [0.0, 1e7, 3e7, 5e7, 9e7]),
+        "binary-matched": lambda: with_unpaired_threes(
+            gen_expertise_pairs(ExpertiseConfig(n=n, delta=0.1, seed=seed))
+        ),
     }[name]()
+
+
+def with_unpaired_threes(d):
+    """``d`` and n more records, far from each other and from ``d``, whose y and y_hat are 3."""
+    x = np.vstack([d.x, np.full_like(d.x, 1000.0) + 10.0 * np.arange(d.n)[:, None]])
+    fill = np.full(d.n, 3.0)
+    return Dataset(x, np.concatenate([d.y, fill]), np.concatenate([d.y_hat, fill]))
 
 
 class TestResampleOnce:
@@ -580,11 +593,6 @@ class TestConfigValidation:
             TestConfig(L=1, K=1, alpha=1.0, loss=loss, metric=metric, master_seed=0)
 
 
-def sums_exact(delta):
-    """The engine's exact-sum check, given the spread the engine computes once per test."""
-    return engine._sums_exact(delta, float(np.abs(delta).sum()))
-
-
 class TestExpertTest:
     def cfg(self, **kw):
         base = dict(L=10, K=50, alpha=0.05, loss=LossSpec.zero_one(), metric=L2, master_seed=7)
@@ -673,39 +681,28 @@ class TestExpertTest:
             ("decimals", LossSpec.squared_error()),
             # a unit of 0.8, whose float multiples do not all sum exactly
             ("pairs", LossSpec.weighted_binary(0.3, 0.5)),
+            ("binary-matched", LossSpec.squared_error()),
+            ("huge-integers", LossSpec.squared_error()),
         ],
     )
     def test_blocks_match_whole_mask(self, data, loss, K):
         # comparing block by block must count exactly what one comparison of
-        # the whole stacked mask counts, on the matrix product that integer
-        # deltas take and on the elementwise sums of the others
+        # the whole stacked mask counts, on the matrix product of the signs
+        # that binary matched records take and on the elementwise sums of
+        # every other test
         n, L = (4000, 1000) if data == "audit" else (120, 40)
         d = named_dataset(data, n, 12)
         m = greedy_match(d, L, L2)
+        binary = data in ("pairs", "audit", "binary-matched")
+        assert engine._matched_binary(d, m) == binary
+        if data == "huge-integers":
+            assert np.abs(engine._swap_deltas(d, m, loss)).sum() > 2.0**53
         for seed in (0, 2**64 - 1, 8128):
             cfg = self.cfg(L=L, K=K, loss=loss, master_seed=seed)
             r = expert_test_with_matching(d, m, cfg)
             tau = whole_mask_tau(d, m, cfg)
             assert (r.tau, r.effective_p) == (tau, tau + 1.0 / (K + 1))
-            counts = classify_swaps(d, m) if data in ("pairs", "audit") else None
-            assert r.binary_swap_counts == counts
-
-    @pytest.mark.parametrize(
-        "data, exact",
-        [("audit", True), ("integers", True), ("decimals", False), ("tenths", False), ("cube", False)],
-    )
-    def test_matrix_product_only_for_exact_sums(self, data, exact):
-        d = named_dataset(data, 200, 3)
-        delta = engine._swap_deltas(d, greedy_match(d, 50, L2), LossSpec.squared_error())
-        assert sums_exact(delta) is exact
-
-    def test_sums_exact_needs_integers_below_2_53(self):
-        assert sums_exact(np.array([-1, 0, 1] * 10, dtype=np.int64))
-        assert sums_exact(np.array([2.0**52, -(2.0**51), 1.0]))
-        assert not sums_exact(np.array([2.0**52, 2.0**52]))
-        assert not sums_exact(np.array([1.0, 0.5]))
-        assert not sums_exact(np.array([1.0, np.inf]))
-        assert not sums_exact(np.array([1.0, np.nan]))
+            assert r.binary_swap_counts == (classify_swaps(d, m) if binary else None)
 
     @pytest.mark.parametrize(
         "data, loss",
