@@ -47,9 +47,10 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     must be nonnegative. Keying every draw by its path makes results
     reproducible under any execution order of independent work items. The
     engine reserves first path entries >= 2**32 for its resampling streams,
-    so other code should stick to small ones. It seeds those streams' ``PCG64``
-    generators from hashed words without calling this function, but resample
-    k's draws equal ``stream(seed, 2**32 + k)``'s;
+    so other code should stick to small ones. It builds no generator per
+    stream and does not call this function: it computes each stream's
+    ``PCG64`` state from hashed words and writes it into one generator per
+    thread, but resample k's draws equal ``stream(seed, 2**32 + k)``'s;
     ``tests/test_engine.py::TestSwapMasks`` checks it.
     """
     seq = np.random.SeedSequence(master_seed & _U64, spawn_key=path)

@@ -25,10 +25,12 @@ NaN counts on neither side.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
-building K seed sequences: it hashes all K seed states at once, and one
-seeder hands each ``PCG64`` its row in turn, so the only Python code that
-runs per resample is that seeder's ``generate_state`` call. numpy's
-C-level iterators build and draw the streams a block of at most
+building K seed sequences or K generators: it hashes all K seed states at
+once and turns each into the ``PCG64`` state one step before the seeded
+one with array arithmetic. Each thread keeps one ``PCG64`` and writes row
+after row's state into it, so the only Python that runs per resample is
+that write and one ``random_raw`` call, whose first raw (the step) is
+dropped. numpy's C-level iterators draw the streams a block of at most
 ``_BLOCK_ROWS`` resamples at a time (:class:`_SwapMask`), and each block
 is compared and reduced to two counts before the next is read, which
 bounds the working memory whatever K is. A property test checks the
@@ -56,14 +58,13 @@ that can still reject compares all K rows, so every verdict is the full
 test's.
 """
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
-from itertools import repeat
-from operator import methodcaller
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     _U64,
@@ -97,6 +98,10 @@ class NonBinaryData(ExpertTestError):
 
 class LossOverflow(ExpertTestError, ValueError):
     """The squared errors of the data overflow float64, so no loss comparison is exact."""
+
+
+class _UnknownStateLayout(ExpertTestError, RuntimeError):
+    """numpy's ``PCG64`` does not keep its state where the swap draw writes it."""
 
 
 # Stream ids reserved on the master seed: one stream per resample index plus a
@@ -220,7 +225,10 @@ class _SwapMask:
     ``_BLOCK_ROWS * i`` on, is drawn the first time a reader reaches it and
     stored in ``bits`` under i, packed row after row. ``Generator.random``
     returns ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when
-    its raw 64-bit output is below 2**63.
+    its raw 64-bit output is below 2**63. The mask holds each row's
+    ``PCG64`` state one step before the seeded one (:func:`_pre_states`);
+    the thread that draws a block writes each of its rows into its own
+    generator (:class:`_Stream`), draws ``L + 1`` raws and drops the first.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
@@ -228,31 +236,29 @@ class _SwapMask:
             raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
         self.master_seed, self.K, self.L = master_seed, K, L
         self.bits: dict[int, np.ndarray] = {}
-        self._words = _swap_seed_words(master_seed, K)
+        self._pre = _pre_states(_swap_seed_words(master_seed, K))
 
     def blocks(self, L: int) -> Iterator[np.ndarray]:
         """The first L (at most ``self.L``) columns, in bool blocks of ``_BLOCK_ROWS`` rows; only read them."""
-        raws = None  # this reader's raw draws, from the first row of the block it is at
         for i, start in enumerate(range(0, self.K, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, self.K - start)
             bits = self.bits.get(i)
             if bits is None:
-                if raws is None:
-                    raws = self._raws(start)
-                block = np.fromiter(raws, dtype=(np.uint64, (self.L,)), count=rows) < _HALF_RAW
+                raws = self._raws(start, start + rows)
+                block = np.fromiter(raws, dtype=(np.uint64, (self.L + 1,)), count=rows)[:, 1:] < _HALF_RAW
                 bits = np.packbits(block)
                 bits.flags.writeable = False
                 self.bits.setdefault(i, bits)
             else:
-                raws = None
                 block = np.unpackbits(bits, count=rows * self.L).view(bool).reshape(rows, self.L)
             yield block[:, :L]
 
-    def _raws(self, start: int) -> Iterator[np.ndarray]:
-        """Each row's ``self.L`` raw draws from row ``start`` on, one seeder handing each ``PCG64`` its row."""
-        seeder = _StateRows(self._words[start:])
-        streams = map(np.random.PCG64, repeat(seeder, self.K - start))
-        return map(methodcaller("random_raw", self.L), streams)
+    def _raws(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Rows ``start`` to ``stop``: each row's pre-state written into this thread's ``PCG64``, then ``self.L + 1`` raws."""
+        words, random_raw, n = _stream.words, _stream.bit_generator.random_raw, self.L + 1
+        for row in self._pre[start:stop, _stream.order]:
+            words[:] = row
+            yield random_raw(n)
 
 
 # the last mask asked for; a sweep over L on one matching at one seed reads
@@ -269,18 +275,68 @@ def _swap_mask(master_seed: int, K: int, L: int) -> _SwapMask:
     return kept
 
 
-class _StateRows(ISeedSequence):
-    """Seed sequence that returns the rows of a precomputed state array in turn.
+class _Stream(threading.local):
+    """Each thread's one ``PCG64`` and a writable view of its state, which each swap row overwrites before its draw.
 
-    ``PCG64`` calls ``generate_state(4, uint64)`` exactly once, when it is
-    built, so the i-th ``PCG64`` built from one instance is seeded by row i.
+    ``words`` views numpy's ``pcg64_random_t`` of the generator, its 128-bit
+    state and increment, as four uint64 words. Each is stored low half first
+    where the C compiler has a native 128-bit integer and high half first
+    where numpy emulates one (MSVC), so ``order`` takes a row
+    ``[state_lo, state_hi, inc_lo, inc_hi]`` to the words in memory; it is
+    read from the generator's ``.state``, which numpy decodes from the
+    same struct. Each thread has its own (made at import for the importing
+    thread, on first use for any other), so no thread writes into a
+    generator another thread is drawing from.
+
+    Raises
+    ------
+    _UnknownStateLayout
+        If the struct is not inside the generator object or holds the
+        known state in neither order.
     """
 
-    def __init__(self, rows: np.ndarray) -> None:
-        self._next_row = iter(rows).__next__
+    def __init__(self) -> None:
+        self.bit_generator = np.random.PCG64(0)
+        # numpy's pcg64_state, whose first field points to the pcg64_random_t
+        struct = ctypes.c_void_p.from_address(self.bit_generator.ctypes.state_address).value
+        start = id(self.bit_generator)  # in CPython, the object's address
+        if struct is None or not start <= struct <= start + type(self.bit_generator).__basicsize__ - 32:
+            raise _UnknownStateLayout("PCG64's state struct is not inside the generator")
+        self.words = np.frombuffer((ctypes.c_uint64 * 4).from_address(struct), dtype=np.uint64)
+        known = self.bit_generator.state["state"]
+        halves = [known["state"] & _U64, known["state"] >> 64, known["inc"] & _U64, known["inc"] >> 64]
+        for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+            if self.words.tolist() == [halves[i] for i in order]:
+                self.order = order
+                return
+        raise _UnknownStateLayout("PCG64's state words are in neither 128-bit layout")
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._next_row()
+
+# made here for the importing thread: made during its first test, its
+# long-lived objects landed amid that test's heap and raised the peak RSS of
+# a power study by about 0.3 MB
+_stream = _Stream()
+
+
+def _pre_states(words: np.ndarray) -> np.ndarray:
+    """Row k is the ``PCG64`` state and increment one step before those seeded by ``words[k]``.
+
+    numpy's ``pcg64_set_seed`` reads a row of seed words as ``[initstate_hi,
+    initstate_lo, initseq_hi, initseq_lo]``, sets ``inc = (initseq << 1) | 1``
+    and then the state ``(initstate + inc) * mult + inc`` mod 2**128, one
+    step of the generator from ``initstate + inc``. That pre-state is the
+    one returned, so the step is the first raw of a draw and no 128-bit
+    multiply is needed: each row is ``[state_lo, state_hi, inc_lo,
+    inc_hi]``, the add done in 64-bit halves with a carry.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = words.T
+    one = np.uint64(1)
+    inc_hi = seq_hi << one | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << one | one
+    # uint64 arrays wrap on overflow, so the low half wrapped when it came out smaller
+    lo = init_lo + inc_lo
+    hi = init_hi + inc_hi + (lo < init_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
 
 
 def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:

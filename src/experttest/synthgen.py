@@ -27,7 +27,7 @@ from .core import (
     stream,
 )
 from .engine import TestConfig, TestResult, expert_test_with_matching
-from .matching import greedy_match
+from .matching import TooManyPairs, greedy_match
 
 __all__ = [
     "DegenerateRegression",
@@ -308,8 +308,10 @@ def run_power_curve(
     """Empirical rejection frequency over an (n, delta) grid of expertise worlds.
 
     ``L_rule`` maps each sample size to the number of pairs (for example
-    ``lambda n: n // 8``). Zero-one loss. An empty grid, or an n whose L is
-    below 1, is a ``ValueError`` before the first trial runs.
+    ``lambda n: n // 8``). Zero-one loss. Every n is checked before the
+    first trial runs: an empty grid, an odd n or one below 2, or an n whose
+    L is below 1 is a ``ValueError``, and one whose L exceeds floor(n/2) is
+    :class:`TooManyPairs`, each naming the n.
     """
     if not len(n_values):
         raise ValueError("need at least one n value")
@@ -317,8 +319,12 @@ def run_power_curve(
         raise ValueError("need at least one delta value")
     L_values = [L_rule(n) for n in n_values]
     for n, L in zip(n_values, L_values):
+        if n < 2 or n % 2:
+            raise ValueError(f"n={n}: n must be even and at least 2")
         if L < 1:
             raise ValueError(f"n={n} gives L={L} pairs; L must be at least 1")
+        if L > n // 2:
+            raise TooManyPairs(f"n={n} gives L={L} pairs; L must be at most floor(n/2)={n // 2}")
     cells = []
     for i, (n, L) in enumerate(zip(n_values, L_values)):
         for j, delta in enumerate(delta_values):

@@ -154,21 +154,23 @@ def stacked_swap_mask(master_seed: int, K: int, L: int) -> np.ndarray:
 
 
 def record_swap_streams(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the seed words of every swap stream the engine builds, one entry per row drawn.
+    """Record the seed words of every swap row the engine draws, one entry per row's state written.
 
-    A row read from the kept mask builds no stream, and the words of row k
-    at one seed are unique to (seed, k), so a repeated entry is a row drawn
-    twice.
+    Each row the engine's ``_SwapMask._raws`` yields is recorded as that
+    row's ``SeedSequence`` words, built here from its seed and index. A row
+    read from the kept mask is not drawn, and the words of row k at one
+    seed are unique to (seed, k), so a repeated entry is a row drawn twice.
     """
     built = []
-    generate_state = engine._StateRows.generate_state
+    raws = engine._SwapMask._raws
 
-    def record(self, n_words, dtype=np.uint32):
-        words = generate_state(self, n_words, dtype)
-        built.append(tuple(words.tolist()))
-        return words
+    def record(self, start, stop):
+        for k, row in enumerate(raws(self, start, stop), start):
+            seq = np.random.SeedSequence(self.master_seed % 2**64, spawn_key=(engine._SWAP_STREAM_BASE + k,))
+            built.append(tuple(seq.generate_state(4, np.uint64).tolist()))
+            yield row
 
-    monkeypatch.setattr(engine._StateRows, "generate_state", record)
+    monkeypatch.setattr(engine._SwapMask, "_raws", record)
     return built
 
 

@@ -587,6 +587,26 @@ class TestCliMain:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "n=2 gives L=0 pairs; L must be at least 1"}
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--n-values", "600,201", "--deltas", "0.1,0.3", "--trials", "1000"],
+             {"error": "ValueError", "message": "n=201: n must be even and at least 2"}),
+            (["--n-values", "200,1"],
+             {"error": "ValueError", "message": "n=1: n must be even and at least 2"}),
+            (["--n-values", "200,600", "--pairs-divisor", "1"],
+             {"error": "TooManyPairs", "message": "n=200 gives L=200 pairs; L must be at most floor(n/2)=100"}),
+        ],
+        ids=["odd", "below-2", "too-many-pairs"],
+    )
+    def test_power_checks_every_n_before_the_first_trial(self, capsys, monkeypatch, argv, error):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synthgen, "_trial_results", no_trials)
+        assert main(["power", *argv]) == 1
+        assert json.loads(capsys.readouterr().err) == error
+
     def test_toy_subcommand(self, capsys):
         code = main([
             "toy", "--n", "120", "--trials", "4", "--pairs", "12",

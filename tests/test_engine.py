@@ -1,8 +1,10 @@
+import ctypes
 import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validi
 
 L2 = DistanceMetric.euclidean()
 B = engine._BLOCK_ROWS
+# the LCG multiplier of numpy's PCG64
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def paired_binary_dataset(increase, decrease, neutral=0):
@@ -213,6 +217,77 @@ class TestSwapMasks:
         l = max(1, round(cut * L))
         assert np.array_equal(swap_mask(seed, K, l), stacked_swap_mask(seed, K, l))
 
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        K=st.integers(1, 2 * B + 10),
+        L=st.integers(1, 200),
+    )
+    @example(seed=-1, K=B - 1, L=1)
+    @example(seed=-(2**63), K=B, L=1)
+    @example(seed=2**63, K=B + 1, L=1)
+    @example(seed=2**63 + 5, K=2 * B + 3, L=25)
+    @example(seed=2**64 - 1, K=B + 1, L=150)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_stacked_swap_stream_raws(self, seed, K, L):
+        # each row's raws after the dropped first one are the stream's own,
+        # not only their comparisons with 2**63
+        mask = engine._SwapMask(seed, K, L)
+        raws = np.stack([swap_stream(seed, k).bit_generator.random_raw(L) for k in range(K)])
+        assert np.array_equal(np.stack(list(mask._raws(0, K)))[:, 1:], raws)
+        assert np.array_equal(np.concatenate(list(mask.blocks(L))), raws < 2**63)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            # the low halves' add wraps and carries into the high half
+            [5, 2**64 - 3, 7, 2**62],
+            # initseq_lo's top bit shifts into inc_hi
+            [0, 1, 2**63 + 1, 2**63 + 9],
+            [2**64 - 1] * 4,
+            [0, 0, 0, 0],
+        ],
+        ids=["low-carry", "seq-top-bit", "all-ones", "zeros"],
+    )
+    def test_pre_states_step_to_numpys_seeded_state(self, words):
+        init_hi, init_lo, seq_hi, seq_lo = words
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
+        pre = ((init_hi << 64 | init_lo) + inc) % 2**128
+        want = [pre % 2**64, pre >> 64, inc % 2**64, inc >> 64]
+        got = engine._pre_states(np.array([words], dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == [want]
+
+        # one PCG64 step from the pre-state is the state numpy seeds from the words
+        class Words(np.random.bit_generator.ISeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                return np.array(words, dtype=np.uint64)
+
+        seeded = np.random.PCG64(Words()).state["state"]
+        assert seeded == {"state": (pre * PCG64_MULTIPLIER + inc) % 2**128, "inc": inc}
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [("other-state", "neither 128-bit layout"), ("struct-elsewhere", "not inside the generator")],
+    )
+    def test_unknown_state_layout_raises(self, monkeypatch, layout, message):
+        class OtherState(np.random.PCG64):
+            @property
+            def state(self):
+                state = super().state
+                state["state"]["inc"] ^= 1 << 70
+                return state
+
+        class StructElsewhere(np.random.PCG64):
+            @property
+            def ctypes(self):
+                self.outside = (ctypes.c_uint64 * 4)()
+                self.pointer = ctypes.c_void_p(ctypes.addressof(self.outside))
+                return SimpleNamespace(state_address=ctypes.addressof(self.pointer))
+
+        generator = {"other-state": OtherState, "struct-elsewhere": StructElsewhere}[layout]
+        monkeypatch.setattr(np.random, "PCG64", generator)
+        with pytest.raises(engine._UnknownStateLayout, match=message):
+            engine._Stream()
+
     def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
         # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k < 2**32
         def fail(*args):
@@ -342,6 +417,33 @@ class TestSwapMasks:
         for i in range(readers):
             assert np.array_equal(got[i], want[:, : L - i])
         assert np.array_equal(kept_rows(), want)
+
+    def test_threads_on_two_seeds_read_their_own_streams(self):
+        # each thread writes every row's state into its own generator; a
+        # write into the other thread's would show as a row of the wrong seed
+        K, L, rounds = 5 * B + 3, 40, 4
+        seeds = (13, 14)
+        got = {seed: [] for seed in seeds}
+
+        def read(seed):
+            for _ in range(rounds):
+                got[seed].append(np.concatenate(list(engine._SwapMask(seed, K, L).blocks(L))))
+
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in seeds:
+            want = stacked_swap_mask(seed, K, L)
+            assert len(got[seed]) == rounds
+            assert all(np.array_equal(mask, want) for mask in got[seed])
 
     @pytest.mark.parametrize(
         "K, L, stop",
