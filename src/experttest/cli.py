@@ -27,7 +27,7 @@ from .core import (
     LossSpec,
 )
 from .engine import TestConfig, expert_test_with_matching
-from .matching import greedy_match, pair_distance_summary
+from .matching import _sweep_L_values, greedy_match, pair_distance_summary
 from .synthgen import (
     mse_comparison,
     run_power_curve,
@@ -221,12 +221,6 @@ class Report:
     smoothness_C: float | None
 
 
-def _largest_L(L_values: list[int]) -> int:
-    if not L_values:
-        raise ValueError("need at least one L value")
-    return max(L_values)
-
-
 def _epsilon_note(mismatched: int, bound: ValidityBound | None) -> str:
     if mismatched == 0:
         return "epsilon* = 0 (exact pairs)"
@@ -252,8 +246,8 @@ def run_report(
     bit-identical to a standalone run at that L. When a smoothness constant
     is supplied, every row also carries its validity bounds.
     """
-    L_values = [int(L) for L in L_values]
-    full = greedy_match(d, _largest_L(L_values), metric)
+    L_values = _sweep_L_values(L_values)
+    full = greedy_match(d, max(L_values), metric)
     rows = []
     for L in L_values:
         cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=master_seed)
@@ -506,9 +500,9 @@ def _write_json(path: str | None, doc: dict) -> None:
         fh.write(text + "\n")
 
 
-def _emit_csv(header: list[str], records: list[dict]) -> None:
-    """Write ``records`` to stdout as CSV, one column per header key."""
-    writer = csv.DictWriter(sys.stdout, header, lineterminator="\n")
+def _emit_csv(records: list[dict]) -> None:
+    """Write ``records`` to stdout as CSV, one column per key of the first record, in its order."""
+    writer = csv.DictWriter(sys.stdout, records[0].keys(), lineterminator="\n")
     writer.writeheader()
     writer.writerows(records)
 
@@ -551,14 +545,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_match_stats(args) -> int:
     d = _load_dataset(args)
-    full = greedy_match(d, _largest_L(args.pairs), args.metric)
+    L_values = _sweep_L_values(args.pairs)
+    full = greedy_match(d, max(L_values), args.metric)
     records = []
-    for L in args.pairs:
+    for L in L_values:
         s = pair_distance_summary(full.prefix(L))
         records.append({"L": L, "count": s.count, "zero_count": s.zero_count,
                         "min": s.minimum, "q1": s.q1, "median": s.median,
                         "q3": s.q3, "max": s.maximum})
-    _emit_csv(["L", "count", "zero_count", "min", "q1", "median", "q3", "max"], records)
+    _emit_csv(records)
     _write_json(args.json, {"match_stats": records})
     return 0
 
@@ -568,11 +563,8 @@ def _cmd_toy(args) -> int:
         n=args.n, trials=args.trials, L=args.pairs, K=args.resamples,
         alpha=args.alpha, include_u=args.include_u, master_seed=args.seed,
     )
-    _emit_csv(
-        ["trial", "tau", "rejected"],
-        [{"trial": t, "tau": tau, "rejected": int(tau <= args.alpha)}
-         for t, tau in enumerate(res.taus)],
-    )
+    _emit_csv([{"trial": t, "tau": tau, "rejected": int(rejected)}
+               for t, (tau, rejected) in enumerate(zip(res.taus, res.rejected))])
     print(f"# rejection rate = {res.rejection_rate:.4g} over {res.trials} trials", file=sys.stderr)
     _write_json(args.json, {
         "n": args.n, "L": args.pairs, "K": args.resamples, "alpha": args.alpha,
@@ -596,7 +588,7 @@ def _cmd_power(args) -> int:
             K=args.resamples, alpha=args.alpha, trials=args.trials, master_seed=args.seed,
         )
     records = [dict(asdict(c), rate=c.rate) for c in cells]
-    _emit_csv(["n", "delta", "L", "trials", "rejections", "rate"], records)
+    _emit_csv(records)
     _write_json(args.json, {"cells": records})
     return 0
 
@@ -607,7 +599,7 @@ def _cmd_validity(args) -> int:
         alpha=args.alpha, trials=args.trials, master_seed=args.seed,
     )
     records = [dict(asdict(c), rate=c.rate) for c in cells]
-    _emit_csv(["L", "trials", "rejections", "rate"], records)
+    _emit_csv(records)
     _write_json(args.json, {"n": args.n, "cells": records})
     return 0
 
@@ -616,8 +608,7 @@ def _cmd_mse(args) -> int:
     res = mse_comparison(n=args.n, trials=args.trials, seed=args.seed)
     summaries = {"algorithm_mse": res.algorithm, "human_mse": res.human,
                  "rescaled_human_mse": res.rescaled}
-    _emit_csv(["column", "mean", "two_sd"],
-              [{"column": name, **asdict(s)} for name, s in summaries.items()])
+    _emit_csv([{"column": name, **asdict(s)} for name, s in summaries.items()])
     _write_json(args.json, {"n": res.n, "trials": res.trials,
                             **{name: asdict(s) for name, s in summaries.items()}})
     return 0

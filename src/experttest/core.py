@@ -7,7 +7,7 @@ bit-identical results.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +47,8 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     must be nonnegative. Keying every draw by its path makes results
     reproducible under any execution order of independent work items. The
     engine reserves first path entries >= 2**32 for its resampling streams,
-    so other code should stick to small ones. It builds no generator per
-    stream and does not call this function: it computes each stream's
-    ``PCG64`` state from hashed words and writes it into one generator per
-    thread, but resample k's draws equal ``stream(seed, 2**32 + k)``'s;
-    ``tests/test_engine.py::TestSwapMasks`` checks it.
+    so other code should stick to small ones; the :mod:`experttest.engine`
+    module docstring says how it draws them.
     """
     seq = np.random.SeedSequence(master_seed & _U64, spawn_key=path)
     return np.random.default_rng(seq)
@@ -68,6 +65,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Dataset:
     """An ordered collection of records, stored column-wise.
 
@@ -83,17 +81,25 @@ class Dataset:
     All values must be finite; missing data is rejected at construction,
     never imputed. Arrays are copied and frozen, so a dataset never changes
     after it is built. Which records are binary is decided once, here:
-    :attr:`binary_records` and :meth:`is_binary` read the stored result.
+    ``binary_records`` holds read-only per-record flags, True where the
+    outcome and the prediction are both 0 or 1, and :meth:`is_binary` reads
+    whether all of them are.
     """
 
-    def __init__(self, x, y, y_hat) -> None:
-        x = np.array(x, dtype=np.float64)
+    x: np.ndarray
+    y: np.ndarray
+    y_hat: np.ndarray
+    binary_records: np.ndarray = field(init=False)
+    _all_binary: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        x = np.array(self.x, dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if x.ndim != 2:
             raise ValueError("x must be a 2-d array of shape (n, d)")
-        y = np.array(y, dtype=np.float64)
-        y_hat = np.array(y_hat, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        y_hat = np.array(self.y_hat, dtype=np.float64)
         n = x.shape[0]
         if y.shape != (n,) or y_hat.shape != (n,):
             raise ValueError("x, y and y_hat must agree on the number of records")
@@ -104,35 +110,18 @@ class Dataset:
         if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(y_hat).all()):
             raise ValueError("all values must be finite; missing data is not supported")
         binary = ((y == 0.0) | (y == 1.0)) & ((y_hat == 0.0) | (y_hat == 1.0))
-        for arr in (x, y, y_hat, binary):
+        for name, arr in (("x", x), ("y", y), ("y_hat", y_hat), ("binary_records", binary)):
             arr.flags.writeable = False
-        self._x, self._y, self._y_hat = x, y, y_hat
-        self._binary, self._all_binary = binary, bool(binary.all())
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._y
-
-    @property
-    def y_hat(self) -> np.ndarray:
-        return self._y_hat
-
-    @property
-    def binary_records(self) -> np.ndarray:
-        """Read-only per-record flags: True where the outcome and the prediction are both 0 or 1."""
-        return self._binary
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_all_binary", bool(binary.all()))
 
     @property
     def n(self) -> int:
-        return self._x.shape[0]
+        return self.x.shape[0]
 
     @property
     def d(self) -> int:
-        return self._x.shape[1]
+        return self.x.shape[1]
 
     def __len__(self) -> int:
         return self.n
@@ -141,9 +130,9 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            np.array_equal(self._x, other._x)
-            and np.array_equal(self._y, other._y)
-            and np.array_equal(self._y_hat, other._y_hat)
+            np.array_equal(self.x, other.x)
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.y_hat, other.y_hat)
         )
 
     def __repr__(self) -> str:
@@ -267,30 +256,30 @@ def dataset_loss(d: Dataset, loss: LossSpec) -> float:
 class DistanceMetric:
     """Distance over feature vectors used to decide which records may be paired.
 
-    ``euclidean`` is the plain l2 distance; ``weighted_euclidean`` scales each
-    squared coordinate difference by a finite nonnegative weight (zero weights
-    ablate features entirely).
+    Without ``weights`` it is the plain l2 distance (:meth:`euclidean`); with
+    them (:meth:`weighted_euclidean`) each squared coordinate difference is
+    scaled by a finite nonnegative weight, and zero weights ablate features
+    entirely.
     """
 
-    variant: str
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("euclidean", "weighted_euclidean"):
-            raise ValueError(f"unknown metric variant: {self.variant!r}")
-        if self.variant == "weighted_euclidean":
-            if self.weights is None or len(self.weights) == 0:
+        if self.weights is not None:
+            weights = tuple(float(w) for w in self.weights)
+            if not weights:
                 raise ValueError("weighted_euclidean needs a weight vector")
-            if not all(0.0 <= w < np.inf for w in self.weights):
+            if not all(0.0 <= w < np.inf for w in weights):
                 raise ValueError("metric weights must be finite and nonnegative")
+            object.__setattr__(self, "weights", weights)
 
     @classmethod
     def euclidean(cls) -> "DistanceMetric":
-        return cls("euclidean")
+        return cls()
 
     @classmethod
     def weighted_euclidean(cls, weights: Sequence[float]) -> "DistanceMetric":
-        return cls("weighted_euclidean", tuple(float(w) for w in weights))
+        return cls(weights)
 
     def _scaled(self, x: np.ndarray) -> np.ndarray:
         """Rows of ``x`` scaled so that this metric is plain euclidean on them.
@@ -312,9 +301,9 @@ class DistanceMetric:
         return float(row_distances(rows, 0, 1))
 
     def describe(self) -> str:
-        if self.weights is not None:
-            return "weighted_euclidean(" + ",".join(f"{w:g}" for w in self.weights) + ")"
-        return self.variant
+        if self.weights is None:
+            return "euclidean"
+        return "weighted_euclidean(" + ",".join(f"{w:g}" for w in self.weights) + ")"
 
 
 def row_distances(x: np.ndarray, ii, jj) -> np.ndarray:

@@ -214,6 +214,19 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     return Matching(np.concatenate(pairs), np.concatenate(dists))
 
 
+def _sweep_L_values(L_values) -> list[int]:
+    """A sweep's L values as ints, in the order given; ``ValueError`` if there is none.
+
+    :func:`greedy_match` checks the largest, and ``TestConfig`` every one.
+    Package-internal, not unused: ``cli`` (``report``, ``match-stats``) and
+    ``synthgen`` (the runners' sweeps) call it, so rename it with them.
+    """
+    L_values = [int(L) for L in L_values]
+    if not L_values:
+        raise ValueError("need at least one L value")
+    return L_values
+
+
 def _identical_pairs(x: np.ndarray) -> np.ndarray:
     """The distance-0 pairs greedy takes first, as a (k, 2) index array.
 

@@ -27,7 +27,7 @@ from .core import (
     stream,
 )
 from .engine import TestConfig, TestResult, expert_test_with_matching
-from .matching import TooManyPairs, greedy_match
+from .matching import TooManyPairs, _sweep_L_values, greedy_match
 
 __all__ = [
     "DegenerateRegression",
@@ -72,7 +72,7 @@ class ToyExampleConfig:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise ValueError(f"n={self.n}: n must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ class ExpertiseConfig:
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
-            raise ValueError("n must be even and at least 2")
+            raise ValueError(f"n={self.n}: n must be even and at least 2")
         if not 0.0 <= self.delta <= 0.5:
-            raise ValueError("delta must lie in [0, 1/2]")
+            raise ValueError(f"delta={self.delta}: delta must lie in [0, 1/2]")
 
 
 def gen_toy(cfg: ToyExampleConfig) -> Dataset:
@@ -135,7 +135,7 @@ def gen_validity_cube(n: int, seed: int) -> Dataset:
     independent given x but no two feature vectors ever coincide.
     """
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError(f"n={n}: n must be at least 2")
     rng = stream(seed)
     x = rng.uniform(0.0, 10.0, (n, 3))
     e1 = rng.standard_normal(n)
@@ -228,10 +228,10 @@ def mse_comparison(n: int, trials: int, seed: int) -> MseComparison:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Per-trial taus of a repeated test run."""
+    """Per-trial taus and the engine's per-trial verdicts of a repeated test run."""
 
     taus: tuple[float, ...]
-    alpha: float
+    rejected: tuple[bool, ...]
 
     @property
     def trials(self) -> int:
@@ -239,7 +239,7 @@ class StudyResult:
 
     @property
     def rejections(self) -> int:
-        return sum(1 for t in self.taus if t <= self.alpha)
+        return sum(self.rejected)
 
     @property
     def rejection_rate(self) -> float:
@@ -293,7 +293,7 @@ def run_toy_study(
         lambda seed: gen_toy(ToyExampleConfig(n=n, seed=seed, include_u_in_features=include_u)),
         [L], K, alpha, LossSpec.squared_error(), trials, master_seed, _TOY, verdict_only=False,
     )
-    return StudyResult(tuple(r.tau for (r,) in results), alpha)
+    return StudyResult(tuple(r.tau for (r,) in results), tuple(r.rejected for (r,) in results))
 
 
 def run_power_curve(
@@ -308,10 +308,11 @@ def run_power_curve(
     """Empirical rejection frequency over an (n, delta) grid of expertise worlds.
 
     ``L_rule`` maps each sample size to the number of pairs (for example
-    ``lambda n: n // 8``). Zero-one loss. Every n is checked before the
-    first trial runs: an empty grid, an odd n or one below 2, or an n whose
-    L is below 1 is a ``ValueError``, and one whose L exceeds floor(n/2) is
-    :class:`TooManyPairs`, each naming the n.
+    ``lambda n: n // 8``). Zero-one loss. Every cell is checked before the
+    first trial runs: an empty grid, a cell whose :class:`ExpertiseConfig`
+    rejects its n or delta, or an n whose L is below 1 is a ``ValueError``,
+    and one whose L exceeds floor(n/2) is :class:`TooManyPairs`, each naming
+    the bad value.
     """
     if not len(n_values):
         raise ValueError("need at least one n value")
@@ -319,8 +320,8 @@ def run_power_curve(
         raise ValueError("need at least one delta value")
     L_values = [L_rule(n) for n in n_values]
     for n, L in zip(n_values, L_values):
-        if n < 2 or n % 2:
-            raise ValueError(f"n={n}: n must be even and at least 2")
+        for delta in delta_values:
+            ExpertiseConfig(n=n, delta=delta, seed=master_seed)  # names a bad n or delta
         if L < 1:
             raise ValueError(f"n={n} gives L={L} pairs; L must be at least 1")
         if L > n // 2:
@@ -412,9 +413,7 @@ def _trial_results(
     matching depends on the features alone, so a trial whose features equal
     the previous trial's reuses its matching. Euclidean metric.
     """
-    L_values = [int(L) for L in L_values]
-    if not L_values:
-        raise ValueError("need at least one L value")
+    L_values = _sweep_L_values(L_values)
     if trials < 1:
         raise ValueError("need at least one trial")
     metric = DistanceMetric.euclidean()

@@ -524,6 +524,26 @@ class TestCliMain:
         assert rows == [{k: str(v) for k, v in r.items()} for r in want]
         assert len(rows) > 1
 
+    @pytest.mark.parametrize("argv, header", [
+        (["power", "--n-values", "40", "--deltas", "0.2", "--trials", "2", "--resamples", "10"],
+         "n,delta,L,trials,rejections,rate"),
+        (["power", "--l-values", "5,10", "--n", "40", "--trials", "2", "--resamples", "10"],
+         "n,delta,L,trials,rejections,rate"),
+        (["validity", "--n", "40", "--l-values", "10", "--trials", "2", "--resamples", "10"],
+         "L,trials,rejections,rate"),
+        (["toy", "--n", "40", "--trials", "2", "--pairs", "5", "--resamples", "10"],
+         "trial,tau,rejected"),
+        (["mse", "--n", "20", "--trials", "2"], "column,mean,two_sd"),
+        (["match-stats", "{csv}", "--features", "c0,c1", "--outcome", "outcome",
+          "--prediction", "admitted", "--pairs", "10"],
+         "L,count,zero_count,min,q1,median,q3,max"),
+    ], ids=["power-grid", "power-sweep", "validity", "toy", "mse", "match-stats"])
+    def test_study_csv_header(self, tmp_path, capsys, argv, header):
+        # the columns come from the records' keys, so pin them here
+        p, _ = clinical_format_fixture(tmp_path)
+        assert main([a.format(csv=p) for a in argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header
+
     def test_mse_subcommand(self, capsys):
         assert main(["mse", "--n", "200", "--trials", "10", "--seed", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -596,8 +616,10 @@ class TestCliMain:
              {"error": "ValueError", "message": "n=1: n must be even and at least 2"}),
             (["--n-values", "200,600", "--pairs-divisor", "1"],
              {"error": "TooManyPairs", "message": "n=200 gives L=200 pairs; L must be at most floor(n/2)=100"}),
+            (["--n-values", "200,600", "--deltas", "0.1,0.7"],
+             {"error": "ValueError", "message": "delta=0.7: delta must lie in [0, 1/2]"}),
         ],
-        ids=["odd", "below-2", "too-many-pairs"],
+        ids=["odd", "below-2", "too-many-pairs", "bad-delta"],
     )
     def test_power_checks_every_n_before_the_first_trial(self, capsys, monkeypatch, argv, error):
         def no_trials(*args, **kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from _oracles import pairwise_condensed
@@ -104,6 +106,8 @@ class TestDataset:
         d = Dataset([[0.0], [1.0]], [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             d.y_hat[0] = 5.0
+        with pytest.raises(AttributeError):
+            d.y_hat = np.zeros(2)
 
     def test_is_binary(self):
         assert binary_dataset([0, 1], [1, 0]).is_binary()
@@ -152,6 +156,17 @@ class TestDistanceMetric:
         # a NaN weight used to yield NaN distances
         with pytest.raises(ValueError):
             DistanceMetric.weighted_euclidean([weight])
+
+    @pytest.mark.parametrize("weights", [(-1.0,), (math.inf,), ()], ids=["negative", "inf", "empty"])
+    def test_weights_checked_whenever_given(self, weights):
+        with pytest.raises(ValueError):
+            DistanceMetric(weights=weights)
+
+    def test_weights_alone_decide_the_metric(self):
+        assert DistanceMetric.euclidean() == DistanceMetric()
+        assert DistanceMetric.euclidean().describe() == "euclidean"
+        assert DistanceMetric(weights=(4.0,)) == DistanceMetric.weighted_euclidean([4.0])
+        assert DistanceMetric.weighted_euclidean([4, 0.5]).describe() == "weighted_euclidean(4,0.5)"
 
     def test_weight_dimension_checked(self):
         metric = DistanceMetric.weighted_euclidean([1.0, 1.0])

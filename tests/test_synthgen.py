@@ -80,17 +80,28 @@ class TestGenExpertisePairs:
             assert m.mismatch_count == 0
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ExpertiseConfig(n=11, delta=0.1, seed=0)
+        assert str(exc.value) == "n=11: n must be even and at least 2"
 
     def test_delta_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ExpertiseConfig(n=10, delta=0.6, seed=0)
+        assert str(exc.value) == "delta=0.6: delta must lie in [0, 1/2]"
 
 
 class TestGenValidityCube:
     def test_deterministic(self):
         assert gen_validity_cube(100, 9) == gen_validity_cube(100, 9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_validity_cube(1, 0),
+        lambda: ToyExampleConfig(n=1, seed=0),
+    ], ids=["cube", "toy"])
+    def test_n_below_two_named(self, make):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == "n=1: n must be at least 2"
 
     def test_dimension_and_outcome_variance(self):
         ds = gen_validity_cube(100_000, 17)
@@ -257,6 +268,7 @@ class TestRunnerSeedLayout:
                 for t in range(5)
             ]
             assert res.taus == tuple(r.tau for r in expected)
+            assert res.rejected == tuple(r.rejected for r in expected)
             assert res.rejections == sum(r.rejected for r in expected)
 
     def test_power_curve(self):
