@@ -7,7 +7,9 @@ Run from the root of a source checkout::
 The file name does not match ``test_*.py``, so a plain ``pytest`` run of the
 test suite does not collect it. The inputs mirror the workloads of
 ``perfbench/``: a 4000-row CSV of recorded binary decisions (two integer
-features, two lab values to one decimal place, with duplicate records), the
+features, two lab values to one decimal place, with duplicate records),
+read once as written and once with every cell quoted, which numpy's reader
+leaves to the cell-by-cell one, the
 validity cube at n = 500, and one test at a ``power`` shape (n = 600,
 L = 75, K = 1000, zero-one loss), at a ``validity`` shape (n = 500,
 L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
@@ -46,12 +48,13 @@ the audit features and loses elsewhere: the validity cube at n = 32 000
 where a radius grows the candidate count fastest.
 """
 
+import csv
 from itertools import count
 
 import numpy as np
 import pytest
 
-from experttest import engine
+from experttest import cli, engine
 from experttest.cli import ColumnSpec, load_csv, normalize_features, write_csv
 from experttest.core import Dataset, DistanceMetric, LossSpec
 from experttest.engine import TestConfig, expert_test_with_matching
@@ -60,6 +63,7 @@ from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validi
 
 AUDIT_N = 4000
 SPEC = ColumnSpec(("age", "visits", "hgb", "creatinine"), "outcome", "decision")
+NAMES = (*SPEC.feature_columns, SPEC.outcome_column, SPEC.prediction_column)
 L2 = DistanceMetric.euclidean()
 
 
@@ -85,8 +89,26 @@ def audit_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def audit_csv_quoted(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "audit_quoted.csv"
+    d = audit_like()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(NAMES)
+        writer.writerows(np.column_stack([d.x, d.y, d.y_hat]).tolist())
+    return str(path)
+
+
 def test_load_csv_audit(benchmark, audit_csv):
     d = benchmark(load_csv, audit_csv, SPEC)
+    assert d == audit_like()
+
+
+def test_load_csv_audit_quoted(benchmark, audit_csv_quoted):
+    # quotes keep a file from numpy's reader: this times the cell-by-cell one
+    assert cli._bulk_cells(audit_csv_quoted, NAMES) is None
+    d = benchmark(load_csv, audit_csv_quoted, SPEC)
     assert d == audit_like()
 
 

@@ -10,11 +10,16 @@ Each tree is a source checkout holding ``src/experttest``. Every command in
 the tree's ``src``. Both trees read the same inputs, which this script
 writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
-duplicate records) and a validity cube rounded to one decimal place. A run
-differs when its exit code, stdout, stderr or ``--json`` file differs
-between the trees. Each differing run is listed, with both sides' stderr
-when that is what differs, and the exit code is 1 if any run differs. A
-change that keeps every output lists none.
+duplicate records), a validity cube rounded to one decimal place, and six
+unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
+after a byte-order mark; quoted, padded and ``7_4``-style cells; a blank
+line; a short row; a ``nan`` cell; and a 200 000-character field in an
+unselected column. The last four exit 1, so a change to the CSV reader is
+compared on its error messages too. A run differs when its exit code,
+stdout, stderr or ``--json`` file differs between the trees. Each differing
+run is listed, with both sides' stderr when that is what differs, and the
+exit code is 1 if any run differs. A change that keeps every output lists
+none.
 """
 
 import argparse
@@ -38,12 +43,16 @@ COMMANDS = {
     "report-weighted": [*REPORT, "--loss", "weighted:fp=0.3,fn=0.5"],
     "report-weighted-free": [*REPORT, "--loss", "weighted:fp=0,fn=0"],
     "report-weighted-metric": [*REPORT, "--metric", "weighted:1,0.5,2,0"],
+    "report-bad-L": ["report", *AUDIT, "--pairs", "500,0", "--resamples", "300"],
     "report-cube-squared": ["report", "{cube}", "--features", "x1,x2,x3", "--outcome", "y",
                             "--prediction", "y_hat", "--pairs", "150,40", "--resamples", "200",
                             "--loss", "squared", "--seed", "{seed}"],
     "test": ["test", *AUDIT, "--pairs", "400", "--resamples", "300", "--smoothness-C", "1.0",
              "--seed", "{seed}"],
     "match-stats": ["match-stats", *AUDIT, "--pairs", "50,400,200"],
+    **{f"test-{name}": ["test", "{%s}" % name, *AUDIT[1:], "--pairs", "100", "--resamples", "200",
+                        "--seed", "{seed}"]
+       for name in ("crlf_bom", "quoted", "blank_line", "short_row", "nan_cell", "long_field")},
     "power-grid": ["power", "--n-values", "200,600", "--deltas", "0,0.1,0.3", *SAMPLED],
     "power-sweep": ["power", "--l-values", "20,80,40", "--n", "400", "--delta", "0.2", *SAMPLED],
     "power-bad-delta": ["power", "--n-values", "200,600", "--deltas", "0.1,0.7", *SAMPLED],
@@ -67,8 +76,14 @@ def write_inputs(folder: Path) -> dict:
     decision = (signal + 0.5 * rng.standard_normal(n) > 0).astype(int)
     rows = np.column_stack([age, visits, hgb, creatinine, outcome, decision])
     rows[n // 2:n // 2 + 200] = rows[:200]  # duplicate records pair at distance 0
+    header = ["age", "visits", "hgb", "creatinine", "outcome", "decision"]
     audit = folder / "audit.csv"
-    _write_csv(audit, ["age", "visits", "hgb", "creatinine", "outcome", "decision"], rows)
+    _write_csv(audit, header, rows)
+    paths = {"audit": str(audit)}
+    for name, text in _unusual_csvs(header, rows[:400]).items():
+        path = folder / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        paths[name] = str(path)
 
     x = np.round(rng.uniform(0.0, 10.0, (400, 3)), 1)
     s = x.sum(axis=1)
@@ -76,12 +91,37 @@ def write_inputs(folder: Path) -> dict:
     y_hat = np.round(s + rng.standard_normal(400), 1)
     cube = folder / "cube.csv"
     _write_csv(cube, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, y, y_hat]))
-    return {"audit": str(audit), "cube": str(cube)}
+    return {**paths, "cube": str(cube)}
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(_lines(header, rows)) + "\n", encoding="utf-8")
+
+
+def _lines(header: list[str], rows: np.ndarray) -> list[str]:
+    return [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+
+
+def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
+    """CSV texts of the same records that a reader may take otherwise than a plain file."""
+    lines = _lines(header, rows)
+    # the age as "7_4", the visit count quoted, the lab values padded
+    odd = [",".join(header)] + [
+        f'{int(a) // 10}_{int(a) % 10},"{v!r}", {h!r}\t,\u3000{c!r},{o!r},{d!r}'
+        for a, v, h, c, o, d in rows.tolist()
+    ]
+    nan_cell = lines.copy()
+    nan_cell[90] = ",".join(nan_cell[90].split(",")[:3] + ["nan"] + nan_cell[90].split(",")[4:])
+    long_field = [lines[0] + ",note"] + [line + ",ok" for line in lines[1:]]
+    long_field[120] = long_field[120][:-2] + "x" * 200_000
+    return {
+        "crlf_bom": "\ufeff" + "\r\n".join(lines) + "\r\n",
+        "quoted": "\n".join(odd) + "\n",
+        "blank_line": "\n".join(lines[:200] + [""] + lines[200:]) + "\n",
+        "short_row": "\n".join(lines[:150] + [lines[150].rsplit(",", 2)[0]] + lines[151:]) + "\n",
+        "nan_cell": "\n".join(nan_cell) + "\n",
+        "long_field": "\n".join(long_field) + "\n",
+    }
 
 
 def run(tree: str, argv: list[str], json_path: Path) -> tuple:

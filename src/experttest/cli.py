@@ -13,9 +13,8 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -103,27 +102,62 @@ class ColumnSpec:
 def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     """Read a UTF-8 CSV with header into a dataset, preserving row order.
 
-    A leading byte-order mark is dropped. Every selected cell is read with
-    Python's ``float``. The rows are streamed once and converted in bulk;
-    only a file with a bad cell is read again, cell by cell, to name it.
-    Raises :class:`MissingColumn`, :class:`DuplicateColumn`,
+    A leading byte-order mark is dropped, and every selected cell is read as
+    Python's ``float`` reads it. numpy's C reader parses the selected columns
+    of a plain file in one pass: a file with no ``"``, no ``\\r`` outside
+    ``\\r\\n``, none of the ASCII separators ``\\x1c`` to ``\\x1f`` and no
+    line longer than ``csv.field_size_limit()``, in which that reader takes
+    every selected cell as a finite number and gives one row per line after
+    the header. Every other file is read again, cell by cell, with ``csv``
+    and ``float``. Both readers give the same values bit for bit and raise
+    the same errors: :class:`MissingColumn`, :class:`DuplicateColumn`,
     :class:`NonNumericCell`, :class:`MalformedCsv` (row numbers are 1-based
     data rows) or :class:`EmptyFile`.
     """
     names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        pick = itemgetter(*_selected_columns(reader, path, names))
-        cells = chain.from_iterable(map(pick, reader))
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64)
-        except (ValueError, IndexError, csv.Error):
-            values = None
-    if values is None or not np.isfinite(values).all():
+    values = _bulk_cells(path, names)
+    if values is None:
         values = _checked_cells(path, names)
-    values = values.reshape(-1, len(names))
     k = len(spec.feature_columns)
     return Dataset(values[:, :k], values[:, k], values[:, k + 1])
+
+
+# bytes that keep a file from numpy's reader: a quote, behind which csv may hide
+# a delimiter or a line end, and the four ASCII separators, which numpy's float
+# parser strips around a number as spaces and Python's float does not
+_NOT_FOR_NUMPY = b'"\x1c\x1d\x1e\x1f'
+
+
+def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
+    """The selected cells as an (n, len(names)) array by numpy's reader, or None for a file
+    that ``csv`` and ``float`` might read otherwise."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    limit = csv.field_size_limit()
+    if (any(byte in raw for byte in _NOT_FOR_NUMPY) or raw.count(b"\r") != raw.count(b"\r\n")
+            or len(raw) > limit and _longest_line(raw) > limit):
+        return None
+    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))  # the header's included
+    del raw
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        columns = _selected_columns(csv.reader(fh), path, names)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                values = np.loadtxt(fh, dtype=np.float64, delimiter=",", usecols=columns,
+                                    comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    # loadtxt skips blank lines, which are bad rows to csv
+    if len(values) != lines - 1 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _longest_line(raw: bytes) -> int:
+    """The length in bytes of the longest line, counting any ``\\r`` before its ``\\n``."""
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=len(raw)).max()) - 1
 
 
 def _selected_columns(reader, path: str, names: tuple[str, ...]) -> list[int]:
@@ -143,7 +177,10 @@ def _selected_columns(reader, path: str, names: tuple[str, ...]) -> list[int]:
 
 
 def _checked_cells(path: str, names: tuple[str, ...]) -> np.ndarray:
-    """The selected cells row by row; the first bad cell or unparsable row raises."""
+    """The selected cells as an (n, len(names)) array, read row by row.
+
+    The first bad cell or unparsable row raises.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         columns = _selected_columns(reader, path, names)
@@ -161,7 +198,7 @@ def _checked_cells(path: str, names: tuple[str, ...]) -> np.ndarray:
                     values.append(value)
         except csv.Error as exc:
             raise MalformedCsv(f"{path}: row {row_no + 1}: {exc}") from None
-    return np.array(values)
+    return np.array(values).reshape(-1, len(names))
 
 
 def write_csv(d: Dataset, path: str, spec: ColumnSpec) -> None:

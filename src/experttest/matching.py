@@ -215,15 +215,19 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
 
 
 def _sweep_L_values(L_values) -> list[int]:
-    """A sweep's L values as ints, in the order given; ``ValueError`` if there is none.
+    """A sweep's L values as ints, in the order given, each checked before any matching.
 
-    :func:`greedy_match` checks the largest, and ``TestConfig`` every one.
-    Package-internal, not unused: ``cli`` (``report``, ``match-stats``) and
-    ``synthgen`` (the runners' sweeps) call it, so rename it with them.
+    ``ValueError`` if there is none or one is below 1, naming that value.
+    :func:`greedy_match` checks the largest against n. Package-internal, not
+    unused: ``cli`` (``test``, ``report``, ``match-stats``) and ``synthgen``
+    (the runners' sweeps) call it, so rename it with them.
     """
     L_values = [int(L) for L in L_values]
     if not L_values:
         raise ValueError("need at least one L value")
+    for L in L_values:
+        if L < 1:
+            raise ValueError(f"L={L}: L must be at least 1")
     return L_values
 
 

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from _oracles import record_swap_streams
 
 from experttest import cli, engine, synthgen
@@ -46,6 +49,73 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def write_rows(path, header, rows):
     path.write_text("\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n")
+
+
+def read_outcome(path, spec=SPEC):
+    """What ``load_csv`` gives: the values' shape and bytes, or the error's type and message."""
+    try:
+        d = load_csv(str(path), spec)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return d.x.shape, d.x.tobytes(), d.y.tobytes(), d.y_hat.tobytes()
+
+
+def cell_by_cell_outcome(path, spec=SPEC):
+    """``read_outcome`` with numpy's reader switched off, so every file goes cell by cell."""
+    with mock.patch.object(cli, "_bulk_cells", lambda *args: None):
+        return read_outcome(path, spec)
+
+
+def numpy_outcome(path, spec=SPEC):
+    """``read_outcome`` with the cell-by-cell reader switched off: numpy's reader or an error."""
+    def no_second_read(*args):
+        raise AssertionError("read cell by cell")
+
+    with mock.patch.object(cli, "_checked_cells", no_second_read):
+        return read_outcome(path, spec)
+
+
+# cells that Python's float and numpy's reader might read differently
+NUMBERS = st.sampled_from([
+    "0", "7", "-2", "+15", "2.5", "-0.125", ".5", "3.", "1e5", "1E-3", "-2.5e+2", "007", "-0.0",
+    "0.1", "1e-320", "123456789012345678901",
+])
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u00a0",
+                          "\u3000", "\u2028"])
+PLAIN_CELLS = st.one_of(NUMBERS, st.tuples(PADDING, NUMBERS, PADDING).map("".join))
+ODD_CELLS = st.sampled_from([
+    "1_000", "1__0", "_1", "nan", "-nan", "inf", "+Infinity", "1e400", "-1e-400", "1d3",
+    "\u0661\u0662", "\u0664.5", "", "#", "#1", "1#", '"2.5"', '"1,5"', '""', "0x1p3",
+    "1\x000", "\ufeff1", ".", "e5", "-", "1e", "1.2.3",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text whose header holds SPEC's columns and maybe an ``id``, in any order.
+
+    Half the files are plain: numbers, padded or not, in full or long rows
+    with LF or CRLF line ends. The others mix in odd cells, ragged rows, bare
+    CRs and trailing blank lines.
+    """
+    header = draw(st.permutations(draw(st.sampled_from([["f1", "f2", "y", "yhat"],
+                                                        ["f1", "f2", "y", "yhat", "id"]]))))
+    width = len(header)
+    if draw(st.booleans()):
+        row = st.lists(PLAIN_CELLS, min_size=width, max_size=width + 1)
+        eol, tails = st.sampled_from(["\n", "\r\n"]), [""]
+    else:
+        cells = st.one_of(PLAIN_CELLS, ODD_CELLS)
+        row = st.one_of(st.lists(cells, min_size=width, max_size=width),
+                        st.lists(cells, max_size=width + 1))  # ragged: short or long
+        eol, tails = st.sampled_from(["\n", "\n", "\r\n", "\r"]), ["", "\n", "\n\n", "\r\n", " \n"]
+    rows = draw(st.lists(row, max_size=5))
+    lines = [",".join(header), *map(",".join, rows)]
+    text = "".join(line + draw(eol) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    text += draw(st.sampled_from(tails))  # trailing blank lines
+    return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
 class TestLoadCsv:
@@ -154,6 +224,75 @@ class TestLoadCsv:
     def test_column_roles_disjoint(self):
         with pytest.raises(ValueError):
             ColumnSpec(("y",), "y", "yhat")
+
+    # each catch that keeps a file from numpy's reader: it raises, or warns on a
+    # header-only file, or skips a blank line, or reads a non-finite value; a
+    # quote could hide a delimiter or a line end, a bare CR ends a csv row, csv
+    # refuses a field over its size limit, and numpy strips \x1c to \x1f around
+    # a number where Python's float does not
+    @given(text=csv_texts())
+    @example(text="f1,f2,y,yhat\n1,2,1_000,4\n5,6,7,8\n")
+    @example(text="f1,f2,y,yhat\n1,2,x,4\n5,6,7,8\n")
+    @example(text="f1,f2,y,yhat\n")
+    @example(text="f1,f2,y,yhat")
+    @example(text="f1,f2,y,yhat\n1,2,3,4\n\n5,6,7,8\n")
+    @example(text="f1,f2,y,yhat\n1,2,3,4\n\n")
+    @example(text="f1,f2,y,yhat\n1,2,nan,4\n5,6,7,8\n")
+    @example(text="f1,f2,y,yhat\n1,2,3,1e400\n5,6,7,8\n")
+    @example(text='id,note,f1,f2,y,yhat\n"a,b",1,2,3,4,5\n"c,d",6,7,8,9,10\n')
+    @example(text='f1,f2,y,yhat,id\n1,2,3,4,"x\n5,6,7,8,"\n9,9,9,9,z\n')
+    @example(text="f1,f2,y,yhat\r1,2,3,4\r5,6,7,8\r")
+    @example(text="f1,f2,y,yhat\n1,2,3,4\r5,6,7,8\n\n")
+    @example(text="f1,f2,y,yhat,id\n1,2,3,4," + "x" * 200_000 + "\n5,6,7,8,x\n")
+    @example(text="f1,f2,y,yhat\n1,2,3,\x1c4\n5,6,7,8\n")
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_read_equals_cell_by_cell_read(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "differential.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert read_outcome(p) == cell_by_cell_outcome(p)
+
+    @pytest.mark.parametrize("text", [
+        "f1,f2,y,yhat\n1,2,1_000,4\n5,6,7,8\n",
+        "f1,f2,y,yhat\n",
+        "f1,f2,y,yhat\n1,2,3,4\n\n5,6,7,8\n",
+        "f1,f2,y,yhat\n1,2,3,1e400\n5,6,7,8\n",
+        'id,note,f1,f2,y,yhat\n"a,b",1,2,3,4,5\n"c,d",6,7,8,9,10\n',
+        'f1,f2,y,yhat,id\n1,2,3,4,"x\n5,6,7,8,"\n9,9,9,9,z\n',
+        "f1,f2,y,yhat\n1,2,3,4\r5,6,7,8\n\n",
+        "f1,f2,y,yhat,id\n1,2,3,4," + "x" * 200_000 + "\n5,6,7,8,x\n",
+        "f1,f2,y,yhat\n1,2,3,\x1c4\n5,6,7,8\n",
+    ], ids=["raises", "warns", "blank_line", "non_finite", "quoted_delimiter", "quoted_line_end",
+            "bare_cr", "long_line", "separator"])
+    def test_catches_leave_numpys_reader(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text, newline="")
+        assert numpy_outcome(p) == ("AssertionError", "read cell by cell")
+
+    @pytest.mark.parametrize("text", [
+        "f1,f2,y,yhat\n1,2,3,4\n5,6,7,8",
+        "\ufefff1,f2,y,yhat\r\n 1,2\t,\u30003,-0\r\n5,6,7,8\r\n",
+        "f1,f2,y,yhat,id\n1,2,3,4\n5,6,7,8,x,y\n",
+    ], ids=["no_final_line_end", "bom_crlf_padded", "long_rows"])
+    def test_plain_files_take_numpys_reader(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text, newline="")
+        assert numpy_outcome(p) == cell_by_cell_outcome(p)
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8,
+                           max_size=40).map(lambda v: v[: len(v) // 4 * 4]))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_of_repr_floats(self, tmp_path_factory, values):
+        a = np.array(values).reshape(-1, 4)
+        d = Dataset(a[:, :2], a[:, 2], a[:, 3])
+        p = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_csv(d, str(p), SPEC)
+        assert numpy_outcome(p) == (d.x.shape, d.x.tobytes(), d.y.tobytes(), d.y_hat.tobytes())
+
+    def test_spec_order_differs_from_header_order(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_rows(p, ["yhat", "f2", "id", "y", "f1"], [[1, 2, 9, 0, 3.5], [0, 4, 8, 1, -1]])
+        d = Dataset([[3.5, 2.0], [-1.0, 4.0]], [0.0, 1.0], [1.0, 0.0])
+        assert numpy_outcome(p) == (d.x.shape, d.x.tobytes(), d.y.tobytes(), d.y_hat.tobytes())
 
 
 class TestNormalizeFeatures:
@@ -628,6 +767,29 @@ class TestCliMain:
         monkeypatch.setattr(synthgen, "_trial_results", no_trials)
         assert main(["power", *argv]) == 1
         assert json.loads(capsys.readouterr().err) == error
+
+    @pytest.mark.parametrize("module, argv, L", [
+        (cli, ["report", "--pairs", "100,0"], 0),
+        (cli, ["report", "--pairs", "5,-3,2"], -3),
+        (cli, ["test", "--pairs", "0"], 0),
+        (cli, ["match-stats", "--pairs", "10,0"], 0),
+        (synthgen, ["power", "--l-values", "20,0", "--n", "200"], 0),
+        (synthgen, ["validity", "--n", "200", "--l-values", "10,-1"], -1),
+        (synthgen, ["toy", "--n", "100", "--pairs", "0"], 0),
+    ], ids=["report", "report-negative", "test", "match-stats", "power-sweep", "validity", "toy"])
+    def test_every_L_is_checked_before_any_matching(self, tmp_path, capsys, monkeypatch,
+                                                    module, argv, L):
+        def no_matching(*args, **kwargs):
+            raise AssertionError("matching ran")
+
+        monkeypatch.setattr(module, "greedy_match", no_matching)
+        if module is cli:
+            p, names = clinical_format_fixture(tmp_path)
+            argv[1:1] = [str(p), "--features", ",".join(names), "--outcome", "outcome",
+                         "--prediction", "admitted"]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"L={L}: L must be at least 1"}
 
     def test_toy_subcommand(self, capsys):
         code = main([
