@@ -210,7 +210,7 @@ def test_expert_test_with_matching(benchmark, make, L, K, loss):
     seeds = count()
 
     def run():
-        cfg = TestConfig(L=L, K=K, alpha=0.05, loss=loss, metric=L2, master_seed=next(seeds))
+        cfg = TestConfig(L=L, K=K, alpha=0.05, loss=loss, master_seed=next(seeds))
         return expert_test_with_matching(d, m, cfg)
 
     assert benchmark(run).K == K
@@ -223,8 +223,7 @@ def test_expert_test_verdict(benchmark, delta):
     seeds = count()
 
     def run():
-        cfg = TestConfig(L=75, K=1000, alpha=0.05, loss=LossSpec.zero_one(), metric=L2,
-                         master_seed=next(seeds))
+        cfg = TestConfig(L=75, K=1000, alpha=0.05, loss=LossSpec.zero_one(), master_seed=next(seeds))
         return expert_test_with_matching(d, m, cfg, verdict_only=True)
 
     assert benchmark(run).K == 1000
@@ -258,7 +257,7 @@ def test_expert_test_sweep(benchmark, make, L_values, K, loss):
         return [
             expert_test_with_matching(
                 d, full,
-                TestConfig(L=L, K=K, alpha=0.05, loss=loss, metric=L2, master_seed=seed),
+                TestConfig(L=L, K=K, alpha=0.05, loss=loss, master_seed=seed),
             )
             for L in L_values
         ]

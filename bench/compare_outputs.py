@@ -15,7 +15,11 @@ unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
 after a byte-order mark; quoted, padded and ``7_4``-style cells; a blank
 line; a short row; a ``nan`` cell; and a 200 000-character field in an
 unselected column. The last four exit 1, so a change to the CSV reader is
-compared on its error messages too. A run differs when its exit code,
+compared on its error messages too. So do three ``report`` runs whose test
+parameters are bad: ``--resamples 0``, ``--resamples 4294967296`` (more
+than the swap streams a seed provides) and the default zero-one loss on
+the cube, whose outcomes are not binary; a change to where parameters are
+checked is compared on its errors. A run differs when its exit code,
 stdout, stderr or ``--json`` file differs between the trees. Each differing
 run is listed, with both sides' stderr when that is what differs, and the
 exit code is 1 if any run differs. A change that keeps every output lists
@@ -35,6 +39,8 @@ AUDIT = ["{audit}", "--features", "age,visits,hgb,creatinine", "--outcome", "out
          "--prediction", "decision", "--normalize"]
 REPORT = ["report", *AUDIT, "--pairs", "500,60,250", "--resamples", "300", "--smoothness-C", "2.0",
           "--seed", "{seed}"]
+CUBE = ["report", "{cube}", "--features", "x1,x2,x3", "--outcome", "y", "--prediction", "y_hat",
+        "--pairs", "150,40", "--resamples", "200"]
 SAMPLED = ["--resamples", "200", "--trials", "5", "--seed", "{seed}"]
 
 COMMANDS = {
@@ -44,9 +50,10 @@ COMMANDS = {
     "report-weighted-free": [*REPORT, "--loss", "weighted:fp=0,fn=0"],
     "report-weighted-metric": [*REPORT, "--metric", "weighted:1,0.5,2,0"],
     "report-bad-L": ["report", *AUDIT, "--pairs", "500,0", "--resamples", "300"],
-    "report-cube-squared": ["report", "{cube}", "--features", "x1,x2,x3", "--outcome", "y",
-                            "--prediction", "y_hat", "--pairs", "150,40", "--resamples", "200",
-                            "--loss", "squared", "--seed", "{seed}"],
+    "report-K-zero": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "0"],
+    "report-K-too-many": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "4294967296"],
+    "report-cube-squared": [*CUBE, "--loss", "squared", "--seed", "{seed}"],
+    "report-cube-zero-one": CUBE,
     "test": ["test", *AUDIT, "--pairs", "400", "--resamples", "300", "--smoothness-C", "1.0",
              "--seed", "{seed}"],
     "match-stats": ["match-stats", *AUDIT, "--pairs", "50,400,200"],

@@ -24,10 +24,9 @@ cfg = TestConfig(
     K=1000,             # resampled datasets
     alpha=0.05,
     loss=LossSpec.zero_one(),
-    metric=DistanceMetric.euclidean(),
     master_seed=2024,
 )
-result = expert_test(data, cfg)
+result = expert_test(data, cfg, DistanceMetric.euclidean())
 
 print(f"observed loss        : {result.observed_loss:.4f}")
 print(f"mismatched pairs     : {result.mismatch_count}")

@@ -131,18 +131,9 @@ def type1_bound(alpha: float, epsilon_star: float, L: int, K: int) -> tuple[floa
         union    = alpha + eps * L          + 1/(K+1)
 
     The union form is looser (it linearizes the coupling term) but easier to
-    manipulate; the two coincide when eps is 0.
+    manipulate; the two coincide when eps is 0. Bad inputs raise ``ValueError``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if not 0.0 <= epsilon_star <= 0.5:
-        raise ValueError("epsilon_star must lie in [0, 1/2]")
-    if L < 1 or K < 1:
-        raise ValueError("L and K must be at least 1")
-    slack = 1.0 / (K + 1)
-    theorem1 = min(1.0, max(0.0, alpha + _coupling(epsilon_star, L) + slack))
-    union = min(1.0, max(0.0, alpha + epsilon_star * L + slack))
-    return theorem1, union
+    return _theorem1(alpha, epsilon_star, L, K)[:2]
 
 
 def adjusted_threshold(alpha: float, C: float, m: Matching, L: int, K: int) -> float:
@@ -152,15 +143,25 @@ def adjusted_threshold(alpha: float, C: float, m: Matching, L: int, K: int) -> f
     bound epsilon-star, then lowers the threshold by the excess type-I terms:
     ``max(0, alpha - (1 - (1 - eps)**L) - 1/(K+1))``. Conservative, possibly
     zero: then Theorem 1 leaves no level at this configuration. A zero is
-    not a verdict; ``tau <= 0`` still holds whenever ``tau`` is 0.
+    not a verdict; ``tau <= 0`` still holds whenever ``tau`` is 0. Bad
+    alpha, L or K raise ``ValueError``, as in :func:`type1_bound`.
     """
     eps = _interval_deviation(Smoothness(C).C, m.max_distance)  # Smoothness validates C
-    return _corrected_level(alpha, eps, L, K)
+    return _theorem1(alpha, eps, L, K)[2]
 
 
-def _corrected_level(alpha: float, eps: float, L: int, K: int) -> float:
-    """``alpha`` less both excess type-I terms of Theorem 1, clipped at 0."""
-    return max(0.0, alpha - _coupling(eps, L) - 1.0 / (K + 1))
+def _theorem1(alpha: float, eps: float, L: int, K: int) -> tuple[float, float, float]:
+    """Theorem 1's bound, the union bound and the corrected level: ``alpha`` less both excess terms, clipped at 0."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if not 0.0 <= eps <= 0.5:
+        raise ValueError("epsilon_star must lie in [0, 1/2]")
+    if L < 1 or K < 1:
+        raise ValueError("L and K must be at least 1")
+    coupling, slack = _coupling(eps, L), 1.0 / (K + 1)
+    theorem1 = min(1.0, max(0.0, alpha + coupling + slack))
+    union = min(1.0, max(0.0, alpha + eps * L + slack))
+    return theorem1, union, max(0.0, alpha - coupling - slack)
 
 
 def _coupling(eps: float, L: int) -> float:
@@ -188,10 +189,6 @@ def validity_bound(
 ) -> ValidityBound:
     """Convenience bundle: epsilon-star plus every derived bound for this matching."""
     eps = epsilon_star(d, m, src)
-    theorem1, union = type1_bound(alpha, eps, len(m), K)
+    theorem1, union, level = _theorem1(alpha, eps, len(m), K)
     return ValidityBound(
-        epsilon_star=eps,
-        theorem1_bound=theorem1,
-        union_bound=union,
-        adjusted_threshold=_corrected_level(alpha, eps, len(m), K),
-    )
+        epsilon_star=eps, theorem1_bound=theorem1, union_bound=union, adjusted_threshold=level)

@@ -281,20 +281,21 @@ def run_report(
     Each test reads the first L pairs of that matching and draws the swap
     mask at its length, so every L reads the one kept mask, and each row is
     bit-identical to a standalone run at that L. When a smoothness constant
-    is supplied, every row also carries its validity bounds.
+    is supplied, every row also carries its validity bounds. The configs,
+    C and the loss's fit to ``d`` are checked before the matching runs.
     """
     L_values = _sweep_L_values(L_values)
+    cfgs = [TestConfig(L=L, K=K, alpha=alpha, loss=loss, master_seed=master_seed) for L in L_values]
+    src = None if smoothness_C is None else Smoothness(smoothness_C)
+    loss.check_compatible(d)
     full = greedy_match(d, max(L_values), metric)
     rows = []
-    for L in L_values:
-        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=master_seed)
+    for cfg in cfgs:
         res = expert_test_with_matching(d, full, cfg)
-        bound = None
-        if smoothness_C is not None:
-            bound = validity_bound(d, full.prefix(L), Smoothness(smoothness_C), alpha, K)
+        bound = None if src is None else validity_bound(d, full.prefix(cfg.L), src, alpha, K)
         counts = res.binary_swap_counts
         rows.append(ReportRow(
-            L=L,
+            L=cfg.L,
             mismatched_pairs=res.mismatch_count,
             swaps_increase=None if counts is None else counts.increase,
             swaps_decrease=None if counts is None else counts.decrease,
@@ -560,9 +561,12 @@ def _cmd_test(args) -> int:
     print(f"tau = {tau_display(row.tau, report.K)}  effective p-value = {row.effective_p:.6g}")
     if row.validity is not None:
         v = row.validity
+        # a zero level is not a verdict, so the line says which rule the verdict uses
+        note = (" (Theorem 1 leaves no level at this L; the verdict below is tau <= alpha)"
+                if v.adjusted_threshold == 0 else "")
         print(
             f"type-I bounds: theorem {v.theorem1_bound:.4g}, union {v.union_bound:.4g}; "
-            f"adjusted threshold = {v.adjusted_threshold:.4g}"
+            f"adjusted threshold = {v.adjusted_threshold:.4g}{note}"
         )
     print(verdict)
     _write_json(args.json, report_to_json(report))

@@ -133,7 +133,7 @@ def tie_break_stream(master_seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Parameters of one test run."""
+    """Parameters of one test run, each checked here; the matching's metric goes beside the data."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -141,7 +141,6 @@ class TestConfig:
     K: int
     alpha: float
     loss: LossSpec
-    metric: DistanceMetric
     master_seed: int
 
     def __post_init__(self) -> None:
@@ -149,6 +148,8 @@ class TestConfig:
             raise ValueError("L must be at least 1")
         if self.K < 1:
             raise ValueError("K must be at least 1")
+        if self.K >= _SWAP_STREAM_BASE:
+            raise ValueError(f"K={self.K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
@@ -229,11 +230,10 @@ class _SwapMask:
     ``PCG64`` state one step before the seeded one (:func:`_pre_states`);
     the thread that draws a block writes each of its rows into its own
     generator (:class:`_Stream`), draws ``L + 1`` raws and drops the first.
+    K comes from a :class:`TestConfig`, which keeps it below 2**32.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
-        if K >= _SWAP_STREAM_BASE:
-            raise ValueError(f"K={K} exceeds the {_SWAP_STREAM_BASE - 1} swap streams a seed provides")
         self.master_seed, self.K, self.L = master_seed, K, L
         self.bits: dict[int, np.ndarray] = {}
         self._pre = _pre_states(_swap_seed_words(master_seed, K))
@@ -255,6 +255,9 @@ class _SwapMask:
 
     def _raws(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Rows ``start`` to ``stop``: each row's pre-state written into this thread's ``PCG64``, then ``self.L + 1`` raws."""
+        global _stream
+        if _stream is None:
+            _stream = _Stream()  # raises _UnknownStateLayout, which the import put off to here
         words, random_raw, n = _stream.words, _stream.bit_generator.random_raw, self.L + 1
         for row in self._pre[start:stop, _stream.order]:
             words[:] = row
@@ -314,8 +317,12 @@ class _Stream(threading.local):
 
 # made here for the importing thread: made during its first test, its
 # long-lived objects landed amid that test's heap and raised the peak RSS of
-# a power study by about 0.3 MB
-_stream = _Stream()
+# a power study by about 0.3 MB. Where numpy's PCG64 layout is unknown it is
+# None and the first swap draw raises, so importing and matching still work.
+try:
+    _stream: _Stream | None = _Stream()
+except _UnknownStateLayout:
+    _stream = None
 
 
 def _pre_states(words: np.ndarray) -> np.ndarray:
@@ -401,9 +408,9 @@ def _swap_seed_words(master_seed: int, K: int) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def expert_test(d: Dataset, cfg: TestConfig) -> TestResult:
-    """Run the full test: match, resample K times, compare losses, reject if tau <= alpha."""
-    matching = greedy_match(d, cfg.L, cfg.metric)
+def expert_test(d: Dataset, cfg: TestConfig, metric: DistanceMetric) -> TestResult:
+    """Run the full test: match under ``metric``, resample K times, compare losses, reject if tau <= alpha."""
+    matching = greedy_match(d, cfg.L, metric)
     return expert_test_with_matching(d, matching, cfg)
 
 

@@ -13,7 +13,7 @@ Every runner derives all of its seeds from one master seed, so grids can be
 evaluated cell by cell in any order with deterministic results.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -411,11 +411,13 @@ def _trial_results(
     Each result is bit-identical to a standalone ``expert_test`` of that
     trial's data, or, with ``verdict_only``, has its ``rejected``. Greedy
     matching depends on the features alone, so a trial whose features equal
-    the previous trial's reuses its matching. Euclidean metric.
+    the previous trial's reuses its matching. Euclidean metric. Each L's
+    config is checked before the first trial.
     """
     L_values = _sweep_L_values(L_values)
     if trials < 1:
         raise ValueError("need at least one trial")
+    cfgs = [TestConfig(L=L, K=K, alpha=alpha, loss=loss, master_seed=master_seed) for L in L_values]
     metric = DistanceMetric.euclidean()
     results = []
     x = full = None
@@ -424,11 +426,10 @@ def _trial_results(
         if full is None or not np.array_equal(ds.x, x):
             x, full = ds.x, greedy_match(ds, max(L_values), metric)
         seed = derive_seed(master_seed, domain, 1, *cell, t)
-        row = []
-        for L in L_values:
-            cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=metric, master_seed=seed)
-            row.append(expert_test_with_matching(ds, full, cfg, verdict_only=verdict_only))
-        results.append(row)
+        results.append([
+            expert_test_with_matching(ds, full, replace(cfg, master_seed=seed), verdict_only=verdict_only)
+            for cfg in cfgs
+        ])
     return results
 
 

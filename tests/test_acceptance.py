@@ -170,10 +170,10 @@ def test_criterion_08_tau_uniform_under_null():
             ExpertiseConfig(n=400, delta=0.0, seed=derive_seed(42, 0, s))
         )
         cfg = TestConfig(
-            L=100, K=K, alpha=0.05, loss=LossSpec.zero_one(), metric=L2,
+            L=100, K=K, alpha=0.05, loss=LossSpec.zero_one(),
             master_seed=derive_seed(42, 1, s),
         )
-        taus.append(expert_test(ds, cfg).tau)
+        taus.append(expert_test(ds, cfg, L2).tau)
     counts = np.bincount([round(t * K) for t in taus], minlength=K + 1)
     pvalue = stats.chisquare(counts).pvalue
     report(
@@ -219,8 +219,9 @@ def test_criterion_09_analytic_matches_monte_carlo():
         taus = np.array([
             expert_test(
                 ds,
-                TestConfig(L=L, K=40, alpha=0.05, loss=LossSpec.zero_one(), metric=L2,
+                TestConfig(L=L, K=40, alpha=0.05, loss=LossSpec.zero_one(),
                            master_seed=derive_seed(23, trial, s)),
+                L2,
             ).tau
             for s in range(400)
         ])
@@ -250,7 +251,8 @@ def test_criterion_10_loss_class_robustness():
         results = [
             expert_test(
                 ds,
-                TestConfig(L=100, K=500, alpha=0.05, loss=lo, metric=L2, master_seed=4242),
+                TestConfig(L=100, K=500, alpha=0.05, loss=lo, master_seed=4242),
+                L2,
             )
             for lo in losses
         ]

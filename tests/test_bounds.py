@@ -209,13 +209,36 @@ class TestAdjustedThreshold:
         got = adjusted_threshold(alpha, C, single_pair_matching(dist), L, K)
         assert abs(got - expected) <= 1e-12
 
-    def test_agrees_with_validity_bundle(self):
-        rng = np.random.default_rng(9)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        L=st.integers(1, 10),
+        C=st.sampled_from([0.0, 0.01, 1.3, 50.0, 1e200]),
+        alpha=st.floats(0.001, 0.999),
+        K=st.integers(1, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_validity_bundle(self, seed, L, C, alpha, K):
+        # at L = len(m), the threshold and both bounds are the bundle's, bit for bit
+        rng = np.random.default_rng(seed)
         x = rng.random((20, 2))
         d = Dataset(x, np.zeros(20), np.zeros(20))
-        m = greedy_match(d, 10, L2)
-        bundle = validity_bound(d, m, Smoothness(1.3), alpha=0.07, K=150)
-        assert bundle.adjusted_threshold == adjusted_threshold(0.07, 1.3, m, len(m), 150)
+        m = greedy_match(d, L, L2)
+        bundle = validity_bound(d, m, Smoothness(C), alpha=alpha, K=K)
+        assert bundle.adjusted_threshold == adjusted_threshold(alpha, C, m, len(m), K)
+        bounds = type1_bound(alpha, bundle.epsilon_star, len(m), K)
+        assert (bundle.theorem1_bound, bundle.union_bound) == bounds
+
+    @pytest.mark.parametrize("alpha, L, K, message", [
+        (2.0, 5, 99, "alpha must lie strictly between 0 and 1"),
+        (0.0, 5, 99, "alpha must lie strictly between 0 and 1"),
+        (1.0, 5, 99, "alpha must lie strictly between 0 and 1"),
+        (0.05, 0, 99, "L and K must be at least 1"),
+        (0.05, -5, 99, "L and K must be at least 1"),
+        (0.05, 5, 0, "L and K must be at least 1"),
+    ], ids=["alpha-2", "alpha-0", "alpha-1", "L-0", "L-negative", "K-0"])
+    def test_validation(self, alpha, L, K, message):
+        with pytest.raises(ValueError, match=message):
+            adjusted_threshold(alpha, 1.0, single_pair_matching(0.01), L, K)
 
 
 class TestTvCoinBound:

@@ -332,8 +332,8 @@ class TestRunReport:
                                 metric=metric, master_seed=12)
             assert [row.L for row in report.rows] == L_values
             for row in report.rows:
-                cfg = TestConfig(L=row.L, K=300, alpha=0.05, loss=loss, metric=metric, master_seed=12)
-                res = expert_test(d, cfg)
+                cfg = TestConfig(L=row.L, K=300, alpha=0.05, loss=loss, master_seed=12)
+                res = expert_test(d, cfg, metric)
                 assert (row.tau, row.effective_p, row.observed_loss) == (
                     res.tau, res.effective_p, res.observed_loss
                 )
@@ -347,16 +347,15 @@ class TestRunReport:
     def test_each_swap_row_built_at_most_once(self, monkeypatch, L_values):
         # K spans two full 64-row blocks and part of a third
         d = gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.1, seed=6))
-        kw = dict(K=130, alpha=0.05, loss=LossSpec.zero_one(), metric=DistanceMetric.euclidean(),
-                  master_seed=19)
+        kw = dict(K=130, alpha=0.05, loss=LossSpec.zero_one(), master_seed=19)
         monkeypatch.setattr(engine, "_kept_mask", None)
         built = record_swap_streams(monkeypatch)
-        report = run_report(d, L_values, **kw)
+        report = run_report(d, L_values, metric=DistanceMetric.euclidean(), **kw)
         assert len(set(built)) == len(built) == kw["K"]
         for row in report.rows:
             # a standalone test draws its own mask, not the report's
             monkeypatch.setattr(engine, "_kept_mask", None)
-            res = expert_test(d, TestConfig(L=row.L, **kw))
+            res = expert_test(d, TestConfig(L=row.L, **kw), DistanceMetric.euclidean())
             counts = res.binary_swap_counts
             assert (row.tau, row.effective_p, row.rejected, row.observed_loss) == (
                 res.tau, res.effective_p, res.rejected, res.observed_loss
@@ -481,6 +480,23 @@ class TestCliMain:
         assert doc["config"]["K"] == 50
         assert doc["rows"][0]["L"] == 60
         assert doc["rows"][0]["validity"] is not None
+
+    @pytest.mark.parametrize("C, line", [
+        ("0", "type-I bounds: theorem 0.06961, union 0.06961; adjusted threshold = 0.03039"),
+        ("1.0", "type-I bounds: theorem 1, union 1; adjusted threshold = 0 "
+                "(Theorem 1 leaves no level at this L; the verdict below is tau <= alpha)"),
+    ], ids=["nonzero", "zero"])
+    def test_bound_line_says_when_theorem1_leaves_no_level(self, tmp_path, capsys, C, line):
+        p, names = clinical_format_fixture(tmp_path)
+        code = main([
+            "test", str(p), "--features", ",".join(names),
+            "--outcome", "outcome", "--prediction", "admitted",
+            "--pairs", "60", "--resamples", "50", "--seed", "3",
+            "--normalize", "--smoothness-C", C,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [line, "fail to reject H0"]
 
     def test_huge_finite_smoothness_constant_reports_trivial_bound(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)
@@ -800,6 +816,32 @@ class TestCliMain:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "trial,tau,rejected"
         assert len(out) == 5
+
+    @pytest.mark.parametrize("command", ["report", "test"])
+    @pytest.mark.parametrize("argv, error, message", [
+        (["--resamples", "0"], "ValueError", "K must be at least 1"),
+        (["--resamples", "4294967296"], "ValueError",
+         "K=4294967296 exceeds the 4294967295 swap streams a seed provides"),
+        (["--alpha", "1.5"], "ValueError", "alpha must lie strictly between 0 and 1"),
+        # c0 holds 0, 0.5 and 1
+        (["--prediction", "c0"], "IncompatibleLoss",
+         "zero_one loss requires y and y_hat in {0, 1} for every record"),
+        (["--prediction", "c0", "--loss", "weighted:fp=1,fn=2"], "IncompatibleLoss",
+         "weighted_binary loss requires y and y_hat in {0, 1} for every record"),
+    ], ids=["K-zero", "K-too-many-streams", "alpha", "zero-one-loss", "weighted-loss"])
+    def test_bad_parameters_fail_before_any_matching(self, tmp_path, capsys, monkeypatch,
+                                                     command, argv, error, message):
+        def no_matching(*args, **kwargs):
+            raise AssertionError("matching ran")
+
+        monkeypatch.setattr(cli, "greedy_match", no_matching)
+        p, names = clinical_format_fixture(tmp_path)
+        code = main([
+            command, str(p), "--features", ",".join(names[1:]),
+            "--outcome", "outcome", "--prediction", "admitted", "--pairs", "50", *argv,
+        ])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
 
     def test_match_stats_needs_an_L_value(self, tmp_path, capsys):
         p, names = clinical_format_fixture(tmp_path)

@@ -1,9 +1,14 @@
 import ctypes
+import inspect
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +53,16 @@ L2 = DistanceMetric.euclidean()
 B = engine._BLOCK_ROWS
 # the LCG multiplier of numpy's PCG64
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class OtherState(np.random.PCG64):
+    """A PCG64 whose reported increment differs from the one in its C struct, as under an unknown layout."""
+
+    @property
+    def state(self):
+        state = super().state
+        state["state"]["inc"] ^= 1 << 70
+        return state
 
 
 def paired_binary_dataset(increase, decrease, neutral=0):
@@ -269,13 +284,6 @@ class TestSwapMasks:
         [("other-state", "neither 128-bit layout"), ("struct-elsewhere", "not inside the generator")],
     )
     def test_unknown_state_layout_raises(self, monkeypatch, layout, message):
-        class OtherState(np.random.PCG64):
-            @property
-            def state(self):
-                state = super().state
-                state["state"]["inc"] ^= 1 << 70
-                return state
-
         class StructElsewhere(np.random.PCG64):
             @property
             def ctypes(self):
@@ -288,16 +296,40 @@ class TestSwapMasks:
         with pytest.raises(engine._UnknownStateLayout, match=message):
             engine._Stream()
 
+    def test_unknown_state_layout_raises_at_the_first_draw_not_at_import(self):
+        # a fresh interpreter whose PCG64 reports an unknown layout from the start
+        script = textwrap.dedent(inspect.getsource(OtherState)) + textwrap.dedent("""
+            np.random.PCG64 = OtherState
+            import experttest
+            from experttest import engine
+
+            d = experttest.gen_expertise_pairs(experttest.ExpertiseConfig(n=40, delta=0.2, seed=1))
+            metric = experttest.DistanceMetric.euclidean()
+            assert len(experttest.greedy_match(d, 10, metric)) == 10
+            cfg = experttest.TestConfig(L=10, K=5, alpha=0.05, loss=experttest.LossSpec.zero_one(), master_seed=3)
+            try:
+                experttest.expert_test(d, cfg, metric)
+            except engine._UnknownStateLayout as exc:
+                print("raised:", exc)
+        """)
+        src = Path(engine.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", "import numpy as np\n" + script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised: PCG64's state words are in neither 128-bit layout\n"
+
     def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
-        # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k < 2**32
+        # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k
+        # < 2**32; TestConfig checks K, so no mask is built for a larger one
         def fail(*args):
             raise AssertionError("seed words derived for an oversized K")
 
         monkeypatch.setattr(engine, "_swap_seed_words", fail)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="swap streams"):
-                list(engine._swap_mask(5, 2**32, 1).blocks(1))
+            with pytest.raises(ValueError, match="K=4294967296 exceeds the 4294967295 swap streams"):
+                TestConfig(L=1, K=2**32, alpha=0.05, loss=LossSpec.zero_one(), master_seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -505,7 +537,7 @@ class TestVerdictOnly:
         L = min(L, half)
         loss = LossSpec.squared_error() if kind == "tenths" else LossSpec.zero_one()
         m = greedy_match(d, L, L2)
-        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, metric=L2, master_seed=seed)
+        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, master_seed=seed)
         # the verdict draws, the full test reads what it kept and draws on
         engine._kept_mask = None
         verdict = expert_test_with_matching(d, m, cfg, verdict_only=True)
@@ -533,7 +565,7 @@ class TestVerdictOnly:
         monkeypatch.setattr(engine, "_kept_mask", None)
         built = record_swap_streams(monkeypatch)
         d = gen_expertise_pairs(ExpertiseConfig(n=200, delta=0.0, seed=4))
-        cfg = TestConfig(L=50, K=1000, alpha=0.05, loss=LossSpec.zero_one(), metric=L2, master_seed=9)
+        cfg = TestConfig(L=50, K=1000, alpha=0.05, loss=LossSpec.zero_one(), master_seed=9)
         r = expert_test_with_matching(d, greedy_match(d, 50, L2), cfg, verdict_only=True)
         assert (r.tau, r.effective_p, r.rejected) == (None, None, False)
         # stopped after whole blocks, whose rows are kept
@@ -605,7 +637,7 @@ class TestClassifySwaps:
         assert classify_swaps(d, full.prefix(2)) == SwapCounts(1, 1, 0)
         with pytest.raises(NonBinaryData):
             classify_swaps(d, full)
-        cfg = TestConfig(L=2, K=20, alpha=0.05, loss=LossSpec.squared_error(), metric=L2, master_seed=3)
+        cfg = TestConfig(L=2, K=20, alpha=0.05, loss=LossSpec.squared_error(), master_seed=3)
         assert expert_test_with_matching(d, full.prefix(2), cfg).binary_swap_counts == SwapCounts(1, 1, 0)
         cfg = replace(cfg, L=3)
         assert expert_test_with_matching(d, full, cfg).binary_swap_counts is None
@@ -613,7 +645,7 @@ class TestClassifySwaps:
 
 class TestTieCoins:
     def cfg(self, loss, seed):
-        return TestConfig(L=40, K=300, alpha=0.05, loss=loss, metric=L2, master_seed=seed)
+        return TestConfig(L=40, K=300, alpha=0.05, loss=loss, master_seed=seed)
 
     def test_no_tie_stream_without_ties(self, monkeypatch):
         def fail(seed):
@@ -686,28 +718,28 @@ class TestExactBinaryP:
 
 class TestConfigValidation:
     def test_bounds(self):
-        loss, metric = LossSpec.zero_one(), L2
+        loss = LossSpec.zero_one()
         with pytest.raises(ValueError):
-            TestConfig(L=0, K=1, alpha=0.05, loss=loss, metric=metric, master_seed=0)
+            TestConfig(L=0, K=1, alpha=0.05, loss=loss, master_seed=0)
         with pytest.raises(ValueError):
-            TestConfig(L=1, K=0, alpha=0.05, loss=loss, metric=metric, master_seed=0)
+            TestConfig(L=1, K=0, alpha=0.05, loss=loss, master_seed=0)
         with pytest.raises(ValueError):
-            TestConfig(L=1, K=1, alpha=1.0, loss=loss, metric=metric, master_seed=0)
+            TestConfig(L=1, K=1, alpha=1.0, loss=loss, master_seed=0)
 
 
 class TestExpertTest:
     def cfg(self, **kw):
-        base = dict(L=10, K=50, alpha=0.05, loss=LossSpec.zero_one(), metric=L2, master_seed=7)
+        base = dict(L=10, K=50, alpha=0.05, loss=LossSpec.zero_one(), master_seed=7)
         base.update(kw)
         return TestConfig(**base)
 
     def test_deterministic(self):
         d = gen_expertise_pairs(ExpertiseConfig(n=100, delta=0.2, seed=5))
-        assert expert_test(d, self.cfg()) == expert_test(d, self.cfg())
+        assert expert_test(d, self.cfg(), L2) == expert_test(d, self.cfg(), L2)
 
     def test_tau_granularity_and_effective_p(self):
         d = gen_expertise_pairs(ExpertiseConfig(n=100, delta=0.2, seed=5))
-        r = expert_test(d, self.cfg(K=37))
+        r = expert_test(d, self.cfg(K=37), L2)
         assert r.tau * 37 == pytest.approx(round(r.tau * 37), abs=1e-9)
         assert 0 <= round(r.tau * 37) <= 37
         assert r.effective_p == r.tau + 1.0 / 38
@@ -717,7 +749,7 @@ class TestExpertTest:
         # delta = 1/2: observed loss is minimal and any executed swap on any
         # pair strictly increases it
         d = gen_expertise_pairs(ExpertiseConfig(n=200, delta=0.5, seed=3))
-        r = expert_test(d, self.cfg(L=50, K=1000))
+        r = expert_test(d, self.cfg(L=50, K=1000), L2)
         assert r.tau <= 0.001
         assert r.rejected
         assert r.observed_loss == 0.0
@@ -726,22 +758,22 @@ class TestExpertTest:
     def test_propagates_too_many_pairs(self):
         d = gen_expertise_pairs(ExpertiseConfig(n=20, delta=0.1, seed=1))
         with pytest.raises(TooManyPairs):
-            expert_test(d, self.cfg(L=11))
+            expert_test(d, self.cfg(L=11), L2)
 
     def test_propagates_incompatible_loss(self):
         d = gen_validity_cube(40, 2)
         with pytest.raises(IncompatibleLoss):
-            expert_test(d, self.cfg())
+            expert_test(d, self.cfg(), L2)
 
     def test_swap_counts_present_for_binary_data_any_loss(self):
         d = paired_binary_dataset(4, 2, 4)
         for loss in (LossSpec.zero_one(), LossSpec.squared_error(), LossSpec.weighted_binary(1, 5)):
-            r = expert_test(d, self.cfg(loss=loss))
+            r = expert_test(d, self.cfg(loss=loss), L2)
             assert r.binary_swap_counts == SwapCounts(4, 2, 4)
 
     def test_swap_counts_absent_for_continuous_data(self):
         d = gen_validity_cube(60, 4)
-        r = expert_test(d, self.cfg(loss=LossSpec.squared_error()))
+        r = expert_test(d, self.cfg(loss=LossSpec.squared_error()), L2)
         assert r.binary_swap_counts is None
         assert r.mismatch_count == 10
 
@@ -758,14 +790,14 @@ class TestExpertTest:
         ]
         for data, loss in cases:
             cfg = self.cfg(L=20, K=151, loss=loss, master_seed=99)
-            m = greedy_match(data, cfg.L, cfg.metric)
+            m = greedy_match(data, cfg.L, L2)
             observed = dataset_loss(data, loss)
             resampled = [
                 dataset_loss(resample_once(data, m, swap_stream(cfg.master_seed, k)), loss)
                 for k in range(cfg.K)
             ]
             literal = tau_statistic(observed, resampled, tie_break_stream(cfg.master_seed))
-            assert expert_test(data, cfg).tau == literal, loss.describe()
+            assert expert_test(data, cfg, L2).tau == literal, loss.describe()
 
     @pytest.mark.parametrize("K", [1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize(
@@ -815,7 +847,7 @@ class TestExpertTest:
         # a whole K x L float mask * delta would take 160 MB here
         d = named_dataset(data, 4000, 3)
         cfg = self.cfg(L=2000, K=10_000, loss=loss)
-        m = greedy_match(d, cfg.L, cfg.metric)
+        m = greedy_match(d, cfg.L, L2)
         tracemalloc.start()
         try:
             expert_test_with_matching(d, m, cfg)
@@ -865,7 +897,7 @@ class TestExpertTest:
         for cfg, r in zip(cfgs, results):
             # a standalone test draws its own mask, not the sweep's
             monkeypatch.setattr(engine, "_kept_mask", None)
-            assert r == expert_test(d, cfg)
+            assert r == expert_test(d, cfg, L2)
 
     def test_prefix_of_larger_matching_is_bit_identical(self):
         # resample streams draw one uniform per pair in order, so a smaller L
@@ -875,7 +907,7 @@ class TestExpertTest:
         full = greedy_match(d, 40, L2)
         for L in (5, 17, 40):
             cfg = self.cfg(L=L, K=29, loss=LossSpec.squared_error(), master_seed=61)
-            assert expert_test_with_matching(d, full.prefix(L), cfg) == expert_test(d, cfg)
+            assert expert_test_with_matching(d, full.prefix(L), cfg) == expert_test(d, cfg, L2)
 
     def test_loss_class_robustness(self):
         # identical seeds: the tau trajectory only depends on the swap
@@ -888,7 +920,7 @@ class TestExpertTest:
             LossSpec.weighted_binary(1, 1),
             LossSpec.weighted_binary(0.3, 0.5),
         ]
-        results = [expert_test(d, self.cfg(L=75, K=200, loss=lo, master_seed=777)) for lo in losses]
+        results = [expert_test(d, self.cfg(L=75, K=200, loss=lo, master_seed=777), L2) for lo in losses]
         assert len({r.tau for r in results}) == 1
         assert len({r.binary_swap_counts for r in results}) == 1
 
@@ -919,7 +951,7 @@ class TestExpertTest:
         d = Dataset(rng.random((200, 2)), y, y if equal else y_hat)
         cfg = self.cfg(L=50, K=100, loss=LossSpec.squared_error())
         with pytest.raises(LossOverflow, match="overflow float64"):
-            expert_test(d, cfg)
+            expert_test(d, cfg, L2)
         assert issubclass(LossOverflow, ValueError)
 
     @pytest.mark.filterwarnings("error")
@@ -939,7 +971,7 @@ class TestExpertTest:
             expected = exact_binary_p(a, b)
             taus = [
                 expert_test(
-                    d, self.cfg(L=L, K=40, master_seed=derive_seed(55, trial, s))
+                    d, self.cfg(L=L, K=40, master_seed=derive_seed(55, trial, s)), L2
                 ).tau
                 for s in range(300)
             ]

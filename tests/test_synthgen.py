@@ -247,10 +247,10 @@ class TestRunnerSeedLayout:
 
     def literal(self, ds, L, loss, *path):
         cfg = TestConfig(
-            L=L, K=30, alpha=self.ALPHA, loss=loss, metric=L2,
+            L=L, K=30, alpha=self.ALPHA, loss=loss,
             master_seed=derive_seed(self.SEED, *path),
         )
-        return expert_test(ds, cfg)
+        return expert_test(ds, cfg, L2)
 
     def test_toy_study(self):
         for include_u in (False, True):
@@ -344,9 +344,9 @@ class TestRunnerDraws:
         return [
             sum(
                 expert_test(ds, TestConfig(
-                    L=L, K=self.K, alpha=0.05, loss=loss, metric=L2,
+                    L=L, K=self.K, alpha=0.05, loss=loss,
                     master_seed=derive_seed(self.SEED, domain, 1, t),
-                )).rejected
+                ), L2).rejected
                 for t, ds in enumerate(datasets)
             )
             for L in L_values
