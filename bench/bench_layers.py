@@ -33,7 +33,10 @@ first draws it and the others read the kept one. Each sweep takes a new
 seed. A third sweep runs the ``validity`` one on integer outcomes and
 predictions in 1-5, like Likert scores, with squared loss: its records are
 not binary, so it takes the elementwise float compare, which no workload
-of ``perfbench/`` runs on integer data.
+of ``perfbench/`` runs on integer data. A fourth times the ``audit``
+workload's own pattern, which repeats one report at one seed: the ``audit``
+sweep (L ascending) runs once untimed, and every timed run at that seed
+reads the mask it kept, building none.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
@@ -263,3 +266,20 @@ def test_expert_test_sweep(benchmark, make, L_values, K, loss):
         ]
 
     assert [r.L for r in benchmark(sweep)] == list(L_values)
+
+
+def test_expert_test_sweep_same_seed(benchmark):
+    # perfbench's audit ops run one report at one seed, so each op after the
+    # first reads the mask the first one kept
+    d = normalize_features(audit_like())
+    full = greedy_match(d, 1000, L2)
+    cfgs = [TestConfig(L=L, K=1000, alpha=0.05, loss=LossSpec.zero_one(), master_seed=0)
+            for L in (125, 250, 500, 1000)]
+
+    def sweep():
+        return [expert_test_with_matching(d, full, cfg) for cfg in cfgs]
+
+    first = sweep()
+    misses = engine._swap_mask.cache_info().misses
+    assert benchmark(sweep) == first
+    assert engine._swap_mask.cache_info().misses == misses

@@ -39,13 +39,11 @@ concatenated blocks against the stacked streams.
 A test reads the first ``cfg.L`` pairs of its matching and the first
 ``cfg.L`` columns of a mask drawn at the matching's length. Blocks are
 packed into bits, L / 8 bytes a row, as they are drawn, and the mask of the
-last (seed, K) drawn is kept (2.5 MB at K = 10 000, L = 2000). A later test
-at that seed and K, on a matching no longer, reads the blocks already drawn
-and draws the rest; so a sweep over L on one matching, in any order, draws
-each row at most once. Any other seed, K or longer matching starts a new
-mask, kept in place of the old. A block depends only on (seed, K, L, its
-index), so the result does not depend on which test drew it, or in what
-order.
+last seed, K and matching length is kept (2.5 MB at K = 10 000, L = 2000):
+a later test on those three reads the blocks already drawn and draws the
+rest, so a sweep over L on one matching, in any order, draws each row at
+most once. A block depends only on (seed, K, L, its index), so the result
+does not depend on which test drew it, or in what order.
 
 A test that only needs its verdict (``verdict_only``, which
 ``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
@@ -59,6 +57,7 @@ test's.
 """
 
 import ctypes
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -230,7 +229,8 @@ class _SwapMask:
     ``PCG64`` state one step before the seeded one (:func:`_pre_states`);
     the thread that draws a block writes each of its rows into its own
     generator (:class:`_Stream`), draws ``L + 1`` raws and drops the first.
-    K comes from a :class:`TestConfig`, which keeps it below 2**32.
+    K comes from a :class:`TestConfig`, which keeps it below 2**32. Tests
+    take their mask from :func:`_swap_mask`, which keeps the last one.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
@@ -255,27 +255,16 @@ class _SwapMask:
 
     def _raws(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Rows ``start`` to ``stop``: each row's pre-state written into this thread's ``PCG64``, then ``self.L + 1`` raws."""
-        global _stream
-        if _stream is None:
-            _stream = _Stream()  # raises _UnknownStateLayout, which the import put off to here
-        words, random_raw, n = _stream.words, _stream.bit_generator.random_raw, self.L + 1
-        for row in self._pre[start:stop, _stream.order]:
+        stream = _thread_stream()  # raises _UnknownStateLayout, which the import put off to here
+        words, random_raw, n = stream.words, stream.bit_generator.random_raw, self.L + 1
+        for row in self._pre[start:stop, stream.order]:
             words[:] = row
             yield random_raw(n)
 
 
-# the last mask asked for; a sweep over L on one matching at one seed reads
-# it again and draws no row twice
-_kept_mask: _SwapMask | None = None
-
-
-def _swap_mask(master_seed: int, K: int, L: int) -> _SwapMask:
-    """The kept mask if it is at this seed and K and drawn at an L no smaller, else a new one, kept."""
-    global _kept_mask
-    kept = _kept_mask
-    if kept is None or (kept.master_seed, kept.K) != (master_seed, K) or L > kept.L:
-        kept = _kept_mask = _SwapMask(master_seed, K, L)
-    return kept
+# the mask of the last (seed, K, matching length); a sweep over L on one
+# matching at one seed reads it again and draws no row twice
+_swap_mask = functools.lru_cache(maxsize=1)(_SwapMask)
 
 
 class _Stream(threading.local):
@@ -315,14 +304,16 @@ class _Stream(threading.local):
         raise _UnknownStateLayout("PCG64's state words are in neither 128-bit layout")
 
 
+# one _Stream, a threading.local: each thread that reads it builds its own PCG64
+_thread_stream = functools.cache(_Stream)
 # made here for the importing thread: made during its first test, its
 # long-lived objects landed amid that test's heap and raised the peak RSS of
-# a power study by about 0.3 MB. Where numpy's PCG64 layout is unknown it is
-# None and the first swap draw raises, so importing and matching still work.
+# a power study by about 0.3 MB. Where numpy's PCG64 layout is unknown nothing
+# is cached and the first swap draw raises, so importing and matching still work.
 try:
-    _stream: _Stream | None = _Stream()
+    _thread_stream()
 except _UnknownStateLayout:
-    _stream = None
+    pass
 
 
 def _pre_states(words: np.ndarray) -> np.ndarray:
@@ -433,8 +424,8 @@ def expert_test_with_matching(
     tau is already above alpha. Such a result has ``rejected`` false and
     ``tau`` and ``effective_p`` None, and the tie-break stream is not drawn;
     ``rejected`` is always the full test's. The blocks drawn before the stop
-    are kept, and a later test at the same seed and K whose matching is no
-    longer reads them and draws the rest.
+    are kept, and a later test at the same seed, K and matching length
+    reads them and draws the rest.
 
     Raises
     ------

@@ -348,13 +348,13 @@ class TestRunReport:
         # K spans two full 64-row blocks and part of a third
         d = gen_expertise_pairs(ExpertiseConfig(n=120, delta=0.1, seed=6))
         kw = dict(K=130, alpha=0.05, loss=LossSpec.zero_one(), master_seed=19)
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         report = run_report(d, L_values, metric=DistanceMetric.euclidean(), **kw)
         assert len(set(built)) == len(built) == kw["K"]
         for row in report.rows:
             # a standalone test draws its own mask, not the report's
-            monkeypatch.setattr(engine, "_kept_mask", None)
+            engine._swap_mask.cache_clear()
             res = expert_test(d, TestConfig(L=row.L, **kw), DistanceMetric.euclidean())
             counts = res.binary_swap_counts
             assert (row.tau, row.effective_p, row.rejected, row.observed_loss) == (
@@ -580,6 +580,29 @@ class TestCliMain:
         assert main(args + ["--json", str(a)]) == 0
         assert main(args + ["--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_repeated_report_reads_the_kept_mask(self, tmp_path, monkeypatch):
+        # the same report run again in one process, as a benchmark's repeated
+        # ops are, draws no swap row again; another seed draws its own
+        p, names = clinical_format_fixture(tmp_path)
+        K = 130  # two full 64-row blocks and part of a third
+        args = [
+            "report", str(p), "--features", ",".join(names),
+            "--outcome", "outcome", "--prediction", "admitted", "--normalize",
+            "--pairs", "25,50,100", "--resamples", str(K), "--loss", "zero-one",
+            "--smoothness-C", "2.0", "--json", str(tmp_path / "run.json"),
+        ]
+        engine._swap_mask.cache_clear()
+        built = record_swap_streams(monkeypatch)
+        drawn, outputs = [], []
+        for seed in (5, 5, 5, 6):
+            before = len(built)
+            assert main(args + ["--seed", str(seed)]) == 0
+            drawn.append(len(built) - before)
+            outputs.append((tmp_path / "run.json").read_bytes())
+        assert drawn == [K, 0, 0, K]
+        assert len(set(built)) == len(built)
+        assert outputs[0] == outputs[1] == outputs[2] != outputs[3]
 
     def test_oversized_L_fails_before_running(self, tmp_path, capsys):
         p, names = clinical_format_fixture(tmp_path)

@@ -182,18 +182,21 @@ class TestResampleOnce:
             resample_once(d, Matching([(0, 99)], [0.0]), stream(0, 0))
 
 
-def swap_mask(seed, K, L):
-    """Concatenate the engine's mask blocks, checking that each is full but the last."""
-    blocks = list(engine._swap_mask(seed, K, L).blocks(L))
-    assert [b.shape for b in blocks] == [(min(B, K - s), L) for s in range(0, K, B)]
+def swap_mask(seed, K, L, l=None):
+    """The first l (default L) columns of the engine's mask at (seed, K, L), its blocks each full but the last."""
+    l = L if l is None else l
+    blocks = list(engine._swap_mask(seed, K, L).blocks(l))
+    assert [b.shape for b in blocks] == [(min(B, K - s), l) for s in range(0, K, B)]
     assert all(b.dtype == bool for b in blocks)
     return np.concatenate(blocks)
 
 
-def kept_key():
-    """The seed, K and L of the kept mask."""
-    kept = engine._kept_mask
-    return kept.master_seed, kept.K, kept.L
+def kept_mask(seed, K, L):
+    """The engine's mask at (seed, K, L), which must be the kept one: asking for it builds none."""
+    misses = engine._swap_mask.cache_info().misses
+    mask = engine._swap_mask(seed, K, L)
+    assert engine._swap_mask.cache_info().misses == misses
+    return mask
 
 
 def no_draw(*args):
@@ -230,7 +233,7 @@ class TestSwapMasks:
         assert np.array_equal(mask, stacked_swap_mask(seed, K, L))
         # a smaller L reads a prefix of every stream, here from the kept mask
         l = max(1, round(cut * L))
-        assert np.array_equal(swap_mask(seed, K, l), stacked_swap_mask(seed, K, l))
+        assert np.array_equal(swap_mask(seed, K, L, l), stacked_swap_mask(seed, K, l))
 
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
@@ -335,22 +338,21 @@ class TestSwapMasks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_kept_mask_read_only_and_replaced(self, monkeypatch):
-        monkeypatch.setattr(engine, "_kept_mask", None)
+    def test_kept_mask_read_only_and_replaced(self):
+        engine._swap_mask.cache_clear()
         swap_mask(11, B + 5, 20)
-        kept = engine._kept_mask
-        assert kept_key() == (11, B + 5, 20)
+        kept = kept_mask(11, B + 5, 20)
         # one entry per block, its rows packed one after another
         assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B * 20 // 8,)), (1, (13,))]
         for bits in kept.bits.values():
             assert not bits.flags.writeable
             with pytest.raises(ValueError):
                 bits[0] = 0
-        # another (seed, K) replaces the kept mask; the masks stay right
-        for seed, K in [(12, B + 5), (11, 3), (11, B + 5)]:
-            assert np.array_equal(swap_mask(seed, K, 20), stacked_swap_mask(seed, K, 20))
-            assert kept_key() == (seed, K, 20)
-        assert engine._kept_mask is not kept
+        # another (seed, K, L) replaces the kept mask; the masks stay right
+        for seed, K, L in [(12, B + 5, 20), (11, 3, 20), (11, B + 5, 19), (11, B + 5, 20)]:
+            assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
+            kept_mask(seed, K, L)
+        assert kept_mask(11, B + 5, 20) is not kept
 
     @pytest.mark.parametrize(
         "K, L",
@@ -360,64 +362,69 @@ class TestSwapMasks:
     def test_smaller_L_reads_kept_mask(self, monkeypatch, K, L):
         # the unpacked prefix must be the streams' own first draws, block by
         # block, not just the columns the first draw handed out
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         swap_mask(7, K, L)
-        kept = engine._kept_mask
+        kept = kept_mask(7, K, L)
         monkeypatch.setattr(engine, "_swap_seed_words", no_draw)
+        built = record_swap_streams(monkeypatch)
         for l in (L, L - 1, 9, 1):
-            assert np.array_equal(swap_mask(7, K, l), stacked_swap_mask(7, K, l))
-        assert engine._kept_mask is kept
+            assert np.array_equal(swap_mask(7, K, L, l), stacked_swap_mask(7, K, l))
+        assert kept_mask(7, K, L) is kept and built == []
 
     def test_larger_L_or_other_stream_redraws(self, monkeypatch):
-        monkeypatch.setattr(engine, "_kept_mask", None)
-        # each call's (seed, K, L), then what is kept after it
+        engine._swap_mask.cache_clear()
+        built = record_swap_streams(monkeypatch)
+        # each call's mask (seed, K, L), the columns it reads and the rows it
+        # draws; the mask asked for is kept after it
         calls = [
-            ((3, 70, 10), (3, 70, 10)),
-            ((3, 70, 25), (3, 70, 25)),  # a larger L
-            ((3, 70, 10), (3, 70, 25)),  # a hit keeps the larger draw
-            ((4, 70, 10), (4, 70, 10)),  # another seed
-            ((3, 70, 10), (3, 70, 10)),
-            ((3, 71, 5), (3, 71, 5)),  # another K
-            ((3, 70, 5), (3, 70, 5)),
+            ((3, 70, 10), 10, 70),
+            ((3, 70, 25), 25, 70),  # a larger L
+            ((3, 70, 25), 10, 0),  # a shorter read of the kept mask draws nothing
+            ((4, 70, 10), 10, 70),  # another seed
+            ((3, 70, 10), 10, 70),  # a smaller L
+            ((3, 71, 5), 5, 71),  # another K
+            ((3, 70, 5), 5, 70),
         ]
-        for (seed, K, L), kept in calls:
-            assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
-            assert kept_key() == kept
+        for (seed, K, L), l, rows in calls:
+            built.clear()
+            assert np.array_equal(swap_mask(seed, K, L, l), stacked_swap_mask(seed, K, l))
+            assert len(built) == rows
+            kept_mask(seed, K, L)
 
     def test_closed_draw_keeps_rows_it_yielded(self, monkeypatch):
         K = 2 * B + 3
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         # a reader stopped after one block leaves that block kept
         next(engine._swap_mask(6, K, 30).blocks(30))
         assert len(built) == B
-        assert np.array_equal(kept_rows(), stacked_swap_mask(6, B, 30))
+        assert np.array_equal(kept_rows(kept_mask(6, K, 30)), stacked_swap_mask(6, B, 30))
         # readers of two seeds interleaved block by block each read their own
         # streams; the mask asked for last is kept
         a, b = engine._swap_mask(8, K, 20).blocks(20), engine._swap_mask(9, K, 20).blocks(20)
         got_a, got_b = zip(*zip(a, b))
         assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(8, K, 20))
         assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(9, K, 20))
-        assert kept_key() == (9, K, 20)
-        assert np.array_equal(kept_rows(), stacked_swap_mask(9, K, 20))
+        assert np.array_equal(kept_rows(kept_mask(9, K, 20)), stacked_swap_mask(9, K, 20))
         # two readers of one mask at two L, one after the other and stopped
         # at different blocks: each block is drawn once, by the first to reach it
         for n_a, n_b in [(1, 2), (2, 1), (3, 3)]:
-            monkeypatch.setattr(engine, "_kept_mask", None)
+            engine._swap_mask.cache_clear()
             built.clear()
-            a, b = engine._swap_mask(10, K, 20).blocks(20), engine._swap_mask(10, K, 7).blocks(7)
+            mask = engine._swap_mask(10, K, 20)
+            a, b = mask.blocks(20), mask.blocks(7)
             got_a = [next(a) for _ in range(n_a)]
             got_b = [next(b) for _ in range(n_b)]
             assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(10, K, 20)[: n_a * B])
             assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(10, K, 7)[: n_b * B])
             rows = min(K, max(n_a, n_b) * B)
             assert len(set(built)) == len(built) == rows
-            assert np.array_equal(kept_rows(), stacked_swap_mask(10, rows, 20))
+            assert np.array_equal(kept_rows(kept_mask(10, K, 20)), stacked_swap_mask(10, rows, 20))
         # leapfrogging readers: each draws a block, reads the next one the
         # other drew, then draws again
-        monkeypatch.setattr(engine, "_kept_mask", None)
         built.clear()
-        readers = {20: engine._swap_mask(11, K, 20).blocks(20), 7: engine._swap_mask(11, K, 7).blocks(7)}
+        mask = engine._swap_mask(11, K, 20)
+        readers = {20: mask.blocks(20), 7: mask.blocks(7)}
         got = {20: [], 7: []}
         for l in (20, 7, 7, 20, 20, 7):
             got[l].append(next(readers[l]))
@@ -425,9 +432,9 @@ class TestSwapMasks:
             assert np.array_equal(np.concatenate(got[l]), stacked_swap_mask(11, K, l))
         assert len(set(built)) == len(built) == K
 
-    def test_concurrent_readers_read_the_streams(self, monkeypatch):
+    def test_concurrent_readers_read_the_streams(self):
         K, L, readers = 5 * B + 3, 40, 8
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         mask = engine._swap_mask(12, K, L)
         got = [None] * readers
 
@@ -448,7 +455,7 @@ class TestSwapMasks:
         want = stacked_swap_mask(12, K, L)
         for i in range(readers):
             assert np.array_equal(got[i], want[:, : L - i])
-        assert np.array_equal(kept_rows(), want)
+        assert np.array_equal(kept_rows(kept_mask(12, K, L)), want)
 
     def test_threads_on_two_seeds_read_their_own_streams(self):
         # each thread writes every row's state into its own generator; a
@@ -482,23 +489,21 @@ class TestSwapMasks:
         [(B + 1, 40, 1), (2 * B + 3, 40, 1), (2 * B + 3, 40, 2), (7 * B + 1, 300, 3), (7 * B + 1, 300, 4)],
     )
     def test_read_after_stop_and_continuation_equal_streams(self, monkeypatch, K, L, stop):
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         blocks = engine._swap_mask(4, K, L).blocks(L)
         for _ in range(stop):
             next(blocks)
-        assert list(engine._kept_mask.bits) == list(range(stop))
+        assert list(kept_mask(4, K, L).bits) == list(range(stop))
         built = record_swap_streams(monkeypatch)
-        # the first call reads the kept blocks and draws the rest at the kept L
+        # the first read takes the kept blocks and draws the rest at the kept L
         for l in (L - 1, L, 9, 1):
-            assert np.array_equal(swap_mask(4, K, l), stacked_swap_mask(4, K, l))
+            assert np.array_equal(swap_mask(4, K, L, l), stacked_swap_mask(4, K, l))
         assert len(built) == K - stop * B
-        assert kept_key() == (4, K, L)
-        assert np.array_equal(kept_rows(), stacked_swap_mask(4, K, L))
+        assert np.array_equal(kept_rows(kept_mask(4, K, L)), stacked_swap_mask(4, K, L))
 
 
-def kept_rows():
-    """Every row of the kept mask, at the L it was drawn at; its blocks must be the first ones."""
-    kept = engine._kept_mask
+def kept_rows(kept):
+    """Every row drawn into a mask, at the L it was drawn at; its blocks must be the first ones."""
     assert sorted(kept.bits) == list(range(len(kept.bits)))
     return np.concatenate([
         np.unpackbits(kept.bits[i], count=n * kept.L).view(bool).reshape(n, kept.L)
@@ -539,7 +544,7 @@ class TestVerdictOnly:
         m = greedy_match(d, L, L2)
         cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, master_seed=seed)
         # the verdict draws, the full test reads what it kept and draws on
-        engine._kept_mask = None
+        engine._swap_mask.cache_clear()
         verdict = expert_test_with_matching(d, m, cfg, verdict_only=True)
         full = expert_test_with_matching(d, m, cfg)
         assert full == whole_result(d, m, cfg)
@@ -552,7 +557,7 @@ class TestVerdictOnly:
         # below the observed loss: a stop on any count that low is wrong
         if 0.0 < full.tau < 1.0:
             at_tau = replace(cfg, alpha=full.tau)
-            engine._kept_mask = None
+            engine._swap_mask.cache_clear()
             assert expert_test_with_matching(d, m, at_tau, verdict_only=True) == replace(
                 full, rejected=True
             )
@@ -562,7 +567,7 @@ class TestVerdictOnly:
             raise AssertionError("tie-break stream built for a stopped test")
 
         monkeypatch.setattr(engine, "tie_break_stream", fail)
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         d = gen_expertise_pairs(ExpertiseConfig(n=200, delta=0.0, seed=4))
         cfg = TestConfig(L=50, K=1000, alpha=0.05, loss=LossSpec.zero_one(), master_seed=9)
@@ -570,7 +575,7 @@ class TestVerdictOnly:
         assert (r.tau, r.effective_p, r.rejected) == (None, None, False)
         # stopped after whole blocks, whose rows are kept
         assert len(built) % B == 0 and len(built) < cfg.K
-        assert kept_key() == (9, cfg.K, 50) and len(engine._kept_mask.bits) * B == len(built)
+        assert len(kept_mask(9, cfg.K, 50).bits) * B == len(built)
 
 
 def whole_result(d, m, cfg):
@@ -868,17 +873,17 @@ class TestExpertTest:
         [("pairs", LossSpec.zero_one()), ("decimals", LossSpec.squared_error())],
         ids=["zero-one", "squared-decimals"],
     )
-    def test_longer_matching_equals_its_prefix(self, monkeypatch, data, loss, verdict_only):
+    def test_longer_matching_equals_its_prefix(self, data, loss, verdict_only):
         # a test reads the first L pairs of the matching it is given, at any
         # length, and the first L columns of the mask drawn at that length
         d = named_dataset(data, 120, 5)
         full = greedy_match(d, 40, L2)
         for seed, L, alpha in [(3, 1, 0.5), (3, 7, 0.05), (11, 25, 0.5), (11, 39, 0.05), (12, 40, 0.3)]:
             cfg = self.cfg(L=L, K=2 * B + 3, alpha=alpha, loss=loss, master_seed=seed)
-            monkeypatch.setattr(engine, "_kept_mask", None)
+            engine._swap_mask.cache_clear()
             r = expert_test_with_matching(d, full, cfg, verdict_only=verdict_only)
-            assert kept_key() == (seed, cfg.K, 40)
-            monkeypatch.setattr(engine, "_kept_mask", None)
+            kept_mask(seed, cfg.K, 40)
+            engine._swap_mask.cache_clear()
             assert r == expert_test_with_matching(d, full.prefix(L), cfg, verdict_only=verdict_only)
 
     @pytest.mark.parametrize(
@@ -889,14 +894,14 @@ class TestExpertTest:
         # K spans two full 64-row blocks and part of a third
         d = named_dataset("pairs", 120, 6)
         full = greedy_match(d, max(L_values), L2)
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         cfgs = [self.cfg(L=L, K=130, master_seed=19) for L in L_values]
         results = [expert_test_with_matching(d, full, cfg) for cfg in cfgs]
         assert len(set(built)) == len(built) == 130
         for cfg, r in zip(cfgs, results):
             # a standalone test draws its own mask, not the sweep's
-            monkeypatch.setattr(engine, "_kept_mask", None)
+            engine._swap_mask.cache_clear()
             assert r == expert_test(d, cfg, L2)
 
     def test_prefix_of_larger_matching_is_bit_identical(self):

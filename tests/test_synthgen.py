@@ -233,6 +233,29 @@ class TestRunners:
         with pytest.raises(ValueError, match="trial"):
             run_type1_curve(n=20, L_values=[5], K=10, alpha=0.05, trials=0, master_seed=0)
 
+
+class TestCalibration:
+    def test_exact_null_holds_its_level(self):
+        """On exactly paired records the rejection rate stays within alpha + 1/(K + 1).
+
+        At each L the one-sided Clopper-Pearson lower limit at level 1e-3
+        of the rejection rate over 1000 trials must not exceed 0.055. A test
+        whose true rate is at most 0.055 fails that at one L with probability
+        at most 1e-3, so at one of the three with probability at most 3e-3;
+        a true rate of 0.10 fails it at each L with probability about 0.99.
+        The seed was fixed before the first run and is not re-picked.
+        """
+        K, alpha, trials = 199, 0.05, 1000
+        cells = run_power_vs_L(
+            n=400, delta=0.0, L_values=[25, 100, 200], K=K, alpha=alpha, trials=trials,
+            master_seed=2310,
+        )
+        assert [c.L for c in cells] == [25, 100, 200]
+        for c in cells:
+            lower = stats.beta.ppf(1e-3, c.rejections, trials - c.rejections + 1) if c.rejections else 0.0
+            assert lower <= alpha + 1 / (K + 1), (c.L, c.rejections)
+
+
 class TestRunnerSeedLayout:
     """Every runner trial equals a standalone ``expert_test`` on its documented seed paths.
 
@@ -354,7 +377,7 @@ class TestRunnerDraws:
 
     @pytest.mark.parametrize("L_values", [[10, 25, 50], [50, 25, 10], [25, 50, 10], [25, 10, 25, 50]])
     def test_power_vs_L(self, monkeypatch, L_values):
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         cells = run_power_vs_L(
             n=120, delta=0.0, L_values=L_values, K=self.K, alpha=0.05, trials=self.TRIALS,
@@ -370,7 +393,7 @@ class TestRunnerDraws:
 
     @pytest.mark.parametrize("L_values", [[5, 15, 30], [30, 15, 5], [15, 30, 5], [15, 5, 15, 30]])
     def test_type1_curve(self, monkeypatch, L_values):
-        monkeypatch.setattr(engine, "_kept_mask", None)
+        engine._swap_mask.cache_clear()
         built = record_swap_streams(monkeypatch)
         cells = run_type1_curve(
             n=120, L_values=L_values, K=self.K, alpha=0.05, trials=self.TRIALS, master_seed=self.SEED
