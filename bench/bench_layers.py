@@ -8,8 +8,10 @@ The file name does not match ``test_*.py``, so a plain ``pytest`` run of the
 test suite does not collect it. The inputs mirror the workloads of
 ``perfbench/``: a 4000-row CSV of recorded binary decisions (two integer
 features, two lab values to one decimal place, with duplicate records),
-read once as written and once with every cell quoted, which numpy's reader
-leaves to the cell-by-cell one, the
+read three times: as written and with every cell quoted, both of which
+numpy's reader takes, and with ``7_4``-style ages, which Python's ``float``
+reads and numpy's does not, so the file goes to the cell-by-cell reader;
+each bench asserts which reader takes its file. Then the
 validity cube at n = 500, and one test at a ``power`` shape (n = 600,
 L = 75, K = 1000, zero-one loss), at a ``validity`` shape (n = 500,
 L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
@@ -92,27 +94,47 @@ def audit_csv(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def audit_csv_quoted(tmp_path_factory):
-    path = tmp_path_factory.mktemp("bench") / "audit_quoted.csv"
-    d = audit_like()
+def write_audit_rows(path, rows, **fmt) -> str:
+    """Write the audit header and ``rows`` with ``csv.writer(**fmt)``; return the path."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer = csv.writer(fh, **fmt)
         writer.writerow(NAMES)
-        writer.writerows(np.column_stack([d.x, d.y, d.y_hat]).tolist())
+        writer.writerows(rows)
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def audit_csv_quoted(tmp_path_factory):
+    d = audit_like()
+    return write_audit_rows(tmp_path_factory.mktemp("bench") / "audit_quoted.csv",
+                            np.column_stack([d.x, d.y, d.y_hat]).tolist(), quoting=csv.QUOTE_ALL)
+
+
+@pytest.fixture(scope="module")
+def audit_csv_underscored(tmp_path_factory):
+    d = audit_like()
+    rows = [[f"{int(age) // 10}_{int(age) % 10}", *rest]
+            for age, *rest in np.column_stack([d.x, d.y, d.y_hat]).tolist()]
+    return write_audit_rows(tmp_path_factory.mktemp("bench") / "audit_underscored.csv", rows)
+
+
+def time_load_csv(benchmark, path, numpy_reads):
+    # which reader takes the file is asserted, so a rule that sends the plain or
+    # quoted file cell by cell fails here instead of slowing the audit workload
+    assert (cli._bulk_cells(path, NAMES) is not None) == numpy_reads
+    assert benchmark(load_csv, path, SPEC) == audit_like()
+
+
 def test_load_csv_audit(benchmark, audit_csv):
-    d = benchmark(load_csv, audit_csv, SPEC)
-    assert d == audit_like()
+    time_load_csv(benchmark, audit_csv, numpy_reads=True)
 
 
 def test_load_csv_audit_quoted(benchmark, audit_csv_quoted):
-    # quotes keep a file from numpy's reader: this times the cell-by-cell one
-    assert cli._bulk_cells(audit_csv_quoted, NAMES) is None
-    d = benchmark(load_csv, audit_csv_quoted, SPEC)
-    assert d == audit_like()
+    time_load_csv(benchmark, audit_csv_quoted, numpy_reads=True)
+
+
+def test_load_csv_audit_cell_by_cell(benchmark, audit_csv_underscored):
+    time_load_csv(benchmark, audit_csv_underscored, numpy_reads=False)
 
 
 def test_greedy_match_audit_normalized(benchmark):

@@ -10,11 +10,12 @@ Each tree is a source checkout holding ``src/experttest``. Every command in
 the tree's ``src``. Both trees read the same inputs, which this script
 writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
-duplicate records), a validity cube rounded to one decimal place, and six
+duplicate records), a validity cube rounded to one decimal place, and eight
 unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
-after a byte-order mark; quoted, padded and ``7_4``-style cells; a blank
-line; a short row; a ``nan`` cell; and a 200 000-character field in an
-unselected column. The last four exit 1, so a change to the CSV reader is
+after a byte-order mark; quoted, padded and ``7_4``-style cells; R's
+``write.csv`` layout (a quoted header and quoted row names in an unnamed
+first column); bare-CR line ends; a blank line; a short row; a ``nan`` cell;
+and a 200 000-character field in an unselected column. The last four exit 1, so a change to the CSV reader is
 compared on its error messages too. So do three ``report`` runs whose test
 parameters are bad: ``--resamples 0``, ``--resamples 4294967296`` (more
 than the swap streams a seed provides) and the default zero-one loss on
@@ -59,7 +60,8 @@ COMMANDS = {
     "match-stats": ["match-stats", *AUDIT, "--pairs", "50,400,200"],
     **{f"test-{name}": ["test", "{%s}" % name, *AUDIT[1:], "--pairs", "100", "--resamples", "200",
                         "--seed", "{seed}"]
-       for name in ("crlf_bom", "quoted", "blank_line", "short_row", "nan_cell", "long_field")},
+       for name in ("crlf_bom", "quoted", "r_export", "mac_cr", "blank_line", "short_row",
+                    "nan_cell", "long_field")},
     "power-grid": ["power", "--n-values", "200,600", "--deltas", "0,0.1,0.3", *SAMPLED],
     "power-sweep": ["power", "--l-values", "20,80,40", "--n", "400", "--delta", "0.2", *SAMPLED],
     "power-bad-delta": ["power", "--n-values", "200,600", "--deltas", "0.1,0.7", *SAMPLED],
@@ -117,6 +119,10 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
         f'{int(a) // 10}_{int(a) % 10},"{v!r}", {h!r}\t,\u3000{c!r},{o!r},{d!r}'
         for a, v, h, c, o, d in rows.tolist()
     ]
+    # R's write.csv quotes the header and the row names, in a first column named ""
+    r_export = ['"",' + ",".join(f'"{name}"' for name in header)] + [
+        f'"{i}",{line}' for i, line in enumerate(lines[1:], start=1)
+    ]
     nan_cell = lines.copy()
     nan_cell[90] = ",".join(nan_cell[90].split(",")[:3] + ["nan"] + nan_cell[90].split(",")[4:])
     long_field = [lines[0] + ",note"] + [line + ",ok" for line in lines[1:]]
@@ -124,6 +130,8 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
     return {
         "crlf_bom": "\ufeff" + "\r\n".join(lines) + "\r\n",
         "quoted": "\n".join(odd) + "\n",
+        "r_export": "\n".join(r_export) + "\n",
+        "mac_cr": "\r".join(lines) + "\r",
         "blank_line": "\n".join(lines[:200] + [""] + lines[200:]) + "\n",
         "short_row": "\n".join(lines[:150] + [lines[150].rsplit(",", 2)[0]] + lines[151:]) + "\n",
         "nan_cell": "\n".join(nan_cell) + "\n",

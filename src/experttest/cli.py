@@ -104,15 +104,15 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
 
     A leading byte-order mark is dropped, and every selected cell is read as
     Python's ``float`` reads it. numpy's C reader parses the selected columns
-    of a plain file in one pass: a file with no ``"``, no ``\\r`` outside
-    ``\\r\\n``, none of the ASCII separators ``\\x1c`` to ``\\x1f`` and no
-    line longer than ``csv.field_size_limit()``, in which that reader takes
-    every selected cell as a finite number and gives one row per line after
-    the header. Every other file is read again, cell by cell, with ``csv``
-    and ``float``. Both readers give the same values bit for bit and raise
-    the same errors: :class:`MissingColumn`, :class:`DuplicateColumn`,
-    :class:`NonNumericCell`, :class:`MalformedCsv` (row numbers are 1-based
-    data rows) or :class:`EmptyFile`.
+    in one pass, quotes and ``\\r\\n``, ``\\r`` or ``\\n`` line ends as
+    ``csv`` does, unless the file holds one of the ASCII separators ``\\x1c``
+    to ``\\x1f`` or a line longer than ``csv.field_size_limit()``. Its result
+    is kept when it takes every selected cell as a finite number and gives one
+    row per line after the header. Every other file is read again, cell by
+    cell, with ``csv`` and ``float``. Both readers give the same values bit
+    for bit and raise the same errors: :class:`MissingColumn`,
+    :class:`DuplicateColumn`, :class:`NonNumericCell`, :class:`MalformedCsv`
+    (row numbers are 1-based data rows) or :class:`EmptyFile`.
     """
     names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
     values = _bulk_cells(path, names)
@@ -122,10 +122,9 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     return Dataset(values[:, :k], values[:, k], values[:, k + 1])
 
 
-# bytes that keep a file from numpy's reader: a quote, behind which csv may hide
-# a delimiter or a line end, and the four ASCII separators, which numpy's float
-# parser strips around a number as spaces and Python's float does not
-_NOT_FOR_NUMPY = b'"\x1c\x1d\x1e\x1f'
+# bytes that keep a file from numpy's reader: the four ASCII separators, which
+# numpy's float parser strips around a number as spaces and Python's float does not
+_NOT_FOR_NUMPY = b"\x1c\x1d\x1e\x1f"
 
 
 def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
@@ -134,10 +133,10 @@ def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
     with open(path, "rb") as fh:
         raw = fh.read()
     limit = csv.field_size_limit()
-    if (any(byte in raw for byte in _NOT_FOR_NUMPY) or raw.count(b"\r") != raw.count(b"\r\n")
-            or len(raw) > limit and _longest_line(raw) > limit):
+    if any(byte in raw for byte in _NOT_FOR_NUMPY) or len(raw) > limit and _longest_line(raw) > limit:
         return None
-    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))  # the header's included
+    # lines end at \r\n, \r or \n for csv and numpy alike; the header's included
+    lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + (not raw.endswith((b"\n", b"\r")))
     del raw
     with open(path, newline="", encoding="utf-8-sig") as fh:
         columns = _selected_columns(csv.reader(fh), path, names)
@@ -145,18 +144,18 @@ def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # e.g. "input contained no data"
                 values = np.loadtxt(fh, dtype=np.float64, delimiter=",", usecols=columns,
-                                    comments=None, ndmin=2)
+                                    comments=None, quotechar='"', ndmin=2)
         except (ValueError, Warning):
             return None
-    # loadtxt skips blank lines, which are bad rows to csv
+    # loadtxt skips blank lines, bad rows to csv, and reads a quoted line end into its field
     if len(values) != lines - 1 or not np.isfinite(values).all():
         return None
     return values
 
 
 def _longest_line(raw: bytes) -> int:
-    """The length in bytes of the longest line, counting any ``\\r`` before its ``\\n``."""
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    """The length in bytes of the longest line; a line ends at each ``\\r`` and each ``\\n``."""
+    ends = np.flatnonzero(np.frombuffer(raw.replace(b"\r", b"\n"), dtype=np.uint8) == ord("\n"))
     return int(np.diff(ends, prepend=-1, append=len(raw)).max()) - 1
 
 
@@ -216,9 +215,18 @@ def write_csv(d: Dataset, path: str, spec: ColumnSpec) -> None:
 
 
 def normalize_features(d: Dataset) -> Dataset:
-    """Min-max scale each feature column to [0, 1]; constant columns map to 0."""
+    """Min-max scale each feature column to [0, 1]; constant columns map to 0.
+
+    A column whose range overflows float64 (say, from -1e308 to 1e308) raises
+    ``ValueError`` naming its 0-based position among the features.
+    """
     lo = d.x.min(axis=0)
-    span = d.x.max(axis=0) - lo
+    hi = d.x.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    for j in np.flatnonzero(np.isinf(span)):
+        raise ValueError(f"feature {j}: its range, {float(lo[j])!r} to {float(hi[j])!r}, "
+                         "overflows float64, so it cannot be min-max scaled")
     safe = np.where(span > 0, span, 1.0)
     scaled = np.where(span > 0, (d.x - lo) / safe, 0.0)
     return Dataset(scaled, d.y, d.y_hat)

@@ -87,7 +87,11 @@ ODD_CELLS = st.sampled_from([
     "1_000", "1__0", "_1", "nan", "-nan", "inf", "+Infinity", "1e400", "-1e-400", "1d3",
     "\u0661\u0662", "\u0664.5", "", "#", "#1", "1#", '"2.5"', '"1,5"', '""', "0x1p3",
     "1\x000", "\ufeff1", ".", "e5", "-", "1e", "1.2.3",
+    'a"b', '"1"2', '"x"y', '"x\ny"', '"x\ry"', '"x\r\ny"', '" 1"', '"1""2"', '"', '"a,b',
 ])
+
+# R's write.csv: a quoted header whose first, unnamed column holds quoted row names
+R_EXPORT = '"","f1","f2","y","yhat"\n"1",1,2,3,4\n"2",5.5,-6,7,8e-3\n'
 
 
 @st.composite
@@ -95,21 +99,24 @@ def csv_texts(draw):
     """A CSV text whose header holds SPEC's columns and maybe an ``id``, in any order.
 
     Half the files are plain: numbers, padded or not, in full or long rows
-    with LF or CRLF line ends. The others mix in odd cells, ragged rows, bare
-    CRs and trailing blank lines.
+    with LF, CRLF or CR line ends. The others mix in odd cells (quoted ones
+    too), ragged rows, mixed line ends and trailing blank lines. Half the
+    headers quote every name.
     """
     header = draw(st.permutations(draw(st.sampled_from([["f1", "f2", "y", "yhat"],
                                                         ["f1", "f2", "y", "yhat", "id"]]))))
     width = len(header)
     if draw(st.booleans()):
         row = st.lists(PLAIN_CELLS, min_size=width, max_size=width + 1)
-        eol, tails = st.sampled_from(["\n", "\r\n"]), [""]
+        eol, tails = st.sampled_from(["\n", "\r\n", "\r"]), [""]
     else:
         cells = st.one_of(PLAIN_CELLS, ODD_CELLS)
         row = st.one_of(st.lists(cells, min_size=width, max_size=width),
                         st.lists(cells, max_size=width + 1))  # ragged: short or long
-        eol, tails = st.sampled_from(["\n", "\n", "\r\n", "\r"]), ["", "\n", "\n\n", "\r\n", " \n"]
+        eol, tails = st.sampled_from(["\n", "\n", "\r\n", "\r"]), ["", "\n", "\n\n", "\r\n", "\r", " \n"]
     rows = draw(st.lists(row, max_size=5))
+    if draw(st.booleans()):
+        header = [f'"{name}"' for name in header]
     lines = [",".join(header), *map(",".join, rows)]
     text = "".join(line + draw(eol) for line in lines)
     if draw(st.booleans()):
@@ -226,10 +233,11 @@ class TestLoadCsv:
             ColumnSpec(("y",), "y", "yhat")
 
     # each catch that keeps a file from numpy's reader: it raises, or warns on a
-    # header-only file, or skips a blank line, or reads a non-finite value; a
-    # quote could hide a delimiter or a line end, a bare CR ends a csv row, csv
+    # header-only file, or gives fewer rows than lines (it skips a blank line and
+    # reads a quoted line end into its field), or reads a non-finite value; csv
     # refuses a field over its size limit, and numpy strips \x1c to \x1f around
-    # a number where Python's float does not
+    # a number where Python's float does not. Quotes and CR line ends it reads as
+    # csv does.
     @given(text=csv_texts())
     @example(text="f1,f2,y,yhat\n1,2,1_000,4\n5,6,7,8\n")
     @example(text="f1,f2,y,yhat\n1,2,x,4\n5,6,7,8\n")
@@ -245,6 +253,9 @@ class TestLoadCsv:
     @example(text="f1,f2,y,yhat\n1,2,3,4\r5,6,7,8\n\n")
     @example(text="f1,f2,y,yhat,id\n1,2,3,4," + "x" * 200_000 + "\n5,6,7,8,x\n")
     @example(text="f1,f2,y,yhat\n1,2,3,\x1c4\n5,6,7,8\n")
+    @example(text=R_EXPORT)
+    @example(text="f1,f2,y,yhat\n1,2,3,4\n\r5,6,7,8\n")
+    @example(text="f1,f2,y,yhat\r" + "1,2,3,4\r" * 20_000)
     @settings(max_examples=150, deadline=None)
     def test_bulk_read_equals_cell_by_cell_read(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "differential.csv"
@@ -256,13 +267,12 @@ class TestLoadCsv:
         "f1,f2,y,yhat\n",
         "f1,f2,y,yhat\n1,2,3,4\n\n5,6,7,8\n",
         "f1,f2,y,yhat\n1,2,3,1e400\n5,6,7,8\n",
-        'id,note,f1,f2,y,yhat\n"a,b",1,2,3,4,5\n"c,d",6,7,8,9,10\n',
         'f1,f2,y,yhat,id\n1,2,3,4,"x\n5,6,7,8,"\n9,9,9,9,z\n',
         "f1,f2,y,yhat\n1,2,3,4\r5,6,7,8\n\n",
         "f1,f2,y,yhat,id\n1,2,3,4," + "x" * 200_000 + "\n5,6,7,8,x\n",
         "f1,f2,y,yhat\n1,2,3,\x1c4\n5,6,7,8\n",
-    ], ids=["raises", "warns", "blank_line", "non_finite", "quoted_delimiter", "quoted_line_end",
-            "bare_cr", "long_line", "separator"])
+    ], ids=["raises", "warns", "blank_line", "non_finite", "quoted_line_end", "bare_cr",
+            "long_line", "separator"])
     def test_catches_leave_numpys_reader(self, tmp_path, text):
         p = tmp_path / "d.csv"
         p.write_text(text, newline="")
@@ -272,7 +282,12 @@ class TestLoadCsv:
         "f1,f2,y,yhat\n1,2,3,4\n5,6,7,8",
         "\ufefff1,f2,y,yhat\r\n 1,2\t,\u30003,-0\r\n5,6,7,8\r\n",
         "f1,f2,y,yhat,id\n1,2,3,4\n5,6,7,8,x,y\n",
-    ], ids=["no_final_line_end", "bom_crlf_padded", "long_rows"])
+        'id,note,f1,f2,y,yhat\n"a,b",1,2,3,4,5\n"c,d",6,7,8,9,10\n',
+        R_EXPORT,
+        "f1,f2,y,yhat\r1,2,3,4\r5,6,7,8\r",
+        "f1,f2,y,yhat\r" + "1,2,3,4\r" * 20_000,
+    ], ids=["no_final_line_end", "bom_crlf_padded", "long_rows", "quoted_delimiter", "r_export",
+            "cr_line_ends", "cr_line_ends_long"])
     def test_plain_files_take_numpys_reader(self, tmp_path, text):
         p = tmp_path / "d.csv"
         p.write_text(text, newline="")
@@ -319,6 +334,20 @@ class TestNormalizeFeatures:
         out = normalize_features(d)
         assert out.y.tolist() == [3.0, 4.0]
         assert out.y_hat.tolist() == [5.0, 6.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_that_overflows_names_the_feature(self):
+        # the scaled column used to hold NaN, which Dataset blamed on missing data
+        d = Dataset([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0]], [0, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match=r"^feature 1: its range, -1e\+308 to 1e\+308, "
+                                             r"overflows float64"):
+            normalize_features(d)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_range_is_scaled(self):
+        half = np.finfo(np.float64).max / 2
+        d = Dataset([[-half, 3.0], [half, 1.0], [0.0, 2.0]], [0, 0, 0], [0, 0, 0])
+        assert normalize_features(d).x.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
 
 class TestRunReport:
@@ -568,6 +597,22 @@ class TestCliMain:
         err = json.loads(captured.err)
         assert err["error"] == "LossOverflow" and "overflow float64" in err["message"]
         assert not out_json.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_feature_range_that_overflows_fails_with_json_error(self, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        write_rows(p, ["f1", "f2", "y", "yhat"],
+                   [[i % 3, (-1) ** i * 1e308, i % 2, i // 2 % 2] for i in range(20)])
+        code = main(["report", str(p), "--features", "f1,f2", "--outcome", "y",
+                     "--prediction", "yhat", "--normalize", "--pairs", "5", "--resamples", "50"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "feature 1: its range, -1e+308 to 1e+308, overflows float64, "
+                       "so it cannot be min-max scaled",
+        }
 
     def test_json_report_byte_identical_across_runs(self, tmp_path):
         p, names = clinical_format_fixture(tmp_path)
