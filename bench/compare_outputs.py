@@ -10,17 +10,20 @@ Each tree is a source checkout holding ``src/experttest``. Every command in
 the tree's ``src``. Both trees read the same inputs, which this script
 writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
-duplicate records), a validity cube rounded to one decimal place, and eight
+duplicate records), a validity cube rounded to one decimal place, and nine
 unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
 after a byte-order mark; quoted, padded and ``7_4``-style cells; R's
 ``write.csv`` layout (a quoted header and quoted row names in an unnamed
 first column); bare-CR line ends; a blank line; a short row; a ``nan`` cell;
-and a 200 000-character field in an unselected column. The last four exit 1, so a change to the CSV reader is
-compared on its error messages too. So do three ``report`` runs whose test
-parameters are bad: ``--resamples 0``, ``--resamples 4294967296`` (more
-than the swap streams a seed provides) and the default zero-one loss on
-the cube, whose outcomes are not binary; a change to where parameters are
-checked is compared on its errors. A run differs when its exit code,
+a 200 000-character field in an unselected column; and a Latin-1 byte in an
+extra cell of a late line. The last five exit 1, so a change to the CSV
+reader is compared on its error messages too. So do three ``report`` runs
+whose test parameters are bad: ``--resamples 0``, ``--resamples
+4294967296`` (more than the swap streams a seed provides) and the default
+zero-one loss on the cube, whose outcomes are not binary; a change to where
+parameters are checked is compared on its errors. One ``report`` run writes
+its ``--json`` into a directory that does not exist, so a change to when
+that fails is compared too. A run differs when its exit code,
 stdout, stderr or ``--json`` file differs between the trees. Each differing
 run is listed, with both sides' stderr when that is what differs, and the
 exit code is 1 if any run differs. A change that keeps every output lists
@@ -53,6 +56,8 @@ COMMANDS = {
     "report-bad-L": ["report", *AUDIT, "--pairs", "500,0", "--resamples", "300"],
     "report-K-zero": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "0"],
     "report-K-too-many": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "4294967296"],
+    "report-json-missing-dir": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "300",
+                                "--json", "{missing_dir}/out.json"],
     "report-cube-squared": [*CUBE, "--loss", "squared", "--seed", "{seed}"],
     "report-cube-zero-one": CUBE,
     "test": ["test", *AUDIT, "--pairs", "400", "--resamples", "300", "--smoothness-C", "1.0",
@@ -61,7 +66,7 @@ COMMANDS = {
     **{f"test-{name}": ["test", "{%s}" % name, *AUDIT[1:], "--pairs", "100", "--resamples", "200",
                         "--seed", "{seed}"]
        for name in ("crlf_bom", "quoted", "r_export", "mac_cr", "blank_line", "short_row",
-                    "nan_cell", "long_field")},
+                    "nan_cell", "long_field", "latin1")},
     "power-grid": ["power", "--n-values", "200,600", "--deltas", "0,0.1,0.3", *SAMPLED],
     "power-sweep": ["power", "--l-values", "20,80,40", "--n", "400", "--delta", "0.2", *SAMPLED],
     "power-bad-delta": ["power", "--n-values", "200,600", "--deltas", "0.1,0.7", *SAMPLED],
@@ -73,7 +78,8 @@ SEEDS = [0, 7, 42]
 
 
 def write_inputs(folder: Path) -> dict:
-    """Write the two input CSVs and return their paths by placeholder name."""
+    """Write the input CSVs and return their paths by placeholder name, with a
+    directory path that does not exist as ``missing_dir``."""
     rng = np.random.default_rng(20)
     n = 2000
     age = rng.integers(18, 90, n)
@@ -89,9 +95,9 @@ def write_inputs(folder: Path) -> dict:
     audit = folder / "audit.csv"
     _write_csv(audit, header, rows)
     paths = {"audit": str(audit)}
-    for name, text in _unusual_csvs(header, rows[:400]).items():
+    for name, raw in _unusual_csvs(header, rows[:400]).items():
         path = folder / f"{name}.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(raw)
         paths[name] = str(path)
 
     x = np.round(rng.uniform(0.0, 10.0, (400, 3)), 1)
@@ -100,7 +106,7 @@ def write_inputs(folder: Path) -> dict:
     y_hat = np.round(s + rng.standard_normal(400), 1)
     cube = folder / "cube.csv"
     _write_csv(cube, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, y, y_hat]))
-    return {**paths, "cube": str(cube)}
+    return {**paths, "cube": str(cube), "missing_dir": str(folder / "missing")}
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
@@ -112,7 +118,8 @@ def _lines(header: list[str], rows: np.ndarray) -> list[str]:
 
 
 def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
-    """CSV texts of the same records that a reader may take otherwise than a plain file."""
+    """CSV files, as bytes, of the same records that a reader may take otherwise than a
+    plain file."""
     lines = _lines(header, rows)
     # the age as "7_4", the visit count quoted, the lab values padded
     odd = [",".join(header)] + [
@@ -127,7 +134,10 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
     nan_cell[90] = ",".join(nan_cell[90].split(",")[:3] + ["nan"] + nan_cell[90].split(",")[4:])
     long_field = [lines[0] + ",note"] + [line + ",ok" for line in lines[1:]]
     long_field[120] = long_field[120][:-2] + "x" * 200_000
-    return {
+    # an extra cell past the first 8 KB, so a decoder's chunk-relative position is not the file's
+    latin1 = lines.copy()
+    latin1[380] += ",caf\u00e9"
+    texts = {
         "crlf_bom": "\ufeff" + "\r\n".join(lines) + "\r\n",
         "quoted": "\n".join(odd) + "\n",
         "r_export": "\n".join(r_export) + "\n",
@@ -137,13 +147,18 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
         "nan_cell": "\n".join(nan_cell) + "\n",
         "long_field": "\n".join(long_field) + "\n",
     }
+    return {**{name: text.encode("utf-8") for name, text in texts.items()},
+            "latin1": ("\n".join(latin1) + "\n").encode("latin-1")}
 
 
 def run(tree: str, argv: list[str], json_path: Path) -> tuple:
-    """Exit code, stdout, stderr and ``--json`` file bytes (None if not written) of one run."""
+    """Exit code, stdout, stderr and ``--json`` file bytes (None if not written) of one run;
+    ``json_path`` is the ``--json`` file unless ``argv`` names its own."""
     json_path.unlink(missing_ok=True)
+    if "--json" not in argv:
+        argv = [*argv, "--json", str(json_path)]
     proc = subprocess.run(
-        [sys.executable, "-m", "experttest.cli", *argv, "--json", str(json_path)],
+        [sys.executable, "-m", "experttest.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")},
         capture_output=True, text=True, timeout=600,
     )

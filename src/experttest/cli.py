@@ -9,9 +9,11 @@ runners emit CSV plot data. All randomness is controlled by ``--seed``.
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -80,7 +82,8 @@ class EmptyFile(ExpertTestError):
 
 
 class MalformedCsv(ExpertTestError):
-    """The csv module cannot parse a row, e.g. a field longer than its size limit."""
+    """The file is not UTF-8, or the csv module cannot parse a row, e.g. a field longer
+    than its size limit."""
 
 
 @dataclass(frozen=True)
@@ -112,12 +115,18 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     cell, with ``csv`` and ``float``. Both readers give the same values bit
     for bit and raise the same errors: :class:`MissingColumn`,
     :class:`DuplicateColumn`, :class:`NonNumericCell`, :class:`MalformedCsv`
-    (row numbers are 1-based data rows) or :class:`EmptyFile`.
+    (row numbers are 1-based data rows; a file that is not UTF-8 names the
+    line, header included, that holds its first bad byte) or
+    :class:`EmptyFile`.
     """
     names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
-    values = _bulk_cells(path, names)
-    if values is None:
-        values = _checked_cells(path, names)
+    try:
+        values = _bulk_cells(path, names)
+        if values is None:
+            values = _checked_cells(path, names)
+    except UnicodeDecodeError:
+        # the decoder's position is within its chunk, so the file is read again
+        raise _not_utf8(path) from None
     k = len(spec.feature_columns)
     return Dataset(values[:, :k], values[:, k], values[:, k + 1])
 
@@ -151,6 +160,20 @@ def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
     if len(values) != lines - 1 or not np.isfinite(values).all():
         return None
     return values
+
+
+def _not_utf8(path: str) -> MalformedCsv:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(raw)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    head = raw[:start]
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return MalformedCsv(f"{path}: line {line}: not valid UTF-8 (first bad byte at offset {start})")
 
 
 def _longest_line(raw: bytes) -> int:
@@ -412,7 +435,8 @@ def parse_metric(text: str) -> DistanceMetric:
 
 
 def _smoothness_constant(text: str) -> float:
-    """A finite, nonnegative float; inf or NaN would make the JSON report invalid."""
+    """A finite, nonnegative float: the CLI takes only a finite C, while a library
+    caller may pass ``Smoothness(math.inf)``."""
     try:
         value = float(text)
     except ValueError:
@@ -535,6 +559,19 @@ def _load_dataset(args) -> Dataset:
     if args.normalize:
         d = normalize_features(d)
     return d
+
+
+def _check_json_path(path: str | None) -> None:
+    """Raise what opening ``path`` to write would raise when it is a directory or its
+    directory is missing, so such a run fails before any work; no file is created."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.join(os.path.dirname(path), "."))  # "." fails unless a directory
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -677,6 +714,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_json_path(args.json)
         return _COMMANDS[args.command](args)
     except (ExpertTestError, ValueError, OSError) as exc:
         json.dump(

@@ -309,6 +309,23 @@ class TestLoadCsv:
         d = Dataset([[3.5, 2.0], [-1.0, 4.0]], [0.0, 1.0], [1.0, 0.0])
         assert numpy_outcome(p) == (d.x.shape, d.x.tobytes(), d.y.tobytes(), d.y_hat.tobytes())
 
+    @pytest.mark.parametrize("case, line, offset", [
+        ("header", 1, 12), ("late_line", 3002, 27021), ("after_bom", 1, 3),
+    ])
+    def test_not_utf8_names_the_file_and_line(self, tmp_path, case, line, offset):
+        # a Latin-1 e-acute; the decoder's own position is within its chunk, not the file
+        rows = ["f1,f2,y,yhat"] + [f"{i % 7},{i % 5},{i % 2},{i // 2 % 2}" for i in range(4000)]
+        raw = bytearray("\r\n".join(rows).encode() + b"\r\n")
+        if case == "after_bom":
+            raw[:0] = "\ufeff".encode()
+        raw[offset:offset] = b"\xe9"
+        assert raw[:offset].count(b"\r\n") == line - 1
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(bytes(raw))
+        want = ("MalformedCsv",
+                f"{p}: line {line}: not valid UTF-8 (first bad byte at offset {offset})")
+        assert read_outcome(p) == cell_by_cell_outcome(p) == want
+
 
 class TestNormalizeFeatures:
     def test_min_max_example(self):
@@ -683,7 +700,7 @@ class TestCliMain:
             ("--loss", "weighted:fp=nan,fn=1"),
             ("--loss", "weighted:fp=1,fn=inf"),
             ("--loss", "weighted:fp=-inf,fn=1"),
-            # an infinite constant would be written to JSON as the non-standard Infinity
+            # the CLI takes a finite constant; only a library caller may pass inf
             ("--smoothness-C", "inf"),
             ("--smoothness-C", "nan"),
             ("--smoothness-C", "-1"),
@@ -697,6 +714,29 @@ class TestCliMain:
             assert exc.value.code == 2, value
             assert option in capsys.readouterr().err
             assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv, patched", [
+        (["report", "{csv}", "--features", "c0,c1", "--outcome", "outcome",
+          "--prediction", "admitted", "--pairs", "10"], "greedy_match"),
+        (["power", "--n-values", "60", "--deltas", "0.2", "--trials", "2"], "run_power_curve"),
+    ], ids=["report", "power"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_json_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                        argv, patched, where):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        p, _ = clinical_format_fixture(tmp_path)
+        out = tmp_path / "missing" / "out.json" if where == "missing_directory" else tmp_path
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        monkeypatch.setattr(cli, patched, no_run)
+        assert main([a.format(csv=p) for a in argv] + ["--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": type(opened.value).__name__,
+                                            "message": str(opened.value)}
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("where, lines", [
         ("row", ["f1,f2,y,yhat", "0,0,0,1", "1,1,0," + "1" * 200_001]),

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+import experttest
+from experttest import bounds, core, engine, matching, synthgen
 from experttest.core import (
     Dataset,
     DistanceMetric,
@@ -218,3 +220,17 @@ class TestSeededRng:
     def test_derive_seed_deterministic(self):
         assert derive_seed(99, 1, 2) == derive_seed(99, 1, 2)
         assert derive_seed(99, 1, 2) != derive_seed(99, 2, 1)
+
+
+def test_package_exports_each_modules_public_names():
+    modules = (core, matching, engine, bounds, synthgen)
+    names = [name for module in modules for name in module.__all__]
+    assert experttest.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(experttest, name) is getattr(module, name), name
+    star = {}
+    exec("from experttest import *", star)
+    del star["__builtins__"]
+    assert star.keys() == set(names)
