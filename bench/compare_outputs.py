@@ -10,14 +10,15 @@ Each tree is a source checkout holding ``src/experttest``. Every command in
 the tree's ``src``. Both trees read the same inputs, which this script
 writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
-duplicate records), a validity cube rounded to one decimal place, and nine
+duplicate records), a validity cube rounded to one decimal place, and eleven
 unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
 after a byte-order mark; quoted, padded and ``7_4``-style cells; R's
 ``write.csv`` layout (a quoted header and quoted row names in an unnamed
 first column); bare-CR line ends; a blank line; a short row; a ``nan`` cell;
-a 200 000-character field in an unselected column; and a Latin-1 byte in an
-extra cell of a late line. The last five exit 1, so a change to the CSV
-reader is compared on its error messages too. So do three ``report`` runs
+a 200 000-character field in an unselected column; a Latin-1 byte in an
+extra cell of a late line; the same byte after a non-numeric age on row 4;
+and the header alone. The last seven exit 1, so a change to the CSV reader
+is compared on its error messages too. So do three ``report`` runs
 whose test parameters are bad: ``--resamples 0``, ``--resamples
 4294967296`` (more than the swap streams a seed provides) and the default
 zero-one loss on the cube, whose outcomes are not binary; a change to where
@@ -66,7 +67,7 @@ COMMANDS = {
     **{f"test-{name}": ["test", "{%s}" % name, *AUDIT[1:], "--pairs", "100", "--resamples", "200",
                         "--seed", "{seed}"]
        for name in ("crlf_bom", "quoted", "r_export", "mac_cr", "blank_line", "short_row",
-                    "nan_cell", "long_field", "latin1")},
+                    "nan_cell", "long_field", "latin1", "latin1_after_bad_cell", "header_only")},
     "power-grid": ["power", "--n-values", "200,600", "--deltas", "0,0.1,0.3", *SAMPLED],
     "power-sweep": ["power", "--l-values", "20,80,40", "--n", "400", "--delta", "0.2", *SAMPLED],
     "power-bad-delta": ["power", "--n-values", "200,600", "--deltas", "0.1,0.7", *SAMPLED],
@@ -137,6 +138,8 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
     # an extra cell past the first 8 KB, so a decoder's chunk-relative position is not the file's
     latin1 = lines.copy()
     latin1[380] += ",caf\u00e9"
+    latin1_after_bad_cell = latin1.copy()
+    latin1_after_bad_cell[4] = "x," + latin1_after_bad_cell[4].split(",", 1)[1]  # the age of row 4
     texts = {
         "crlf_bom": "\ufeff" + "\r\n".join(lines) + "\r\n",
         "quoted": "\n".join(odd) + "\n",
@@ -146,9 +149,11 @@ def _unusual_csvs(header: list[str], rows: np.ndarray) -> dict:
         "short_row": "\n".join(lines[:150] + [lines[150].rsplit(",", 2)[0]] + lines[151:]) + "\n",
         "nan_cell": "\n".join(nan_cell) + "\n",
         "long_field": "\n".join(long_field) + "\n",
+        "header_only": lines[0] + "\n",
     }
     return {**{name: text.encode("utf-8") for name, text in texts.items()},
-            "latin1": ("\n".join(latin1) + "\n").encode("latin-1")}
+            "latin1": ("\n".join(latin1) + "\n").encode("latin-1"),
+            "latin1_after_bad_cell": ("\n".join(latin1_after_bad_cell) + "\n").encode("latin-1")}
 
 
 def run(tree: str, argv: list[str], json_path: Path) -> tuple:

@@ -8,6 +8,7 @@ runners emit CSV plot data. All randomness is controlled by ``--seed``.
 """
 
 import argparse
+import codecs
 import csv
 import errno
 import io
@@ -17,6 +18,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class NonNumericCell(ExpertTestError):
 
 
 class EmptyFile(ExpertTestError):
-    """The CSV has no header row."""
+    """The CSV has no header row, or fewer than the two data rows a dataset needs."""
 
 
 class MalformedCsv(ExpertTestError):
@@ -105,6 +107,16 @@ class ColumnSpec:
 def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     """Read a UTF-8 CSV with header into a dataset, preserving row order.
 
+    The file is read once as bytes, and its checks run in this order: the
+    encoding, then the header, then the cells, then the row count. A file
+    that is not UTF-8 raises :class:`MalformedCsv` naming the line, header
+    included, that holds its first bad byte. A header that is missing, or
+    lacks or repeats a selected column, raises :class:`EmptyFile`,
+    :class:`MissingColumn` or :class:`DuplicateColumn`; the first bad cell
+    raises :class:`NonNumericCell` and a row ``csv`` cannot parse raises
+    :class:`MalformedCsv` (row numbers are 1-based data rows); fewer than two
+    data rows raise :class:`EmptyFile`.
+
     A leading byte-order mark is dropped, and every selected cell is read as
     Python's ``float`` reads it. numpy's C reader parses the selected columns
     in one pass, quotes and ``\\r\\n``, ``\\r`` or ``\\n`` line ends as
@@ -113,40 +125,49 @@ def load_csv(path: str, spec: ColumnSpec) -> Dataset:
     is kept when it takes every selected cell as a finite number and gives one
     row per line after the header. Every other file is read again, cell by
     cell, with ``csv`` and ``float``. Both readers give the same values bit
-    for bit and raise the same errors: :class:`MissingColumn`,
-    :class:`DuplicateColumn`, :class:`NonNumericCell`, :class:`MalformedCsv`
-    (row numbers are 1-based data rows; a file that is not UTF-8 names the
-    line, header included, that holds its first bad byte) or
-    :class:`EmptyFile`.
+    for bit and raise the same errors.
     """
     names = (*spec.feature_columns, spec.outcome_column, spec.prediction_column)
-    try:
-        values = _bulk_cells(path, names)
-        if values is None:
-            values = _checked_cells(path, names)
-    except UnicodeDecodeError:
-        # the decoder's position is within its chunk, so the file is read again
-        raise _not_utf8(path) from None
+    raw = Path(path).read_bytes()
+    start = len(raw) if raw.isascii() else 0  # an ASCII file is UTF-8
+    while start < len(raw):  # by chunks, so no wide str of the whole file is built
+        try:
+            start += codecs.utf_8_decode(raw[start : start + _CHUNK], None, start + _CHUNK >= len(raw))[1]
+        except UnicodeDecodeError as exc:
+            start += exc.start
+            raise MalformedCsv(f"{path}: line {_line_ends(raw[:start]) + 1}: not valid UTF-8 "
+                               f"(first bad byte at offset {start})") from None
+    limit = csv.field_size_limit()
+    for_numpy = not any(byte in raw for byte in _NOT_FOR_NUMPY) and (len(raw) <= limit or _longest_line(raw) <= limit)
+    rows = _line_ends(raw) + (not raw.endswith((b"\n", b"\r"))) - 1  # the header is one line
+    del raw  # so the bytes are freed before a reader parses the text
+    values = _bulk_cells(path, names, rows) if for_numpy else None
+    if values is None:
+        values = _checked_cells(path, names)
+    if len(values) < 2:
+        raise EmptyFile(f"{path}: a dataset needs at least 2 data rows, and the file has {len(values)}")
     k = len(spec.feature_columns)
     return Dataset(values[:, :k], values[:, k], values[:, k + 1])
 
+
+# the bytes decoded at a time to check that a file is UTF-8; a chunk's partial last
+# character starts the next chunk, so it must hold at least 4 bytes, the longest character
+_CHUNK = 1 << 20
 
 # bytes that keep a file from numpy's reader: the four ASCII separators, which
 # numpy's float parser strips around a number as spaces and Python's float does not
 _NOT_FOR_NUMPY = b"\x1c\x1d\x1e\x1f"
 
 
-def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
-    """The selected cells as an (n, len(names)) array by numpy's reader, or None for a file
-    that ``csv`` and ``float`` might read otherwise."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    limit = csv.field_size_limit()
-    if any(byte in raw for byte in _NOT_FOR_NUMPY) or len(raw) > limit and _longest_line(raw) > limit:
-        return None
-    # lines end at \r\n, \r or \n for csv and numpy alike; the header's included
-    lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + (not raw.endswith((b"\n", b"\r")))
-    del raw
+def _line_ends(raw: bytes) -> int:
+    """The line ends in ``raw``: csv and numpy alike end a line at ``\\r\\n``, ``\\r`` or ``\\n``."""
+    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+
+
+def _bulk_cells(path: str, names: tuple[str, ...], rows: int) -> np.ndarray | None:
+    """The selected cells as an (n, len(names)) array by numpy's reader, or None when it fails,
+    warns, reads a cell as not finite or gives other than ``rows`` rows: ``csv`` and
+    ``float`` might read such a file otherwise."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         columns = _selected_columns(csv.reader(fh), path, names)
         try:
@@ -157,23 +178,9 @@ def _bulk_cells(path: str, names: tuple[str, ...]) -> np.ndarray | None:
         except (ValueError, Warning):
             return None
     # loadtxt skips blank lines, bad rows to csv, and reads a quoted line end into its field
-    if len(values) != lines - 1 or not np.isfinite(values).all():
+    if len(values) != rows or not np.isfinite(values).all():
         return None
     return values
-
-
-def _not_utf8(path: str) -> MalformedCsv:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    start = len(raw)
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = exc.start
-    head = raw[:start]
-    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return MalformedCsv(f"{path}: line {line}: not valid UTF-8 (first bad byte at offset {start})")
 
 
 def _longest_line(raw: bytes) -> int:

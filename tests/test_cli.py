@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -221,6 +222,17 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(str(p), SPEC)
 
+    @pytest.mark.parametrize("text, rows, numpy_reads", [
+        ("f1,f2,y,yhat\n", 0, False), ("f1,f2,y,yhat\n1,0,1,0\n", 1, True),
+    ], ids=["header_only", "one_row"])
+    def test_fewer_than_two_rows_names_the_file(self, tmp_path, text, rows, numpy_reads):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        want = ("EmptyFile", f"{p}: a dataset needs at least 2 data rows, and the file has {rows}")
+        # numpy warns "input contained no data" on the header-only file, so it goes cell by cell
+        assert numpy_outcome(p) == (want if numpy_reads else ("AssertionError", "read cell by cell"))
+        assert read_outcome(p) == cell_by_cell_outcome(p) == want
+
     def test_round_trip_exact(self, tmp_path):
         d = gen_validity_cube(40, 3)
         spec = ColumnSpec(("a", "b", "c"), "y", "yhat")
@@ -311,20 +323,53 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("case, line, offset", [
         ("header", 1, 12), ("late_line", 3002, 27021), ("after_bom", 1, 3),
+        ("bad_cell_then_line_7", 7, 101), ("bad_cell_then_line_3002", 3002, 42031),
     ])
     def test_not_utf8_names_the_file_and_line(self, tmp_path, case, line, offset):
         # a Latin-1 e-acute; the decoder's own position is within its chunk, not the file
         rows = ["f1,f2,y,yhat"] + [f"{i % 7},{i % 5},{i % 2},{i // 2 % 2}" for i in range(4000)]
+        if case.startswith("bad_cell"):
+            # a non-numeric f1 on row 4 and the byte in an unselected cell: the encoding is
+            # checked first, whether or not a text decoder's read-ahead reaches the byte
+            rows = [row + ",note" for row in rows]
+            rows[4] = "x" + rows[4][1:]
         raw = bytearray("\r\n".join(rows).encode() + b"\r\n")
         if case == "after_bom":
             raw[:0] = "\ufeff".encode()
         raw[offset:offset] = b"\xe9"
         assert raw[:offset].count(b"\r\n") == line - 1
+        if case.startswith("bad_cell"):
+            assert raw[offset - 4 : offset + 3] == b"note\xe9\r\n"
         p = tmp_path / "latin1.csv"
         p.write_bytes(bytes(raw))
         want = ("MalformedCsv",
                 f"{p}: line {line}: not valid UTF-8 (first bad byte at offset {offset})")
         assert read_outcome(p) == cell_by_cell_outcome(p) == want
+
+    @given(text=st.text(st.sampled_from("1,\n\r\u00e9\u75c5\U0001f600"), max_size=40),
+           bad=st.sampled_from([b"", b"\xe9", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf0\x9f\x98"]),
+           at=st.integers(0, 160), chunk=st.integers(4, 12))
+    @example(text="1\U0001f600", bad=b"", at=0, chunk=4)
+    @example(text="11\u00e9\n", bad=b"\xe9", at=3, chunk=4)
+    @settings(max_examples=200, deadline=None)
+    def test_utf8_checked_by_chunks_as_if_decoded_whole(self, tmp_path_factory, text, bad, at,
+                                                        chunk):
+        # small chunks, so characters, bad bytes and the file's end fall on their edges;
+        # the insert may also split a character
+        raw = text.encode()
+        raw = raw[:at] + bad + raw[at:]
+        p = tmp_path_factory.getbasetemp() / "chunks.csv"
+        p.write_bytes(raw)
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            got = read_outcome(p)
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(re.split(rb"\r\n|\r|\n", raw[: exc.start]))
+            assert got == ("MalformedCsv",
+                           f"{p}: line {line}: not valid UTF-8 (first bad byte at offset {exc.start})")
+        else:
+            assert "UTF-8" not in str(got)
 
 
 class TestNormalizeFeatures:
