@@ -46,11 +46,13 @@ Two parts of each test's preamble are timed alone: ``Matching.prefix``
 classifies only when every matched record is binary (the validity cube at
 L = 250, which is not binary, and the audit records at L = 1000, which are).
 
-Three more matcher inputs are there to catch a radius rule that wins on
+Four more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
 (L = n/4), a tight cluster of 3000 records with 1000 spread around it
-(3-D, L = 2000), and the uniform 9-dimensional cube at n = 4000 (L = n/2),
-where a radius grows the candidate count fastest.
+(3-D, L = 2000), the uniform 9-dimensional cube at n = 4000 (L = n/2),
+where a radius grows the candidate count fastest, and the validity cube at
+n = 4000 and L = 200, a shallow matching whose pair queries run over a
+small share of the free records.
 """
 
 import csv
@@ -169,8 +171,13 @@ def uniform_9d() -> Dataset:
 
 @pytest.mark.parametrize(
     "make, L",
-    [(lambda: gen_validity_cube(32_000, 0), 8000), (clustered_3d, 2000), (uniform_9d, 2000)],
-    ids=["cube-32000", "clustered-3d", "uniform-9d"],
+    [
+        (lambda: gen_validity_cube(32_000, 0), 8000),
+        (clustered_3d, 2000),
+        (uniform_9d, 2000),
+        (lambda: gen_validity_cube(4000, 0), 200),
+    ],
+    ids=["cube-32000", "clustered-3d", "uniform-9d", "cube-4000-shallow"],
 )
 def test_greedy_match_counter_inputs(benchmark, make, L):
     d = make()

@@ -346,6 +346,14 @@ class TestLoadCsv:
                 f"{p}: line {line}: not valid UTF-8 (first bad byte at offset {offset})")
         assert read_outcome(p) == cell_by_cell_outcome(p) == want
 
+    @pytest.mark.parametrize("raw", [
+        b"", b"\r", b"\n\n", b"ab\r\ncde\rf\nghij", b"a\tb\x0bc\x0cd\re\n", b"\t\x0b\x0c\x00xyz",
+        b"f1,f2\r\n" + b"1,2\r" * 300 + b"x" * 5000 + b"\n1,2\n",
+    ], ids=["empty", "lone_cr", "two_lf", "mixed_ends", "tab_vt_ff", "no_line_end", "long_line"])
+    def test_longest_line_equals_split(self, raw):
+        # bytes below \r that are not line ends (tab, \x0b, \x0c) must not cut a line
+        assert cli._longest_line(raw) == max(len(line) for line in re.split(rb"\r|\n", raw))
+
     @given(text=st.text(st.sampled_from("1,\n\r\u00e9\u75c5\U0001f600"), max_size=40),
            bad=st.sampled_from([b"", b"\xe9", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf0\x9f\x98"]),
            at=st.integers(0, 160), chunk=st.integers(4, 12))

@@ -12,6 +12,7 @@ from _oracles import InstanceTooLarge, brute_force_optimal_matching, dense_greed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from experttest.cli import normalize_features
 from experttest.core import Dataset, DistanceMetric, derive_seed
 from experttest.matching import Matching, TooManyPairs, greedy_match, pair_distance_summary
 from experttest.synthgen import ExpertiseConfig, gen_expertise_pairs, gen_validity_cube
@@ -47,6 +48,20 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def audit_like():
+    """The audit workload's features: ages, visit counts and two one-decimal lab
+    values of 4000 recorded decisions, with duplicate records."""
+    rng = np.random.default_rng(0)
+    n = 4000
+    x = np.column_stack([
+        rng.integers(18, 91, n),
+        rng.poisson(3.0, n),
+        np.round(rng.normal(13.5, 1.6, n), 1),
+        np.round(rng.lognormal(0.0, 0.25, n), 1),
+    ]).astype(float)
+    return points(x)
 
 
 def points(xs):
@@ -207,6 +222,9 @@ class TestGreedyMatch:
     @example(kind="one_decimal", n=1500, dim=4, seed=5, depth=1.0)
     @example(kind="uniform", n=1500, dim=9, seed=6, depth=0.6)
     @example(kind="clustered", n=1501, dim=3, seed=7, depth=0.9)
+    # shallow: each round's pair query runs over a small share of the free records
+    @example(kind="one_decimal", n=1500, dim=4, seed=13, depth=0.25)
+    @example(kind="uniform", n=1500, dim=9, seed=14, depth=0.1)
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_greedy(self, kind, n, dim, seed, depth):
         # the KD rounds must give exactly the dense matcher's pairs, order and
@@ -285,6 +303,28 @@ class TestGreedyMatch:
             greedy_match(d, L, L2)
             assert len(radii) >= 2
             assert all(b >= 2 * a for a, b in zip(radii, radii[1:])), radii
+
+    def test_pair_query_skips_records_beyond_the_radius(self, monkeypatch):
+        # a record whose nearest-neighbour bound exceeds the round's radius has no
+        # free record within it, so the pair query's tree leaves it out
+        import scipy.spatial
+
+        free, pair_trees = [], []
+
+        class RecordingTree(scipy.spatial.cKDTree):
+            def query(self, *args, **kwargs):
+                free.append(self.n)
+                return super().query(*args, **kwargs)
+
+            def query_pairs(self, r, *args, **kwargs):
+                pair_trees.append(self.n)
+                return super().query_pairs(r, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        d = normalize_features(audit_like())
+        assert len(greedy_match(d, 1000, L2)) == 1000
+        assert len(pair_trees) >= 2
+        assert pair_trees[0] < free[0] / 2, (free, pair_trees)
 
     def test_clustered_input_memory_bounded(self):
         # a radius rule fitted to the cluster's scale pulls millions of
