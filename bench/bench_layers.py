@@ -18,9 +18,11 @@ L = 250, K = 200, squared loss) and at an ``audit`` shape (the 4000-row
 decisions, L = 1000, K = 1000, zero-one loss). Every engine call takes a
 new seed, as every test of the ``power`` workload does, so none reads the
 mask the one before kept. The swap-mask draw is also timed alone, at the
-``power`` shapes (K = 1000 and L = 25, 75 and 150, the L of its three n)
-and the ``validity`` shape (K = 200, L = 250): each call reads every block
-of a new ``_SwapMask``, so it draws and packs them all, and none is kept.
+``power`` shapes (K = 1000 and L = 25, 75 and 150, the L of its three n),
+the ``validity`` shape (K = 200, L = 250) and the ``audit`` shape
+(K = 1000, L = 1000, whose 64 x 1001 float block buffer is the largest):
+each call reads every block of a new ``_SwapMask``, so it draws and packs
+them all, and none is kept.
 So is the seed-word hash, at K = 1000. The ``power`` runner only needs
 each test's verdict, so the ``power``-shaped test is also timed with
 ``verdict_only``, which stops comparing once the test can no longer
@@ -218,7 +220,7 @@ def test_classify_swaps(benchmark, make, L, binary):
     assert (counts is not None) == binary
 
 
-@pytest.mark.parametrize("K, L", [(1000, 25), (1000, 75), (1000, 150), (200, 250)])
+@pytest.mark.parametrize("K, L", [(1000, 25), (1000, 75), (1000, 150), (200, 250), (1000, 1000)])
 def test_swap_mask_blocks(benchmark, K, L):
     seeds = count()
 

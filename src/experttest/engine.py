@@ -29,12 +29,13 @@ building K seed sequences or K generators: it hashes all K seed states at
 once and turns each into the ``PCG64`` state one step before the seeded
 one with array arithmetic. Each thread keeps one ``PCG64`` and writes row
 after row's state into it, so the only Python that runs per resample is
-that write and one ``random_raw`` call, whose first raw (the step) is
-dropped. numpy's C-level iterators draw the streams a block of at most
-``_BLOCK_ROWS`` resamples at a time (:class:`_SwapMask`), and each block
-is compared and reduced to two counts before the next is read, which
-bounds the working memory whatever K is. A property test checks the
-concatenated blocks against the stacked streams.
+that write and one ``Generator.random(out=row)`` call, which fills a row
+of the block's float array in place and whose first draw (the step) is
+dropped. The streams are drawn a block of at most ``_BLOCK_ROWS``
+resamples at a time (:class:`_SwapMask`), and each block is compared and
+reduced to two counts before the next is read, which bounds the working
+memory whatever K is. A property test checks the concatenated blocks
+against the stacked streams.
 
 A test reads the first ``cfg.L`` pairs of its matching and the first
 ``cfg.L`` columns of a mask drawn at the matching's length. Blocks are
@@ -115,7 +116,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _U32 = (1 << 32) - 1
-_HALF_RAW = np.uint64(1 << 63)
 # resamples drawn, packed and compared per block; 32 to 256 measured within noise
 _BLOCK_ROWS = 64
 
@@ -223,20 +223,21 @@ class _SwapMask:
 
     Row k is ``swap_stream(master_seed, k).random(L) < 0.5``. Block i, rows
     ``_BLOCK_ROWS * i`` on, is drawn the first time a reader reaches it and
-    stored in ``bits`` under i, packed row after row. ``Generator.random``
-    returns ``(raw >> 11) * 2**-53``, so a draw is below 1/2 exactly when
-    its raw 64-bit output is below 2**63. The mask holds each row's
-    ``PCG64`` state one step before the seeded one (:func:`_pre_states`);
-    the thread that draws a block writes each of its rows into its own
-    generator (:class:`_Stream`), draws ``L + 1`` raws and drops the first.
-    K comes from a :class:`TestConfig`, which keeps it below 2**32. Tests
+    stored in ``bits`` under i, packed row after row. The mask holds each
+    row's ``PCG64`` state one step before the seeded one
+    (:func:`_pre_states`) as 32 bytes in the thread layout's word order;
+    the thread that draws a block writes each row's bytes into its own
+    generator (:class:`_Stream`) and fills the row of one ``(rows, L + 1)``
+    float array with ``random(out=row)``, dropping the first double. K
+    comes from a :class:`TestConfig`, which keeps it below 2**32. Tests
     take their mask from :func:`_swap_mask`, which keeps the last one.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
         self.master_seed, self.K, self.L = master_seed, K, L
         self.bits: dict[int, np.ndarray] = {}
-        self._pre = _pre_states(_swap_seed_words(master_seed, K))
+        order = _thread_stream().order  # raises _UnknownStateLayout, which the import put off to here
+        self._pre = np.take(_pre_states(_swap_seed_words(master_seed, K)), order, axis=1).view(np.uint8)
 
     def blocks(self, L: int) -> Iterator[np.ndarray]:
         """The first L (at most ``self.L``) columns, in bool blocks of ``_BLOCK_ROWS`` rows; only read them."""
@@ -244,8 +245,7 @@ class _SwapMask:
             rows = min(_BLOCK_ROWS, self.K - start)
             bits = self.bits.get(i)
             if bits is None:
-                raws = self._raws(start, start + rows)
-                block = np.fromiter(raws, dtype=(np.uint64, (self.L + 1,)), count=rows)[:, 1:] < _HALF_RAW
+                block = self._draw(start, start + rows)
                 bits = np.packbits(block)
                 bits.flags.writeable = False
                 self.bits.setdefault(i, bits)
@@ -253,13 +253,15 @@ class _SwapMask:
                 block = np.unpackbits(bits, count=rows * self.L).view(bool).reshape(rows, self.L)
             yield block[:, :L]
 
-    def _raws(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Rows ``start`` to ``stop``: each row's pre-state written into this thread's ``PCG64``, then ``self.L + 1`` raws."""
-        stream = _thread_stream()  # raises _UnknownStateLayout, which the import put off to here
-        words, random_raw, n = stream.words, stream.bit_generator.random_raw, self.L + 1
-        for row in self._pre[start:stop, stream.order]:
-            words[:] = row
-            yield random_raw(n)
+    def _draw(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` as bools, from each pre-state's ``self.L + 1`` doubles with the first dropped."""
+        stream = _thread_stream()
+        state, random = stream.state, stream.random
+        out = np.empty((stop - start, self.L + 1))
+        for row, draws in zip(self._pre[start:stop], out):
+            state[:] = row
+            random(out=draws)
+        return out[:, 1:] < 0.5
 
 
 # the mask of the last (seed, K, matching length); a sweep over L on one
@@ -268,17 +270,17 @@ _swap_mask = functools.lru_cache(maxsize=1)(_SwapMask)
 
 
 class _Stream(threading.local):
-    """Each thread's one ``PCG64`` and a writable view of its state, which each swap row overwrites before its draw.
+    """Each thread's one ``PCG64``, a writable view of its state, which each swap row overwrites, and its ``random``.
 
-    ``words`` views numpy's ``pcg64_random_t`` of the generator, its 128-bit
-    state and increment, as four uint64 words. Each is stored low half first
-    where the C compiler has a native 128-bit integer and high half first
-    where numpy emulates one (MSVC), so ``order`` takes a row
-    ``[state_lo, state_hi, inc_lo, inc_hi]`` to the words in memory; it is
-    read from the generator's ``.state``, which numpy decodes from the
-    same struct. Each thread has its own (made at import for the importing
-    thread, on first use for any other), so no thread writes into a
-    generator another thread is drawing from.
+    ``state`` views numpy's ``pcg64_random_t`` of the generator, its 128-bit
+    state and increment, as the 32 bytes of four uint64 words. Each is
+    stored low half first where the C compiler has a native 128-bit integer
+    and high half first where numpy emulates one (MSVC), so ``order`` takes
+    a row ``[state_lo, state_hi, inc_lo, inc_hi]`` to the words in memory;
+    it is read from the generator's ``.state``, which numpy decodes from
+    the same struct. Each thread has its own (made at import for the
+    importing thread, on first use for any other), so no thread writes
+    into a generator another thread is drawing from.
 
     Raises
     ------
@@ -294,12 +296,14 @@ class _Stream(threading.local):
         start = id(self.bit_generator)  # in CPython, the object's address
         if struct is None or not start <= struct <= start + type(self.bit_generator).__basicsize__ - 32:
             raise _UnknownStateLayout("PCG64's state struct is not inside the generator")
-        self.words = np.frombuffer((ctypes.c_uint64 * 4).from_address(struct), dtype=np.uint64)
+        words = np.frombuffer((ctypes.c_uint64 * 4).from_address(struct), dtype=np.uint64)
         known = self.bit_generator.state["state"]
         halves = [known["state"] & _U64, known["state"] >> 64, known["inc"] & _U64, known["inc"] >> 64]
         for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
-            if self.words.tolist() == [halves[i] for i in order]:
+            if words.tolist() == [halves[i] for i in order]:
                 self.order = order
+                self.state = memoryview(words).cast("B")
+                self.random = np.random.Generator(self.bit_generator).random
                 return
         raise _UnknownStateLayout("PCG64's state words are in neither 128-bit layout")
 

@@ -156,21 +156,22 @@ def stacked_swap_mask(master_seed: int, K: int, L: int) -> np.ndarray:
 def record_swap_streams(monkeypatch) -> list[tuple[int, ...]]:
     """Record the seed words of every swap row the engine draws, one entry per row's state written.
 
-    Each row the engine's ``_SwapMask._raws`` yields is recorded as that
-    row's ``SeedSequence`` words, built here from its seed and index. A row
-    read from the kept mask is not drawn, and the words of row k at one
-    seed are unique to (seed, k), so a repeated entry is a row drawn twice.
+    Each call of the engine's ``_SwapMask._draw(start, stop)`` records rows
+    ``start`` to ``stop`` as their ``SeedSequence`` words, built here from
+    the seed and the row index. A row read from the kept mask is not drawn,
+    and the words of row k at one seed are unique to (seed, k), so a
+    repeated entry is a row drawn twice.
     """
     built = []
-    raws = engine._SwapMask._raws
+    draw = engine._SwapMask._draw
 
     def record(self, start, stop):
-        for k, row in enumerate(raws(self, start, stop), start):
+        for k in range(start, stop):
             seq = np.random.SeedSequence(self.master_seed % 2**64, spawn_key=(engine._SWAP_STREAM_BASE + k,))
             built.append(tuple(seq.generate_state(4, np.uint64).tolist()))
-            yield row
+        return draw(self, start, stop)
 
-    monkeypatch.setattr(engine._SwapMask, "_raws", record)
+    monkeypatch.setattr(engine._SwapMask, "_draw", record)
     return built
 
 

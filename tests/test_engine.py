@@ -10,6 +10,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,12 +248,23 @@ class TestSwapMasks:
     @example(seed=2**64 - 1, K=B + 1, L=150)
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_stacked_swap_stream_raws(self, seed, K, L):
-        # each row's raws after the dropped first one are the stream's own,
-        # not only their comparisons with 2**63
-        mask = engine._SwapMask(seed, K, L)
+        # each row's doubles after the dropped first one are the stream's own,
+        # bit for bit, not only their comparisons with 1/2
+        stream = engine._thread_stream()
+        random, rows = stream.random, []
+
+        def record(out):
+            random(out=out)
+            rows.append(out.copy())
+
+        with mock.patch.object(stream, "random", record):
+            blocks = list(engine._SwapMask(seed, K, L).blocks(L))
+        doubles = np.stack([swap_stream(seed, k).random(L) for k in range(K)])
+        assert np.array_equal(np.stack(rows)[:, 1:].view(np.uint64), doubles.view(np.uint64))
+        # a double is its raw's top 53 bits, so it is below 1/2 exactly when the raw is below 2**63
         raws = np.stack([swap_stream(seed, k).bit_generator.random_raw(L) for k in range(K)])
-        assert np.array_equal(np.stack(list(mask._raws(0, K)))[:, 1:], raws)
-        assert np.array_equal(np.concatenate(list(mask.blocks(L))), raws < 2**63)
+        assert np.array_equal(doubles, (raws >> np.uint64(11)) * 2.0**-53)
+        assert np.array_equal(np.concatenate(blocks), raws < 2**63)
 
     @pytest.mark.parametrize(
         "words",
