@@ -48,6 +48,14 @@ Two parts of each test's preamble are timed alone: ``Matching.prefix``
 classifies only when every matched record is binary (the validity cube at
 L = 250, which is not binary, and the audit records at L = 1000, which are).
 
+One ``report`` runs end to end through ``cli.main``, with the ``audit``
+workload's argv on the audit CSV (L = 125 to 1000, K = 1000, zero-one
+loss, ``--normalize``, ``--smoothness-C 2.0``, ``--json``): parsing, CSV
+load, normalizing, matching, the tests, bounds and output. It repeats the
+call at one seed, as the ``audit`` workload does, so every call after the
+first builds no parser and reads the kept mask, and each call must write
+the same JSON.
+
 Four more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
 (L = n/4), a tight cluster of 3000 records with 1000 spread around it
@@ -321,3 +329,20 @@ def test_expert_test_sweep_same_seed(benchmark):
     misses = engine._swap_mask.cache_info().misses
     assert benchmark(sweep) == first
     assert engine._swap_mask.cache_info().misses == misses
+
+
+def test_cli_report_audit(benchmark, audit_csv, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["report", audit_csv, "--features", ",".join(SPEC.feature_columns),
+            "--outcome", SPEC.outcome_column, "--prediction", SPEC.prediction_column,
+            "--normalize", "--pairs", "125,250,500,1000", "--resamples", "1000",
+            "--loss", "zero-one", "--smoothness-C", "2.0", "--json", str(out)]
+    docs = []
+
+    def report():
+        assert cli.main(argv) == 0
+        docs.append(out.read_bytes())
+
+    report()  # a warm-up op, as the audit workload runs before it times
+    benchmark(report)
+    assert len(docs) >= 2 and len(set(docs)) == 1

@@ -11,6 +11,7 @@ import argparse
 import codecs
 import csv
 import errno
+import functools
 import io
 import json
 import math
@@ -473,25 +474,28 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="min-max scale each feature to [0,1] before testing")
 
 
-def _add_test_args(p: argparse.ArgumentParser, multi_L: bool) -> None:
-    if multi_L:
-        p.add_argument("--pairs", required=True, type=_int_list,
-                       help="comma-separated list of L values")
-    else:
-        p.add_argument("--pairs", required=True, type=int, help="number of pairs L")
-    p.add_argument("--resamples", type=int, default=1000, help="number of resamples K")
+def _add_run_args(p: argparse.ArgumentParser, K: int) -> None:
+    p.add_argument("--resamples", type=int, default=K, help="number of resamples K")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", default=None, help="write machine-readable JSON here")
+
+
+def _add_test_args(p: argparse.ArgumentParser) -> None:
+    _add_data_args(p)
+    _add_run_args(p, 1000)
     p.add_argument("--loss", type=parse_loss, default="zero-one",
                    help="zero-one | squared | weighted:fp=<r>,fn=<r>")
     p.add_argument("--metric", type=parse_metric, default="l2",
                    help="l2 | weighted:<w1,...,wd>")
     p.add_argument("--smoothness-C", type=_smoothness_constant, default=None,
                    help="smoothness constant for validity bounds")
-    p.add_argument("--json", default=None, help="write machine-readable JSON here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call; every later call returns it,
+    so neither it nor the list defaults it puts in each namespace may be changed."""
     parser = argparse.ArgumentParser(
         prog="experttest",
         description="Test whether expert predictions carry information beyond recorded features.",
@@ -499,12 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="run the test once on a CSV file")
-    _add_data_args(p)
-    _add_test_args(p, multi_L=False)
+    _add_test_args(p)
+    p.add_argument("--pairs", required=True, type=int, help="number of pairs L")
 
     p = sub.add_parser("report", help="multi-L report table on a CSV file")
-    _add_data_args(p)
-    _add_test_args(p, multi_L=True)
+    _add_test_args(p)
+    p.add_argument("--pairs", required=True, type=_int_list,
+                   help="comma-separated list of L values")
 
     p = sub.add_parser("match-stats", help="pair-distance distribution of the greedy matching")
     _add_data_args(p)
@@ -517,12 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--resamples", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-u", action="store_true",
                    help="expose the private signal to the matching (null holds)")
-    p.add_argument("--json", default=None)
+    _add_run_args(p, 100)
 
     p = sub.add_parser("power", help="power grid over (n, delta), or over L at fixed n/delta")
     p.add_argument("--n-values", type=_int_list, default=[200, 600, 1200])
@@ -533,20 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep L at fixed --n and --delta instead of the (n, delta) grid")
     p.add_argument("--n", type=int, default=600, help="sample size for the L sweep")
     p.add_argument("--delta", type=float, default=0.2, help="expertise for the L sweep")
-    p.add_argument("--resamples", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", default=None)
+    _add_run_args(p, 100)
 
     p = sub.add_parser("validity", help="false-rejection rate vs L on null data")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--l-values", type=_int_list, default=[25, 50, 75, 100, 125, 150, 175, 200, 225, 250])
-    p.add_argument("--resamples", type=int, default=50)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", default=None)
+    _add_run_args(p, 50)
 
     p = sub.add_parser("mse", help="algorithm vs expert vs rescaled-expert accuracy")
     p.add_argument("--n", type=int, default=1000)
@@ -571,10 +567,12 @@ def _load_dataset(args) -> Dataset:
 
 
 def _check_json_path(path: str | None) -> None:
-    """Raise what opening ``path`` to write would raise when it is a directory or its
-    directory is missing, so such a run fails before any work; no file is created."""
+    """Raise what opening ``path`` to write would raise when it is empty, a directory or
+    in a missing directory, so such a run fails before any work; no file is created."""
     if path is None:
         return
+    if not path:  # os.path.dirname("") is "", so the check below would pass
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:

@@ -772,15 +772,18 @@ class TestCliMain:
         (["report", "{csv}", "--features", "c0,c1", "--outcome", "outcome",
           "--prediction", "admitted", "--pairs", "10"], "greedy_match"),
         (["power", "--n-values", "60", "--deltas", "0.2", "--trials", "2"], "run_power_curve"),
-    ], ids=["report", "power"])
-    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+        (["validity", "--n", "60", "--l-values", "5,15,30", "--resamples", "50", "--trials", "2"],
+         "run_type1_curve"),
+    ], ids=["report", "power", "validity"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory", "empty"])
     def test_unwritable_json_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, patched, where):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         p, _ = clinical_format_fixture(tmp_path)
-        out = tmp_path / "missing" / "out.json" if where == "missing_directory" else tmp_path
+        out = {"missing_directory": tmp_path / "missing" / "out.json", "a_directory": tmp_path,
+               "empty": ""}[where]
         with pytest.raises(OSError) as opened:
             open(out, "w")
         monkeypatch.setattr(cli, patched, no_run)
@@ -1062,3 +1065,121 @@ class TestArgParsers:
         assert parse_metric("weighted:1,0.5") == DistanceMetric.weighted_euclidean([1, 0.5])
         with pytest.raises(Exception):
             parse_metric("cosine")
+
+
+class _SplitsOnCommas:
+    """Equal to a type function that splits its text on commas, as ``--features`` takes it."""
+
+    def __eq__(self, other):
+        return callable(other) and other("a,b") == ["a", "b"]
+
+
+# every option of each subcommand, help aside: its dest, default, type ("flag" for a
+# store_true option) and required flag, keyed by the option's name or the positional's dest
+_DATA = {
+    "path": ("path", None, None, True),
+    "--features": ("features", None, _SplitsOnCommas(), True),
+    "--outcome": ("outcome", None, None, True),
+    "--prediction": ("prediction", None, None, True),
+    "--normalize": ("normalize", False, "flag", False),
+}
+_TEST = {
+    **_DATA,
+    "--resamples": ("resamples", 1000, int, False),
+    "--alpha": ("alpha", 0.05, float, False),
+    "--seed": ("seed", 0, int, False),
+    "--loss": ("loss", "zero-one", cli.parse_loss, False),
+    "--metric": ("metric", "l2", cli.parse_metric, False),
+    "--smoothness-C": ("smoothness_C", None, cli._smoothness_constant, False),
+    "--json": ("json", None, None, False),
+}
+OPTION_TABLES = {
+    "test": {**_TEST, "--pairs": ("pairs", None, int, True)},
+    "report": {**_TEST, "--pairs": ("pairs", None, cli._int_list, True)},
+    "match-stats": {
+        **_DATA,
+        "--pairs": ("pairs", None, cli._int_list, True),
+        "--metric": ("metric", "l2", cli.parse_metric, False),
+        "--json": ("json", None, None, False),
+    },
+    "toy": {
+        "--n": ("n", 1000, int, False),
+        "--trials": ("trials", 100, int, False),
+        "--pairs": ("pairs", 100, int, False),
+        "--resamples": ("resamples", 100, int, False),
+        "--alpha": ("alpha", 0.05, float, False),
+        "--seed": ("seed", 0, int, False),
+        "--include-u": ("include_u", False, "flag", False),
+        "--json": ("json", None, None, False),
+    },
+    "power": {
+        "--n-values": ("n_values", [200, 600, 1200], cli._int_list, False),
+        "--deltas": ("deltas", [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5],
+                     cli._float_list, False),
+        "--pairs-divisor": ("pairs_divisor", 8, int, False),
+        "--l-values": ("l_values", None, cli._int_list, False),
+        "--n": ("n", 600, int, False),
+        "--delta": ("delta", 0.2, float, False),
+        "--resamples": ("resamples", 100, int, False),
+        "--alpha": ("alpha", 0.05, float, False),
+        "--trials": ("trials", 100, int, False),
+        "--seed": ("seed", 0, int, False),
+        "--json": ("json", None, None, False),
+    },
+    "validity": {
+        "--n": ("n", 500, int, False),
+        "--l-values": ("l_values", [25, 50, 75, 100, 125, 150, 175, 200, 225, 250],
+                       cli._int_list, False),
+        "--resamples": ("resamples", 50, int, False),
+        "--alpha": ("alpha", 0.05, float, False),
+        "--trials": ("trials", 50, int, False),
+        "--seed": ("seed", 0, int, False),
+        "--json": ("json", None, None, False),
+    },
+    "mse": {
+        "--n": ("n", 1000, int, False),
+        "--trials": ("trials", 100, int, False),
+        "--seed": ("seed", 0, int, False),
+        "--json": ("json", None, None, False),
+    },
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(OPTION_TABLES))
+    def test_option_table(self, command):
+        # pins what each subcommand accepts, so declaring an option in a shared
+        # helper cannot change its name, dest, default, type or required flag
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OPTION_TABLES)
+        table = {}
+        for a in sub.choices[command]._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            kind = "flag" if isinstance(a, argparse._StoreTrueAction) else a.type
+            table[a.option_strings[0] if a.option_strings else a.dest] = (a.dest, a.default, kind, a.required)
+        assert table == OPTION_TABLES[command]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_the_next_run_as_a_fresh_process_runs_it(self, tmp_path, capsys):
+        p, names = clinical_format_fixture(tmp_path)
+        args = ["report", str(p), "--features", ",".join(names), "--outcome", "outcome",
+                "--prediction", "admitted", "--normalize", "--resamples", "60", "--seed", "4",
+                "--smoothness-C", "2.0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--pairs" in capsys.readouterr().err
+        assert main(args + ["--pairs", "20,80", "--json", str(tmp_path / "here.json")]) == 0
+        out = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "experttest.cli", *args, "--pairs", "20,80",
+             "--json", str(tmp_path / "fresh.json")],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out == proc.stdout
+        assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
