@@ -22,7 +22,8 @@ mask the one before kept. The swap-mask draw is also timed alone, at the
 the ``validity`` shape (K = 200, L = 250) and the ``audit`` shape
 (K = 1000, L = 1000, whose 64 x 1001 float block buffer is the largest):
 each call reads every block of a new ``_SwapMask``, so it draws and packs
-them all, and none is kept.
+them all (each row into whole bytes, as the mask stores it), and none is
+kept.
 So is the seed-word hash, at K = 1000. The ``power`` runner only needs
 each test's verdict, so the ``power``-shaped test is also timed with
 ``verdict_only``, which stops comparing once the test can no longer
@@ -37,10 +38,12 @@ first draws it and the others read the kept one. Each sweep takes a new
 seed. A third sweep runs the ``validity`` one on integer outcomes and
 predictions in 1-5, like Likert scores, with squared loss: its records are
 not binary, so it takes the elementwise float compare, which no workload
-of ``perfbench/`` runs on integer data. A fourth times the ``audit``
-workload's own pattern, which repeats one report at one seed: the ``audit``
-sweep (L ascending) runs once untimed, and every timed run at that seed
-reads the mask it kept, building none.
+of ``perfbench/`` runs on integer data. Two more time the ``audit``
+workload's own pattern, which repeats one report at one seed: a sweep runs
+once untimed, and every timed run at that seed reads the mask it kept,
+building none. At the ``audit`` shape (L ascending) its binary tests count
+the kept rows as packed bits; at the ``validity`` shape (L descending) its
+float tests unpack the first L columns of each kept row.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
@@ -233,9 +236,14 @@ def test_swap_mask_blocks(benchmark, K, L):
     seeds = count()
 
     def draw():
-        return sum(block.shape[0] for block in engine._SwapMask(next(seeds), K, L).blocks(L))
+        mask = engine._SwapMask(next(seeds), K, L)
+        assert sum(block.shape[0] for block in mask.blocks(L)) == K
+        return mask
 
-    assert benchmark(draw) == K
+    # every block is drawn, and kept as its rows packed to whole bytes
+    kept = benchmark(draw).bits
+    rows = engine._BLOCK_ROWS
+    assert [bits.shape for bits in kept.values()] == [(min(rows, K - s), -(-L // 8)) for s in range(0, K, rows)]
 
 
 def test_swap_seed_words_uncached(benchmark):
@@ -314,13 +322,21 @@ def test_expert_test_sweep(benchmark, make, L_values, K, loss):
     assert [r.L for r in benchmark(sweep)] == list(L_values)
 
 
-def test_expert_test_sweep_same_seed(benchmark):
+@pytest.mark.parametrize(
+    "make, L_values, K, loss",
+    [
+        (lambda: normalize_features(audit_like()), (125, 250, 500, 1000), 1000, LossSpec.zero_one()),
+        (lambda: gen_validity_cube(500, 0), range(250, 0, -25), 200, LossSpec.squared_error()),
+    ],
+    ids=["audit", "validity"],
+)
+def test_expert_test_sweep_same_seed(benchmark, make, L_values, K, loss):
     # perfbench's audit ops run one report at one seed, so each op after the
-    # first reads the mask the first one kept
-    d = normalize_features(audit_like())
-    full = greedy_match(d, 1000, L2)
-    cfgs = [TestConfig(L=L, K=1000, alpha=0.05, loss=LossSpec.zero_one(), master_seed=0)
-            for L in (125, 250, 500, 1000)]
+    # first reads the mask the first one kept: the binary tests count its
+    # packed rows, and the float tests of the validity shape unpack them
+    d = make()
+    full = greedy_match(d, max(L_values), L2)
+    cfgs = [TestConfig(L=L, K=K, alpha=0.05, loss=loss, master_seed=0) for L in L_values]
 
     def sweep():
         return [expert_test_with_matching(d, full, cfg) for cfg in cfgs]

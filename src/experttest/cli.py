@@ -567,18 +567,23 @@ def _load_dataset(args) -> Dataset:
 
 
 def _check_json_path(path: str | None) -> None:
-    """Raise what opening ``path`` to write would raise when it is empty, a directory or
-    in a missing directory, so such a run fails before any work; no file is created."""
+    """Raise what opening ``path`` to write would raise when it is empty, a directory,
+    in a missing directory or ends in a slash, so such a run fails before any work;
+    no file is created."""
     if path is None:
         return
     if not path:  # os.path.dirname("") is "", so the check below would pass
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    name = path.rstrip(os.sep)
     try:
-        os.stat(os.path.join(os.path.dirname(path), "."))  # "." fails unless a directory
+        os.stat(os.path.join(os.path.dirname(name), "."))  # "." fails unless a directory
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    # creating "name/" in a directory that exists fails whatever name is
+    if name != path:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_json(path: str | None, doc: dict) -> None:

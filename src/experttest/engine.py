@@ -14,8 +14,9 @@ rebuilding each resampled dataset. When every matched record is binary
 leaves it alone, whatever the loss: each delta is exactly 0 or plus or minus
 one unit (fp_cost + fn_cost, or 2 for squared error), so the engine takes
 its sign. A resample's sum of signs is an integer no larger than L, exact in
-any order, so each block is compared with one matrix product, and it ranks
-each resample as scoring its dataset does. Every other test (squared error on non-binary
+any order, so each block drawn is compared with one matrix product (a kept
+block is counted on its packed rows, below), and it ranks each resample as
+scoring its dataset does. Every other test (squared error on non-binary
 records) sums its float deltas elementwise, each row in one fixed order; that
 sum can round differently from rescoring each resampled dataset in full, so
 a resample whose loss change is within rounding of zero can be counted on
@@ -39,12 +40,18 @@ against the stacked streams.
 
 A test reads the first ``cfg.L`` pairs of its matching and the first
 ``cfg.L`` columns of a mask drawn at the matching's length. Blocks are
-packed into bits, L / 8 bytes a row, as they are drawn, and the mask of the
-last seed, K and matching length is kept (2.5 MB at K = 10 000, L = 2000):
-a later test on those three reads the blocks already drawn and draws the
-rest, so a sweep over L on one matching, in any order, draws each row at
-most once. A block depends only on (seed, K, L, its index), so the result
-does not depend on which test drew it, or in what order.
+packed into bits as they are drawn, each row padded with zero bits to
+ceil(L / 8) whole bytes, and the mask of the last seed, K and matching
+length is kept (2.5 MB at K = 10 000, L = 2000): a later test on those
+three reads the blocks already drawn and draws the rest, so a sweep over L
+on one matching, in any order, draws each row at most once. A binary test
+counts a kept block on its packed rows, with no unpacking: a row's sum of
+signs is the number of its bits, among the pairs whose sign is nonzero,
+that differ from the bits of the negative signs, less the number of
+negative signs, an exact integer. Any other test unpacks the first
+``cfg.L`` columns of each kept row. A block depends only on (seed, K, L,
+its index), so the result does not depend on which test drew it, or in
+what order.
 
 A test that only needs its verdict (``verdict_only``, which
 ``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
@@ -223,9 +230,10 @@ class _SwapMask:
 
     Row k is ``swap_stream(master_seed, k).random(L) < 0.5``. Block i, rows
     ``_BLOCK_ROWS * i`` on, is drawn the first time a reader reaches it and
-    stored in ``bits`` under i, packed row after row. The mask holds each
-    row's ``PCG64`` state one step before the seeded one
-    (:func:`_pre_states`) as 32 bytes in the thread layout's word order;
+    stored in ``bits`` under i as a read-only ``(rows, ceil(L / 8))``
+    uint8 array, each row packed into whole bytes with zero padding bits.
+    The mask holds each row's ``PCG64`` state one step before the seeded
+    one (:func:`_pre_states`) as 32 bytes in the thread layout's word order;
     the thread that draws a block writes each row's bytes into its own
     generator (:class:`_Stream`) and fills the row of one ``(rows, L + 1)``
     float array with ``random(out=row)``, dropping the first double. K
@@ -240,28 +248,43 @@ class _SwapMask:
         self._pre = np.take(_pre_states(_swap_seed_words(master_seed, K)), order, axis=1).view(np.uint8)
 
     def blocks(self, L: int) -> Iterator[np.ndarray]:
-        """The first L (at most ``self.L``) columns, in bool blocks of ``_BLOCK_ROWS`` rows; only read them."""
+        """The first L (at most ``self.L``) columns up to a whole byte, ``_BLOCK_ROWS`` rows at a time; only read them.
+
+        A block drawn by this read comes as bools, ``(rows, 8 * ceil(L /
+        8))``, and a block kept from an earlier read as its packed rows,
+        ``(rows, ceil(L / 8))`` uint8. Either way the columns past L are
+        later columns of the mask or its zero padding, for the reader to
+        ignore.
+        """
+        width = -(-L // 8)
         for i, start in enumerate(range(0, self.K, _BLOCK_ROWS)):
-            rows = min(_BLOCK_ROWS, self.K - start)
             bits = self.bits.get(i)
             if bits is None:
-                block = self._draw(start, start + rows)
-                bits = np.packbits(block)
+                block = self._draw(start, min(start + _BLOCK_ROWS, self.K))
+                # the padded bools pack row by row, each into whole bytes
+                bits = np.packbits(block).reshape(len(block), -1)
                 bits.flags.writeable = False
                 self.bits.setdefault(i, bits)
+                yield block[:, : 8 * width]
             else:
-                block = np.unpackbits(bits, count=rows * self.L).view(bool).reshape(rows, self.L)
-            yield block[:, :L]
+                yield bits[:, :width]
 
     def _draw(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start`` to ``stop`` as bools, from each pre-state's ``self.L + 1`` doubles with the first dropped."""
+        """Rows ``start`` to ``stop`` as bools, from each pre-state's ``self.L + 1`` doubles with the first dropped.
+
+        Each row is padded with False to a whole number of bytes.
+        """
         stream = _thread_stream()
         state, random = stream.state, stream.random
         out = np.empty((stop - start, self.L + 1))
         for row, draws in zip(self._pre[start:stop], out):
             state[:] = row
             random(out=draws)
-        return out[:, 1:] < 0.5
+        block = np.zeros((stop - start, -(-self.L // 8) * 8), dtype=bool)
+        # comparing the whole contiguous array and copying the rows out is
+        # faster than comparing the strided columns that drop the first
+        block[:, : self.L] = (out < 0.5)[:, 1:]
+        return block
 
 
 # the mask of the last (seed, K, matching length); a sweep over L on one
@@ -450,8 +473,11 @@ def expert_test_with_matching(
         # order, so each delta is exactly 0 or +-(one unit) and its sign
         # ranks every resample as the unit-weighted sum does; inf - inf
         # (NaN), from costs near the float maximum, comes only from a
-        # neutral pair, and its sign is 0
-        delta = (delta > 0).astype(np.float64) - (delta < 0)
+        # neutral pair, and its sign is 0. The signs past L are 0, so the
+        # columns a block carries up to its whole byte count nothing.
+        signs = np.zeros(-(-cfg.L // 8) * 8)
+        signs[: cfg.L] = (delta > 0).astype(np.float64) - (delta < 0)
+        delta = signs
     with np.errstate(over="ignore"):
         spread = float(np.abs(delta).sum())
     # a NaN delta counts on neither side, and an infinite one or an
@@ -461,10 +487,22 @@ def expert_test_with_matching(
 
     less = ties = 0
     tau = None
+    packed = None  # made at the first kept block: a test that draws its blocks needs none
     for mask in _swap_mask(cfg.master_seed, cfg.K, len(matching)).blocks(cfg.L):
         # sums of signs are exact in any order; float sums keep each row's
         # one reduction order whatever the block size
-        diff = mask @ delta if counts is not None else (mask * delta).sum(axis=1)
+        if mask.dtype == bool:
+            diff = mask @ delta if counts is not None else (mask[:, : cfg.L] * delta).sum(axis=1)
+        elif counts is not None:
+            # dec and informative pack the negative and the nonzero signs:
+            # a packed row's sum of signs is the count of its informative
+            # bits that differ from dec, less the count of dec
+            if packed is None:
+                packed = np.packbits(delta < 0), np.packbits(delta != 0), int(np.count_nonzero(delta < 0))
+            dec, informative, n_dec = packed
+            diff = np.bitwise_count((mask ^ dec) & informative).sum(axis=1, dtype=np.intp) - n_dec
+        else:
+            diff = (np.unpackbits(mask, axis=1, count=cfg.L) * delta).sum(axis=1)
         less += int(np.count_nonzero(diff < 0))
         ties += int(np.count_nonzero(diff == 0))
         # int / int is correctly rounded, so monotone in less: this is

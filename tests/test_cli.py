@@ -775,19 +775,22 @@ class TestCliMain:
         (["validity", "--n", "60", "--l-values", "5,15,30", "--resamples", "50", "--trials", "2"],
          "run_type1_curve"),
     ], ids=["report", "power", "validity"])
-    @pytest.mark.parametrize("where", ["missing_directory", "a_directory", "empty"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory", "empty", "slash",
+                                       "slash_in_missing_directory"])
     def test_unwritable_json_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, patched, where):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         p, _ = clinical_format_fixture(tmp_path)
-        out = {"missing_directory": tmp_path / "missing" / "out.json", "a_directory": tmp_path,
-               "empty": ""}[where]
+        # open raises IsADirectoryError for "missing/" and FileNotFoundError for "missing/x/"
+        out = {"missing_directory": f"{tmp_path}/missing/out.json", "a_directory": str(tmp_path),
+               "empty": "", "slash": f"{tmp_path}/missing/",
+               "slash_in_missing_directory": f"{tmp_path}/missing/x/"}[where]
         with pytest.raises(OSError) as opened:
             open(out, "w")
         monkeypatch.setattr(cli, patched, no_run)
-        assert main([a.format(csv=p) for a in argv] + ["--json", str(out)]) == 1
+        assert main([a.format(csv=p) for a in argv] + ["--json", out]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": type(opened.value).__name__,

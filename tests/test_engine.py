@@ -187,9 +187,23 @@ def swap_mask(seed, K, L, l=None):
     """The first l (default L) columns of the engine's mask at (seed, K, L), its blocks each full but the last."""
     l = L if l is None else l
     blocks = list(engine._swap_mask(seed, K, L).blocks(l))
-    assert [b.shape for b in blocks] == [(min(B, K - s), l) for s in range(0, K, B)]
-    assert all(b.dtype == bool for b in blocks)
-    return np.concatenate(blocks)
+    assert [len(b) for b in blocks] == [min(B, K - s) for s in range(0, K, B)]
+    return read_blocks(blocks, l)
+
+
+def read_blocks(blocks, l):
+    """The first l columns of blocks read at l, as one bool mask.
+
+    Each block must be l columns rounded up to a whole byte: bools if it was
+    drawn by the read, its rows packed into bytes if it was kept.
+    """
+    got = []
+    for b in blocks:
+        if b.dtype == np.uint8:
+            b = np.unpackbits(b, axis=1).view(bool)
+        assert b.dtype == bool and b.shape[1] == -(-l // 8) * 8
+        got.append(b[:, :l])
+    return np.concatenate(got)
 
 
 def kept_mask(seed, K, L):
@@ -264,7 +278,9 @@ class TestSwapMasks:
         # a double is its raw's top 53 bits, so it is below 1/2 exactly when the raw is below 2**63
         raws = np.stack([swap_stream(seed, k).bit_generator.random_raw(L) for k in range(K)])
         assert np.array_equal(doubles, (raws >> np.uint64(11)) * 2.0**-53)
-        assert np.array_equal(np.concatenate(blocks), raws < 2**63)
+        assert np.array_equal(read_blocks(blocks, L), raws < 2**63)
+        # drawn at the mask's own L, so every column past it is padding
+        assert not any(b[:, L:].any() for b in blocks)
 
     @pytest.mark.parametrize(
         "words",
@@ -354,9 +370,11 @@ class TestSwapMasks:
         engine._swap_mask.cache_clear()
         swap_mask(11, B + 5, 20)
         kept = kept_mask(11, B + 5, 20)
-        # one entry per block, its rows packed one after another
-        assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B * 20 // 8,)), (1, (13,))]
+        # one entry per block, each row packed into 3 bytes, its last 4 bits zero
+        assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B, 3)), (1, (5, 3))]
+        assert np.array_equal(kept_rows(kept), stacked_swap_mask(11, B + 5, 20))
         for bits in kept.bits.values():
+            assert not (bits[:, -1] & 0x0F).any()
             assert not bits.flags.writeable
             with pytest.raises(ValueError):
                 bits[0] = 0
@@ -415,8 +433,8 @@ class TestSwapMasks:
         # streams; the mask asked for last is kept
         a, b = engine._swap_mask(8, K, 20).blocks(20), engine._swap_mask(9, K, 20).blocks(20)
         got_a, got_b = zip(*zip(a, b))
-        assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(8, K, 20))
-        assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(9, K, 20))
+        assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(8, K, 20))
+        assert np.array_equal(read_blocks(got_b, 20), stacked_swap_mask(9, K, 20))
         assert np.array_equal(kept_rows(kept_mask(9, K, 20)), stacked_swap_mask(9, K, 20))
         # two readers of one mask at two L, one after the other and stopped
         # at different blocks: each block is drawn once, by the first to reach it
@@ -427,8 +445,8 @@ class TestSwapMasks:
             a, b = mask.blocks(20), mask.blocks(7)
             got_a = [next(a) for _ in range(n_a)]
             got_b = [next(b) for _ in range(n_b)]
-            assert np.array_equal(np.concatenate(got_a), stacked_swap_mask(10, K, 20)[: n_a * B])
-            assert np.array_equal(np.concatenate(got_b), stacked_swap_mask(10, K, 7)[: n_b * B])
+            assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(10, K, 20)[: n_a * B])
+            assert np.array_equal(read_blocks(got_b, 7), stacked_swap_mask(10, K, 7)[: n_b * B])
             rows = min(K, max(n_a, n_b) * B)
             assert len(set(built)) == len(built) == rows
             assert np.array_equal(kept_rows(kept_mask(10, K, 20)), stacked_swap_mask(10, rows, 20))
@@ -441,7 +459,7 @@ class TestSwapMasks:
         for l in (20, 7, 7, 20, 20, 7):
             got[l].append(next(readers[l]))
         for l in (20, 7):
-            assert np.array_equal(np.concatenate(got[l]), stacked_swap_mask(11, K, l))
+            assert np.array_equal(read_blocks(got[l], l), stacked_swap_mask(11, K, l))
         assert len(set(built)) == len(built) == K
 
     def test_concurrent_readers_read_the_streams(self):
@@ -451,7 +469,7 @@ class TestSwapMasks:
         got = [None] * readers
 
         def read(i):
-            got[i] = np.concatenate(list(mask.blocks(L - i)))
+            got[i] = read_blocks(mask.blocks(L - i), L - i)
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
         interval = sys.getswitchinterval()
@@ -478,7 +496,7 @@ class TestSwapMasks:
 
         def read(seed):
             for _ in range(rounds):
-                got[seed].append(np.concatenate(list(engine._SwapMask(seed, K, L).blocks(L))))
+                got[seed].append(read_blocks(engine._SwapMask(seed, K, L).blocks(L), L))
 
         threads = [threading.Thread(target=read, args=(seed,)) for seed in seeds]
         interval = sys.getswitchinterval()
@@ -515,12 +533,18 @@ class TestSwapMasks:
 
 
 def kept_rows(kept):
-    """Every row drawn into a mask, at the L it was drawn at; its blocks must be the first ones."""
+    """Every row drawn into a mask, at the L it was drawn at; its blocks must be the first ones.
+
+    Each kept block must be its rows packed to whole bytes, with every padding bit zero.
+    """
     assert sorted(kept.bits) == list(range(len(kept.bits)))
-    return np.concatenate([
-        np.unpackbits(kept.bits[i], count=n * kept.L).view(bool).reshape(n, kept.L)
-        for i, n in enumerate(min(B, kept.K - s) for s in range(0, B * len(kept.bits), B))
-    ])
+    rows = []
+    for i, n in enumerate(min(B, kept.K - s) for s in range(0, B * len(kept.bits), B)):
+        assert kept.bits[i].shape == (n, -(-kept.L // 8)) and kept.bits[i].dtype == np.uint8
+        unpacked = np.unpackbits(kept.bits[i], axis=1).view(bool)
+        assert not unpacked[:, kept.L :].any()
+        rows.append(unpacked[:, : kept.L])
+    return np.concatenate(rows)
 
 
 def verdict_dataset(kind, half, seed):
@@ -838,9 +862,12 @@ class TestExpertTest:
     )
     def test_blocks_match_whole_mask(self, data, loss, K):
         # comparing block by block must count exactly what one comparison of
-        # the whole stacked mask counts, on the matrix product of the signs
+        # the whole stacked mask counts: on the matrix product of the signs
         # that binary matched records take and on the elementwise sums of
-        # every other test
+        # every other test, for the blocks the first test draws, and on the
+        # popcounts of packed binary rows and the unpacked float rows of the
+        # kept blocks that a second test, at an L that is not a multiple of
+        # 8, reads
         n, L = (4000, 1000) if data == "audit" else (120, 40)
         d = named_dataset(data, n, 12)
         m = greedy_match(d, L, L2)
@@ -849,11 +876,14 @@ class TestExpertTest:
         if data == "huge-integers":
             assert np.abs(engine._swap_deltas(d, m, loss)).sum() > 2.0**53
         for seed in (0, 2**64 - 1, 8128):
-            cfg = self.cfg(L=L, K=K, loss=loss, master_seed=seed)
-            r = expert_test_with_matching(d, m, cfg)
-            tau = whole_mask_tau(d, m, cfg)
-            assert (r.tau, r.effective_p) == (tau, tau + 1.0 / (K + 1))
-            assert r.binary_swap_counts == (classify_swaps(d, m) if binary else None)
+            engine._swap_mask.cache_clear()
+            for l in (L, L - 3):
+                cfg = self.cfg(L=l, K=K, loss=loss, master_seed=seed)
+                r = expert_test_with_matching(d, m, cfg)
+                tau = whole_mask_tau(d, m.prefix(l), cfg)
+                assert (r.tau, r.effective_p) == (tau, tau + 1.0 / (K + 1))
+                assert r.binary_swap_counts == (classify_swaps(d, m.prefix(l)) if binary else None)
+            kept_mask(seed, K, L)
 
     @pytest.mark.parametrize(
         "data, loss",
