@@ -496,7 +496,8 @@ def expert_test_with_matching(
         elif counts is not None:
             # dec and informative pack the negative and the nonzero signs:
             # a packed row's sum of signs is the count of its informative
-            # bits that differ from dec, less the count of dec
+            # bits that differ from dec, less the count of dec (bitwise_count
+            # is NumPy 2.0's, hence the package's numpy>=2.0)
             if packed is None:
                 packed = np.packbits(delta < 0), np.packbits(delta != 0), int(np.count_nonzero(delta < 0))
             dec, informative, n_dec = packed

@@ -133,11 +133,10 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     radius. A round that ends short of L took every free pair within its
     limit, so a round at or below its radius could take nothing. The
     nearest-neighbour distances are queried, on a tree of every free
-    record and in that tree's leaf order, in the first round and reused
-    after it: a record's distance to its nearest free neighbour can only
-    grow as records are taken, so the stored values are lower bounds. They
-    are queried again only after a round at radius 0, since doubling cannot
-    move a radius of 0.
+    record, in the first round and reused after it: a record's distance to
+    its nearest free neighbour can only grow as records are taken, so the
+    stored values are lower bounds. They are queried again only after a
+    round at radius 0, since doubling cannot move a radius of 0.
 
     The bounds also prune each round's radius query: its tree holds only
     the free records whose bound is at most ``r``. No acceptable pair is
@@ -195,11 +194,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         # in the first round and after a round at radius 0, which doubling
         # cannot move: only fresh bounds can
         if r == 0:
-            tree = cKDTree(x[idx])
-            # queried in the tree's own leaf order, so that neighbouring
-            # queries walk the same nodes while they are in cache; k=[2]
-            # returns the second-nearest alone, the nearest being the record
-            nearest[idx[tree.indices]] = tree.query(tree.data[tree.indices], k=[2])[0][:, 0]
+            sub = x[idx]
+            nearest[idx] = cKDTree(sub).query(sub, k=2)[0][:, 1]
         need = L - found
         bound = np.partition(nearest[idx], need - 1)[need - 1]
         # just above the need-th distance, so that with exact distances
