@@ -37,13 +37,20 @@ reads the mask drawn at the matching's length, so whichever test comes
 first draws it and the others read the kept one. Each sweep takes a new
 seed. A third sweep runs the ``validity`` one on integer outcomes and
 predictions in 1-5, like Likert scores, with squared loss: its records are
-not binary, so it takes the elementwise float compare, which no workload
-of ``perfbench/`` runs on integer data. Two more time the ``audit``
-workload's own pattern, which repeats one report at one seed: a sweep runs
+not binary, so it takes the float compare, which no workload of
+``perfbench/`` runs on integer data; integer deltas sum exactly, so no row
+needs the rounding margin. The squared-loss compare is also
+timed alone, at the ``validity`` shape (n = 500, K = 200, L = 25, 100 and
+250 of a matching at 250): one test whose mask hands it the same blocks at
+every call, as drawn bools and as kept packed rows, so only the test's
+preamble and its compare run. Its worst case scales the cube's outcomes
+and predictions by 1e-170: every product of differences underflows, so
+every row lies within the rounding margin and is summed exactly. Two more
+time the ``audit`` workload's own pattern, which repeats one report at one seed: a sweep runs
 once untimed, and every timed run at that seed reads the mask it kept,
 building none. At the ``audit`` shape (L ascending) its binary tests count
 the kept rows as packed bits; at the ``validity`` shape (L descending) its
-float tests unpack the first L columns of each kept row.
+float tests unpack each kept row.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
@@ -284,6 +291,51 @@ def test_expert_test_verdict(benchmark, delta):
         return expert_test_with_matching(d, m, cfg, verdict_only=True)
 
     assert benchmark(run).K == 1000
+
+
+class GivenBlocks:
+    """A swap mask that yields the given 64-row blocks at every read, as drawn (bools) or as kept (packed rows)."""
+
+    def __init__(self, blocks):
+        self.given = blocks
+
+    def blocks(self, L):
+        width = -(-L // 8)
+        for block in self.given:
+            yield block[:, : 8 * width] if block.dtype == bool else block[:, :width]
+
+
+def underflow_cube() -> Dataset:
+    """The validity cube at n = 500 with outcomes and predictions scaled by 1e-170.
+
+    Every pair's product of differences underflows to zero, so every float
+    delta is 0 while the exact ones are not: every row of every block lies
+    within the rounding margin and is summed exactly.
+    """
+    d = gen_validity_cube(500, 0)
+    return Dataset(d.x, d.y * 1e-170, d.y_hat * 1e-170)
+
+
+@pytest.mark.parametrize("L", [25, 100, 250])
+@pytest.mark.parametrize("blocks", ["fresh", "kept"])
+@pytest.mark.parametrize(
+    "make", [lambda: gen_validity_cube(500, 0), underflow_cube], ids=["validity", "all-in-margin"]
+)
+def test_float_compare(benchmark, make, blocks, L):
+    # one squared-loss test at a validity shape (n = 500, K = 200, the
+    # matching at L = 250) with its mask's blocks given, so only the
+    # preamble and the compare run: as drawn bools or as packed kept rows
+    d = make()
+    full = greedy_match(d, 250, L2)
+    mask = engine._SwapMask(0, 200, 250)
+    for _ in mask.blocks(250):  # draws and packs every block
+        pass
+    packed = list(mask.bits.values())
+    given = GivenBlocks(packed if blocks == "kept" else [np.unpackbits(b, axis=1).view(bool) for b in packed])
+    cfg = TestConfig(L=L, K=200, alpha=0.05, loss=LossSpec.squared_error(), master_seed=0)
+    with mock.patch.object(engine, "_swap_mask", lambda seed, K, n: given):
+        result = benchmark(expert_test_with_matching, d, full, cfg)
+    assert result.K == 200
 
 
 def likert_cube() -> Dataset:

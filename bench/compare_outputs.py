@@ -10,7 +10,9 @@ Each tree is a source checkout holding ``src/experttest``. Every command in
 the tree's ``src``. Both trees read the same inputs, which this script
 writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
-duplicate records), a validity cube rounded to one decimal place, and eleven
+duplicate records), a validity cube rounded to one decimal place, the same
+features with outcomes and predictions drawn from 0.1, 0.2 and 0.3, whose
+squared-error swap deltas often cancel to zero or to a few ulps of it, and eleven
 unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
 after a byte-order mark; quoted, padded and ``7_4``-style cells; R's
 ``write.csv`` layout (a quoted header and quoted row names in an unnamed
@@ -46,6 +48,7 @@ REPORT = ["report", *AUDIT, "--pairs", "500,60,250", "--resamples", "300", "--sm
           "--seed", "{seed}"]
 CUBE = ["report", "{cube}", "--features", "x1,x2,x3", "--outcome", "y", "--prediction", "y_hat",
         "--pairs", "150,40", "--resamples", "200"]
+TENTHS = ["report", "{tenths}", *CUBE[2:]]
 SAMPLED = ["--resamples", "200", "--trials", "5", "--seed", "{seed}"]
 
 COMMANDS = {
@@ -61,6 +64,7 @@ COMMANDS = {
                                 "--json", "{missing_dir}/out.json"],
     "report-cube-squared": [*CUBE, "--loss", "squared", "--seed", "{seed}"],
     "report-cube-zero-one": CUBE,
+    "report-tenths-squared": [*TENTHS, "--loss", "squared", "--seed", "{seed}"],
     "test": ["test", *AUDIT, "--pairs", "400", "--resamples", "300", "--smoothness-C", "1.0",
              "--seed", "{seed}"],
     "match-stats": ["match-stats", *AUDIT, "--pairs", "50,400,200"],
@@ -107,7 +111,9 @@ def write_inputs(folder: Path) -> dict:
     y_hat = np.round(s + rng.standard_normal(400), 1)
     cube = folder / "cube.csv"
     _write_csv(cube, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, y, y_hat]))
-    return {**paths, "cube": str(cube), "missing_dir": str(folder / "missing")}
+    tenths = folder / "tenths.csv"
+    _write_csv(tenths, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, rng.choice([0.1, 0.2, 0.3], (400, 2))]))
+    return {**paths, "cube": str(cube), "tenths": str(tenths), "missing_dir": str(folder / "missing")}
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:

@@ -9,20 +9,28 @@ swap distribution, which is evidence that predictions carry information the
 features do not.
 
 Loss comparisons are computed from per-pair swap deltas rather than by
-rebuilding each resampled dataset. When every matched record is binary
-(``binary_swap_counts`` is filled), a swap raises the loss, lowers it or
-leaves it alone, whatever the loss: each delta is exactly 0 or plus or minus
-one unit (fp_cost + fn_cost, or 2 for squared error), so the engine takes
-its sign. A resample's sum of signs is an integer no larger than L, exact in
-any order, so each block drawn is compared with one matrix product (a kept
-block is counted on its packed rows, below), and it ranks each resample as
-scoring its dataset does. Every other test (squared error on non-binary
-records) sums its float deltas elementwise, each row in one fixed order; that
-sum can round differently from rescoring each resampled dataset in full, so
-a resample whose loss change is within rounding of zero can be counted on
-the other side of the observed loss. Squared errors too large for float64
-raise :class:`LossOverflow`: their deltas would be infinite or NaN, and a
-NaN counts on neither side.
+rebuilding each resampled dataset, and each resample is counted below, on or
+above the observed loss as scoring its dataset in exact arithmetic would
+count it, whatever the summation order, block size or BLAS build. When every
+matched record is binary (``binary_swap_counts`` is filled), a swap raises
+the loss, lowers it or leaves it alone, whatever the loss: each delta is
+exactly 0 or plus or minus one unit (fp_cost + fn_cost, or 2 for squared
+error), so the engine takes its sign. A resample's sum of signs is an
+integer no larger than L, exact in any order, so each block drawn is
+compared with one matrix product (a kept block is counted on its packed
+rows, below). Every other test (squared error on non-binary records) takes
+one matrix product of each block with the float deltas 2
+(y_i - y_j)(y_hat_i - y_hat_j) too, summed in whatever order the BLAS sums.
+A row whose product lies beyond a rigorous bound on its rounding error
+(:func:`_rounding_margin`, about (L + 3) 2**-53 times the sum of the
+absolute deltas) has the sign of its exact sum. A row within it takes the
+exact sign of its sum of 2 (y_i - y_j)(y_hat_i - y_hat_j) over its swapped
+pairs, in integers built from the floats the first time a test needs them
+(:func:`_exact_deltas`). So a tie is an exact zero. On integer outcomes and
+predictions whose absolute deltas sum below 2**53, every delta and every
+partial sum of them is an exact float, so no row needs the margin. Squared
+errors too large for float64 raise :class:`LossOverflow`: their deltas, or a
+row's sum of them, would be infinite or NaN.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
@@ -48,10 +56,10 @@ on one matching, in any order, draws each row at most once. A binary test
 counts a kept block on its packed rows, with no unpacking: a row's sum of
 signs is the number of its bits, among the pairs whose sign is nonzero,
 that differ from the bits of the negative signs, less the number of
-negative signs, an exact integer. Any other test unpacks the first
-``cfg.L`` columns of each kept row. A block depends only on (seed, K, L,
-its index), so the result does not depend on which test drew it, or in
-what order.
+negative signs, an exact integer. Any other test unpacks each kept row to
+its whole bytes, as a drawn block comes, and the deltas past L are zero. A
+block depends only on (seed, K, L, its index), so the result does not
+depend on which test drew it, or in what order.
 
 A test that only needs its verdict (``verdict_only``, which
 ``run_power_curve``, ``run_power_vs_L`` and ``run_type1_curve`` pass) stops
@@ -69,6 +77,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -454,11 +463,19 @@ def expert_test_with_matching(
     are kept, and a later test at the same seed, K and matching length
     reads them and draws the rest.
 
+    On records that are not all binary, the squared-error comparison is
+    exact: a resample counts below the observed loss exactly when the sum,
+    over the pairs it swaps, of 2 (y_i - y_j)(y_hat_i - y_hat_j) is below
+    zero, and as a tie exactly when that sum is zero. The float product of
+    a block with the deltas decides every row beyond its rounding margin
+    (:func:`_rounding_margin`), and each row within it is summed exactly.
+
     Raises
     ------
     LossOverflow
-        If the loss is squared error and the observed loss or the sum of
-        the absolute per-pair swap deltas is not finite in float64.
+        If the loss is squared error and the observed loss is not finite in
+        float64, or the records are not all binary and the sum of the
+        absolute float deltas, with its rounding margin, is not finite.
     """
     if len(matching) < cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
@@ -467,33 +484,40 @@ def expert_test_with_matching(
         # squared errors that overflow raise LossOverflow below instead
         observed = dataset_loss(d, cfg.loss)
     counts = classify_swaps(d, m) if _matched_binary(d, m) else None
-    delta = _swap_deltas(d, m, cfg.loss)
+    # zero past L, so the columns a block carries up to its whole byte count nothing
+    delta = np.zeros(-(-cfg.L // 8) * 8)
     if counts is not None:
         # a pair's two per-record losses add to the same float in either
         # order, so each delta is exactly 0 or +-(one unit) and its sign
         # ranks every resample as the unit-weighted sum does; inf - inf
         # (NaN), from costs near the float maximum, comes only from a
-        # neutral pair, and its sign is 0. The signs past L are 0, so the
-        # columns a block carries up to its whole byte count nothing.
-        signs = np.zeros(-(-cfg.L // 8) * 8)
-        signs[: cfg.L] = (delta > 0).astype(np.float64) - (delta < 0)
-        delta = signs
-    with np.errstate(over="ignore"):
+        # neutral pair, and its sign is 0. A sum of signs is exact.
+        swap = _swap_deltas(d, m, cfg.loss)
+        delta[: cfg.L] = (swap > 0).astype(np.float64) - (swap < 0)
+        integral = True
+    else:
+        # squared error's swap delta, 2 (y_i - y_j)(y_hat_i - y_hat_j), with
+        # the doubling last, where it is exact
+        y, y_hat = d.y[m.pairs], d.y_hat[m.pairs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta[: cfg.L] = 2.0 * ((y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1]))
+        integral = np.array_equal(np.trunc(y), y) and np.array_equal(np.trunc(y_hat), y_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.abs(delta).sum())
-    # a NaN delta counts on neither side, and an infinite one or an
-    # overflowing sum of finite ones can count on the wrong side
-    if not (math.isfinite(observed) and math.isfinite(spread)):
+    # signs, and the deltas of integer outcomes and predictions, are exact
+    # integers while their absolute values sum below 2**53, and so is every
+    # partial sum of them, in any order: then no row needs a margin
+    margin = 0.0 if integral and spread < 2.0**53 else _rounding_margin(cfg.L, spread)
+    # a difference that overflows makes a delta infinite, or NaN (inf * 0),
+    # and a row sum that overflows can count on the wrong side
+    if not (math.isfinite(observed) and math.isfinite(spread + 2.0 * margin)):
         raise LossOverflow("squared errors overflow float64; rescale y and y_hat")
 
     less = ties = 0
     tau = None
-    packed = None  # made at the first kept block: a test that draws its blocks needs none
+    packed = exact = None  # made when a test first needs them
     for mask in _swap_mask(cfg.master_seed, cfg.K, len(matching)).blocks(cfg.L):
-        # sums of signs are exact in any order; float sums keep each row's
-        # one reduction order whatever the block size
-        if mask.dtype == bool:
-            diff = mask @ delta if counts is not None else (mask[:, : cfg.L] * delta).sum(axis=1)
-        elif counts is not None:
+        if counts is not None and mask.dtype != bool:
             # dec and informative pack the negative and the nonzero signs:
             # a packed row's sum of signs is the count of its informative
             # bits that differ from dec, less the count of dec (bitwise_count
@@ -503,9 +527,24 @@ def expert_test_with_matching(
             dec, informative, n_dec = packed
             diff = np.bitwise_count((mask ^ dec) & informative).sum(axis=1, dtype=np.intp) - n_dec
         else:
-            diff = (np.unpackbits(mask, axis=1, count=cfg.L) * delta).sum(axis=1)
-        less += int(np.count_nonzero(diff < 0))
-        ties += int(np.count_nonzero(diff == 0))
+            # a kept block is unpacked to its whole bytes, as a drawn block comes
+            rows = mask if mask.dtype == bool else np.unpackbits(mask, axis=1)
+            diff = rows @ delta
+        below = int(np.count_nonzero(diff < -margin))
+        undecided = len(diff) - below - int(np.count_nonzero(diff > margin))
+        less += below
+        if undecided and not margin:
+            # an exact sum on neither side is a tie
+            ties += undecided
+        elif undecided:
+            # a float row within the rounding margin of zero takes the sign of its exact sum
+            if exact is None:
+                exact = _exact_deltas(d, m)
+            changed, values = exact
+            for row in rows[np.abs(diff) <= margin][:, changed].tolist():
+                total = sum(compress(values, row))
+                less += total < 0
+                ties += total == 0
         # int / int is correctly rounded, so monotone in less: this is
         # TestResult.rejected's rule failing for every count of coins
         if verdict_only and less / cfg.K > cfg.alpha:
@@ -529,17 +568,64 @@ def expert_test_with_matching(
 def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:
     """Per-pair change in summed per-record loss when the pair's predictions are exchanged.
 
-    Per-record losses near the float maximum (costs such as 1e308, or
-    squared errors that overflow) make a pair's summed losses inf and its
-    delta inf - inf. A test on binary records takes each delta's sign, where
-    a NaN's is 0, and any other raises :class:`LossOverflow` on a NaN or an
-    infinite delta, so those operations do not warn.
+    Per-record losses near the float maximum (costs such as 1e308) make a
+    pair's summed losses inf and its delta inf - inf, so those operations do
+    not warn. A test on binary records takes each delta's sign, where a
+    NaN's is 0.
     """
     pi, pj = m.pairs.T
     with np.errstate(over="ignore", invalid="ignore"):
         unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
         swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
         return swapped - unswapped
+
+
+def _rounding_margin(L: int, spread: float) -> float:
+    """A bound on how far a row's float sum of squared-error deltas lies from its exact sum.
+
+    Pair k's float delta d_k = 2 fl(fl(y_i - y_j) fl(yhat_i - yhat_j))
+    stands for D_k = 2 (y_i - y_j)(yhat_i - yhat_j). ``spread`` is the
+    float sum of the L values |d_k|, and A their exact sum. Let u = 2**-53
+    and g(n) = n u / (1 - n u) (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 3 and 4). A difference that underflows is
+    exact, and so is the doubling, so |d_k - D_k| <= g(3) |D_k| + 2**-1074,
+    the last term for a product that underflows. A row's float sum, in any
+    order or tree of additions (so in any BLAS), errs from the exact sum of
+    its d_k by at most g(L - 1) A: adding a zero, a product by a mask's 0
+    or 1, fused or not, and an addition that underflows are exact. And
+    ``spread`` >= (1 - g(L - 1)) A. So a row's float sum lies within
+    (g(L - 1) + g(3) / (1 - g(3))) A + L 2**-1073 <= (L + 3) u / (1 -
+    (2L + 6) u) ``spread`` + L 2**-1073 of its exact sum. The margin's
+    denominator 1 - (2L + 10) u and its doubled absolute term also cover
+    the three roundings of computing it (L < 2**50). Every partial sum is
+    at most ``spread`` plus twice the margin, so none overflows while that
+    is finite.
+    """
+    return (L + 3) * 2.0**-53 / (1.0 - (2 * L + 10) * 2.0**-53) * spread + L * 2.0**-1072
+
+
+def _exact_deltas(d: Dataset, m: Matching) -> tuple[np.ndarray, list[int]]:
+    """The pairs whose swap changes the squared error, and each one's 2 (y_i - y_j)(yhat_i - yhat_j) exactly.
+
+    A finite float is an integer of at most 53 bits times a power of two
+    (``np.frexp``), so the matched outcomes times one power of two are
+    integers, and so are the matched predictions times another
+    (:func:`_integers`). A pair's product of its two integer differences is
+    its swap delta in the unit 2 / (both powers), so a sum of them has the
+    sign of the exact sum of the deltas. Pairs whose delta is zero are left
+    out; the rest are returned as their indices and their products.
+    """
+    y, y_hat = _integers(d.y[m.pairs]), _integers(d.y_hat[m.pairs])
+    deltas = (y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1])
+    changed = np.flatnonzero(deltas)
+    return changed, deltas[changed].tolist()
+
+
+def _integers(values: np.ndarray) -> np.ndarray:
+    """``values`` times one power of two, as exact Python integers in an object array."""
+    mantissa, exponent = np.frexp(values)
+    # a mantissa in [0.5, 1) has 53 bits, so times 2**53 it is an exact integer
+    return (mantissa * 2.0**53).astype(np.int64).astype(object) << (exponent - exponent.min()).astype(object)
 
 
 def exact_binary_p(increase: int, decrease: int) -> float:

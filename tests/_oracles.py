@@ -1,5 +1,6 @@
 """Reference implementations that the tests compare the package against, and a draw recorder."""
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -137,9 +138,10 @@ def tau_statistic(
     Each comparison contributes 1 when the resampled loss is strictly
     smaller, 0 when strictly larger, and an independent fair Bernoulli draw
     (one per tied comparison, in comparison order) when exactly equal. With
-    ``rng = tie_break_stream(seed)`` this is the engine's ``tau``.
+    ``rng = tie_break_stream(seed)`` this is the engine's ``tau``. The
+    losses may be floats or exact ``Fraction``s, which compare exactly.
     """
-    res = np.asarray(resampled_losses, dtype=np.float64)
+    res = np.asarray(resampled_losses)
     if res.size < 1:
         raise ValueError("need at least one resampled loss")
     less = res < observed_loss
@@ -177,13 +179,27 @@ def record_swap_streams(monkeypatch) -> list[tuple[int, ...]]:
 
 def whole_mask_tau(d: Dataset, m: Matching, cfg: TestConfig) -> float:
     """The engine's ``tau``, compared on one whole stacked mask instead of row blocks."""
+    less, ties = whole_mask_counts(d, m, cfg)
+    coins = tie_break_stream(cfg.master_seed).random(ties) < 0.5
+    return (less + int(coins.sum())) / cfg.K
+
+
+def whole_mask_counts(d: Dataset, m: Matching, cfg: TestConfig) -> tuple[int, int]:
+    """How many resamples of one whole stacked mask score below the observed loss, and how many tie it.
+
+    Both counts are exact: every loss change is summed without rounding.
+    """
     mask = stacked_swap_mask(cfg.master_seed, cfg.K, cfg.L)
     if cfg.loss.requires_binary:
         less, ties = _compare_binary(d, m, cfg.loss, mask)
     else:
         less, ties = _compare_generic(d, m, cfg.loss, mask)
-    coins = tie_break_stream(cfg.master_seed).random(int(ties.sum())) < 0.5
-    return (int(less.sum()) + int(coins.sum())) / cfg.K
+    return int(less.sum()), int(ties.sum())
+
+
+def exact_squared_loss(d: Dataset) -> Fraction:
+    """The mean squared error of the given floats, in exact arithmetic."""
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(d.y.tolist(), d.y_hat.tolist())) / d.n
 
 
 def _compare_binary(
@@ -210,9 +226,14 @@ def _compare_binary(
 def _compare_generic(
     d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    # the per-record losses of the given floats as exact Fractions: each
+    # resample's loss change, summed over its swapped pairs, is the literal
+    # resample-and-score procedure's, with nothing lost to rounding
     pi, pj = m.pairs.T
-    unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
-    swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
+    y = np.array([Fraction(v) for v in d.y.tolist()], dtype=object)
+    y_hat = np.array([Fraction(v) for v in d.y_hat.tolist()], dtype=object)
+    unswapped = loss.per_record(y[pi], y_hat[pi]) + loss.per_record(y[pj], y_hat[pj])
+    swapped = loss.per_record(y[pi], y_hat[pj]) + loss.per_record(y[pj], y_hat[pi])
     delta = swapped - unswapped
-    diff = (mask * delta).sum(axis=1)
+    diff = np.array([sum(delta[row], Fraction(0)) for row in mask], dtype=object)
     return diff < 0, diff == 0

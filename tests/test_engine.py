@@ -15,10 +15,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from _oracles import (
+    exact_squared_loss,
     record_swap_streams,
     resample_once,
     stacked_swap_mask,
     tau_statistic,
+    whole_mask_counts,
     whole_mask_tau,
 )
 from hypothesis import example, given, settings
@@ -114,10 +116,11 @@ def named_dataset(name, n, seed):
     ``integers`` has integer-valued outcomes and predictions, whose
     squared-loss deltas sum exactly in any order, and ``huge-integers`` has
     integers whose absolute deltas sum past 2**53. On ``tenths`` the deltas
-    often cancel in exact arithmetic, so the sign of a resample's float sum
-    can depend on its summation order; ``decimals`` has one-decimal values
-    like lab results. ``binary-matched`` is not binary, but every record of
-    its first n/2 greedy pairs is.
+    often cancel in exact arithmetic, so many resamples' exact loss changes
+    are zero or a few ulps from it, where a float sum can take the wrong
+    sign; ``decimals`` has one-decimal values like lab results.
+    ``binary-matched`` is not binary, but every record of its first n/2
+    greedy pairs is.
     """
     return {
         "pairs": lambda: gen_expertise_pairs(ExpertiseConfig(n=n, delta=0.1, seed=seed)),
@@ -628,6 +631,117 @@ def whole_result(d, m, cfg):
     )
 
 
+def pairs_dataset(*pairs):
+    """One duplicated-x pair per ``(y_i, y_j, y_hat_i, y_hat_j)``, matched in the order given."""
+    y = [v for p in pairs for v in p[:2]]
+    y_hat = [v for p in pairs for v in p[2:]]
+    x = np.repeat(10.0 * np.arange(len(pairs)), 2)
+    return Dataset(x, y, y_hat)
+
+
+def with_deltas(*deltas):
+    """Pairs whose squared-error swap deltas are exactly ``deltas``, each float delta exact too."""
+    return [(1.0, 0.0, v / 2, 0.0) for v in deltas]
+
+
+def engine_counts(monkeypatch, d, m, cfg):
+    """The engine's (less, ties) on a freshly drawn mask: every tie coin lands tails, and their number is the ties."""
+    drawn = []
+
+    class Tails:
+        def random(self, n):
+            drawn.append(n)
+            return np.ones(n)
+
+    monkeypatch.setattr(engine, "tie_break_stream", lambda seed: Tails())
+    engine._swap_mask.cache_clear()
+    r = expert_test_with_matching(d, m, cfg)
+    return round(r.tau * cfg.K), sum(drawn)
+
+
+class TestExactCompare:
+    @given(
+        data=st.sampled_from(["tenths", "decimals", "integers", "huge-integers", "cube"]),
+        half=st.integers(2, 60),
+        L=st.integers(1, 60),
+        extra=st.integers(0, 9),
+        K=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 300),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        kept=st.booleans(),
+        verdict_only=st.booleans(),
+        alpha=st.floats(0.001, 0.999),
+    )
+    # the cases of TestVerdictOnly's tenths examples, at tau = alpha
+    @example(data="tenths", half=30, L=30, extra=0, K=100, data_seed=158, seed=158, kept=False,
+             verdict_only=True, alpha=0.07)
+    @example(data="tenths", half=30, L=30, extra=0, K=100, data_seed=428, seed=428, kept=False,
+             verdict_only=True, alpha=0.29)
+    # test_blocks_match_whole_mask[tenths-loss5-131]'s row that a float sum
+    # in one fixed order put on the wrong side
+    @example(data="tenths", half=60, L=37, extra=3, K=131, data_seed=12, seed=8128, kept=True,
+             verdict_only=False, alpha=0.05)
+    @settings(max_examples=150, deadline=None)
+    def test_tau_equals_exact_oracle(self, data, half, L, extra, K, data_seed, seed, kept, verdict_only, alpha):
+        # tau is the literal resample-and-score procedure in exact arithmetic,
+        # on drawn and on kept blocks, and a verdict-only test stops only
+        # where that tau exceeds alpha
+        d = named_dataset(data, 2 * half, data_seed)
+        L = min(L, half)
+        m = greedy_match(d, min(L + extra, half), L2)
+        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=LossSpec.squared_error(), master_seed=seed)
+        engine._swap_mask.cache_clear()
+        if kept:
+            expert_test_with_matching(d, m, replace(cfg, L=len(m)))
+        r = expert_test_with_matching(d, m, cfg, verdict_only=verdict_only)
+        tau = whole_mask_tau(d, m.prefix(L), cfg)
+        if r.tau is None:
+            assert verdict_only and tau > alpha and not r.rejected
+        else:
+            assert (r.tau, r.rejected) == (tau, tau <= alpha)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # exact sum 0; in order, the float sum is 2**-55
+            with_deltas(0.1, 0.2, -0.1, -0.2),
+            # exact sums 2**-55 and -2**-55; in order, the float sums are
+            # 2**-54 and 0
+            with_deltas(0.1, 0.2, -0.3),
+            with_deltas(0.1, 0.2, -0.30000000000000004),
+            # exact sum -2**-60, a few ulps of the terms below 0
+            with_deltas(1.0, 2.0**-60, -1.0, -(2.0**-59)),
+            # one-decimal pairs whose float deltas are +-0.020000000000000004,
+            # so every float sum of the two is 0, though the exact one is not
+            [(0.9, 0.8, 0.4, 0.3), (0.2, 0.1, 0.1, 0.2)],
+            # a product that underflows: the float delta is 2**-1073, the
+            # exact one 1.5 * 2**-1074, and the other pair's is -2**-1073
+            [(2.0**-537, 0.0, 3 * 2.0**-539, 0.0), (1.0, 0.0, -(2.0**-1074), 0.0)],
+        ],
+        ids=["tenths-zero", "tenths-above", "tenths-below", "ulps-below", "decimal-products", "underflow"],
+    )
+    def test_rows_at_the_margin_are_settled_exactly(self, monkeypatch, pairs):
+        # rows whose exact loss change is 0, or a few ulps either side, count
+        # below, on or above the observed loss as exact arithmetic counts them
+        d = pairs_dataset(*pairs)
+        m = greedy_match(d, len(pairs), L2)
+        assert m.pairs.tolist() == [[2 * k, 2 * k + 1] for k in range(len(pairs))]
+        cfg = TestConfig(L=len(pairs), K=400, alpha=0.05, loss=LossSpec.squared_error(), master_seed=5)
+        # every pair swapped together, the row that lands at the margin
+        assert stacked_swap_mask(5, cfg.K, cfg.L).all(axis=1).any()
+        assert engine_counts(monkeypatch, d, m, cfg) == whole_mask_counts(d, m, cfg)
+
+    def test_integer_sums_need_no_exact_fallback(self, monkeypatch):
+        # integer outcomes and predictions sum exactly in floats, so their
+        # ties are counted without the exact deltas
+        monkeypatch.setattr(engine, "_exact_deltas", None)
+        d = named_dataset("integers", 120, 12)
+        m = greedy_match(d, 40, L2)
+        cfg = TestConfig(L=40, K=300, alpha=0.05, loss=LossSpec.squared_error(), master_seed=3)
+        less, ties = engine_counts(monkeypatch, d, m, cfg)
+        assert ties > 0 and (less, ties) == whole_mask_counts(d, m, cfg)
+
+
 class TestTauStatistic:
     def test_all_resampled_smaller_gives_one(self):
         assert tau_statistic(5.0, [1.0, 2.0, 3.0, 4.0], stream(0, 0)) == 1.0
@@ -820,7 +934,8 @@ class TestExpertTest:
 
     def test_matches_literal_composition(self):
         # the vectorized engine must be bit-identical to running
-        # resample_once -> dataset_loss -> tau_statistic by hand
+        # resample_once -> dataset_loss -> tau_statistic by hand, with
+        # squared errors scored in exact arithmetic
         d = gen_expertise_pairs(ExpertiseConfig(n=80, delta=0.1, seed=12))
         dcont = gen_validity_cube(80, 12)
         cases = [
@@ -832,11 +947,9 @@ class TestExpertTest:
         for data, loss in cases:
             cfg = self.cfg(L=20, K=151, loss=loss, master_seed=99)
             m = greedy_match(data, cfg.L, L2)
-            observed = dataset_loss(data, loss)
-            resampled = [
-                dataset_loss(resample_once(data, m, swap_stream(cfg.master_seed, k)), loss)
-                for k in range(cfg.K)
-            ]
+            score = exact_squared_loss if loss == LossSpec.squared_error() else lambda d: dataset_loss(d, loss)
+            observed = score(data)
+            resampled = [score(resample_once(data, m, swap_stream(cfg.master_seed, k))) for k in range(cfg.K)]
             literal = tau_statistic(observed, resampled, tie_break_stream(cfg.master_seed))
             assert expert_test(data, cfg, L2).tau == literal, loss.describe()
 
@@ -861,13 +974,15 @@ class TestExpertTest:
         ],
     )
     def test_blocks_match_whole_mask(self, data, loss, K):
-        # comparing block by block must count exactly what one comparison of
-        # the whole stacked mask counts: on the matrix product of the signs
-        # that binary matched records take and on the elementwise sums of
-        # every other test, for the blocks the first test draws, and on the
+        # comparing block by block must count exactly what one exact
+        # comparison of the whole stacked mask counts: on the matrix product
+        # of the signs that binary matched records take and of the float
+        # deltas of every other test, each row within its rounding margin
+        # summed exactly, for the blocks the first test draws, and on the
         # popcounts of packed binary rows and the unpacked float rows of the
         # kept blocks that a second test, at an L that is not a multiple of
-        # 8, reads
+        # 8, reads (tenths at K = 131 and seed 8128 reads a row at L = 37
+        # whose float sum in one fixed order took the wrong sign)
         n, L = (4000, 1000) if data == "audit" else (120, 40)
         d = named_dataset(data, n, 12)
         m = greedy_match(d, L, L2)
