@@ -45,7 +45,10 @@ timed alone, at the ``validity`` shape (n = 500, K = 200, L = 25, 100 and
 every call, as drawn bools and as kept packed rows, so only the test's
 preamble and its compare run. Its worst case scales the cube's outcomes
 and predictions by 1e-170: every product of differences underflows, so
-every row lies within the rounding margin and is summed exactly. Two more
+every row lies within the rounding margin and is summed exactly. The
+binary compare is timed the same way at the ``power`` shape (n = 600,
+L = 75, K = 1000), under zero-one loss and ``weighted_binary(0.3, 0.5)``:
+drawn blocks by matrix product, kept ones by popcount. Two more
 time the ``audit`` workload's own pattern, which repeats one report at one seed: a sweep runs
 once untimed, and every timed run at that seed reads the mask it kept,
 building none. At the ``audit`` shape (L ascending) its binary tests count
@@ -54,9 +57,10 @@ float tests unpack each kept row.
 
 Two parts of each test's preamble are timed alone: ``Matching.prefix``
 (L = 125 of the 250 greedy pairs of the validity cube, and 75 of 75 at the
-``power`` shape) and the swap classification as the engine runs it, which
-classifies only when every matched record is binary (the validity cube at
-L = 250, which is not binary, and the audit records at L = 1000, which are).
+``power`` shape) and ``classify_swaps``, which counts the signs of the
+per-pair deltas as the engine does, where the engine counts them: only
+when every matched record is binary (the validity cube at L = 250, which
+is not binary, and the audit records at L = 1000, which are).
 
 One ``report`` runs end to end through ``cli.main``, with the ``audit``
 workload's argv on the audit CSV (L = 125 to 1000, K = 1000, zero-one
@@ -219,7 +223,7 @@ def test_prefix(benchmark, make, n_pairs, L):
 
 
 def swap_counts(d, m):
-    """The engine's swap classification: counts when every matched record is binary, else None."""
+    """``classify_swaps`` where the engine counts swaps: when every matched record is binary, else None."""
     return engine.classify_swaps(d, m) if engine._matched_binary(d, m) else None
 
 
@@ -316,6 +320,21 @@ def underflow_cube() -> Dataset:
     return Dataset(d.x, d.y * 1e-170, d.y_hat * 1e-170)
 
 
+def given_blocks(K: int, L: int, blocks: str) -> GivenBlocks:
+    """The blocks of the mask at seed 0, as drawn bools (``fresh``) or as packed kept rows (``kept``)."""
+    mask = engine._SwapMask(0, K, L)
+    for _ in mask.blocks(L):  # draws and packs every block
+        pass
+    packed = list(mask.bits.values())
+    return GivenBlocks(packed if blocks == "kept" else [np.unpackbits(b, axis=1).view(bool) for b in packed])
+
+
+def time_given_blocks(benchmark, d, matching, cfg, given):
+    # the test reads the given blocks, so only its preamble and compare run
+    with mock.patch.object(engine, "_swap_mask", lambda seed, K, n: given):
+        return benchmark(expert_test_with_matching, d, matching, cfg)
+
+
 @pytest.mark.parametrize("L", [25, 100, 250])
 @pytest.mark.parametrize("blocks", ["fresh", "kept"])
 @pytest.mark.parametrize(
@@ -323,19 +342,24 @@ def underflow_cube() -> Dataset:
 )
 def test_float_compare(benchmark, make, blocks, L):
     # one squared-loss test at a validity shape (n = 500, K = 200, the
-    # matching at L = 250) with its mask's blocks given, so only the
-    # preamble and the compare run: as drawn bools or as packed kept rows
+    # matching at L = 250)
     d = make()
     full = greedy_match(d, 250, L2)
-    mask = engine._SwapMask(0, 200, 250)
-    for _ in mask.blocks(250):  # draws and packs every block
-        pass
-    packed = list(mask.bits.values())
-    given = GivenBlocks(packed if blocks == "kept" else [np.unpackbits(b, axis=1).view(bool) for b in packed])
     cfg = TestConfig(L=L, K=200, alpha=0.05, loss=LossSpec.squared_error(), master_seed=0)
-    with mock.patch.object(engine, "_swap_mask", lambda seed, K, n: given):
-        result = benchmark(expert_test_with_matching, d, full, cfg)
-    assert result.K == 200
+    assert time_given_blocks(benchmark, d, full, cfg, given_blocks(200, 250, blocks)).K == 200
+
+
+@pytest.mark.parametrize("blocks", ["fresh", "kept"])
+@pytest.mark.parametrize(
+    "loss", [LossSpec.zero_one(), LossSpec.weighted_binary(0.3, 0.5)], ids=["zero-one", "weighted"]
+)
+def test_binary_compare(benchmark, loss, blocks):
+    # one binary test at the power shape (n = 600, L = 75, K = 1000), on
+    # drawn bools by matrix product or on packed kept rows by popcount
+    d = gen_expertise_pairs(ExpertiseConfig(n=600, delta=0.2, seed=0))
+    m = greedy_match(d, 75, L2)
+    cfg = TestConfig(L=75, K=1000, alpha=0.05, loss=loss, master_seed=0)
+    assert time_given_blocks(benchmark, d, m, cfg, given_blocks(1000, 75, blocks)).binary_swap_counts is not None
 
 
 def likert_cube() -> Dataset:

@@ -24,7 +24,11 @@ is compared on its error messages too. So do three ``report`` runs
 whose test parameters are bad: ``--resamples 0``, ``--resamples
 4294967296`` (more than the swap streams a seed provides) and the default
 zero-one loss on the cube, whose outcomes are not binary; a change to where
-parameters are checked is compared on its errors. One ``report`` run writes
+parameters are checked is compared on its errors. Three ``report`` runs
+take weighted costs at both ends of the engine's check for a loss that
+charges nothing: ``fp=0,fn=0``, which is free, ``fp=5e-324,fn=0``, the
+smallest that is not, and ``fp=1e308,fn=1e308``, whose sum overflows to
+inf, which is not free either. One ``report`` run writes
 its ``--json`` into a directory that does not exist, so a change to when
 that fails is compared too. A run differs when its exit code,
 stdout, stderr or ``--json`` file differs between the trees. Each differing
@@ -56,6 +60,8 @@ COMMANDS = {
     "report-squared": [*REPORT, "--loss", "squared"],
     "report-weighted": [*REPORT, "--loss", "weighted:fp=0.3,fn=0.5"],
     "report-weighted-free": [*REPORT, "--loss", "weighted:fp=0,fn=0"],
+    "report-weighted-huge": [*REPORT, "--loss", "weighted:fp=1e308,fn=1e308"],
+    "report-weighted-tiny": [*REPORT, "--loss", "weighted:fp=5e-324,fn=0"],
     "report-weighted-metric": [*REPORT, "--metric", "weighted:1,0.5,2,0"],
     "report-bad-L": ["report", *AUDIT, "--pairs", "500,0", "--resamples", "300"],
     "report-K-zero": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "0"],

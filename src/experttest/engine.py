@@ -11,26 +11,27 @@ features do not.
 Loss comparisons are computed from per-pair swap deltas rather than by
 rebuilding each resampled dataset, and each resample is counted below, on or
 above the observed loss as scoring its dataset in exact arithmetic would
-count it, whatever the summation order, block size or BLAS build. When every
-matched record is binary (``binary_swap_counts`` is filled), a swap raises
-the loss, lowers it or leaves it alone, whatever the loss: each delta is
-exactly 0 or plus or minus one unit (fp_cost + fn_cost, or 2 for squared
-error), so the engine takes its sign. A resample's sum of signs is an
-integer no larger than L, exact in any order, so each block drawn is
-compared with one matrix product (a kept block is counted on its packed
-rows, below). Every other test (squared error on non-binary records) takes
-one matrix product of each block with the float deltas 2
-(y_i - y_j)(y_hat_i - y_hat_j) too, summed in whatever order the BLAS sums.
-A row whose product lies beyond a rigorous bound on its rounding error
-(:func:`_rounding_margin`, about (L + 3) 2**-53 times the sum of the
+count it, whatever the summation order, block size or BLAS build. Every test
+takes squared error's delta D = 2 (y_i - y_j)(y_hat_i - y_hat_j) for each
+pair: swapping a pair's predictions changes squared error by D, and on
+binary records, where D is exactly 0 or plus or minus 2, zero-one by D and
+``weighted_binary(fp, fn)`` by (fp + fn) / 2 times D. So a resample ranks
+against the observed loss as its sum of D over its swapped pairs ranks
+against zero, save that costs which charge nothing for a false positive plus
+a false negative make every resample a tie (their deltas are zeroed). The
+signs of D also give ``binary_swap_counts``. Each block drawn is compared
+with one matrix product of its rows with the deltas, summed in whatever
+order the BLAS sums (a kept binary block is counted on its packed rows,
+below). A row whose product lies beyond a rigorous bound on its rounding
+error (:func:`_rounding_margin`, about (L + 3) 2**-53 times the sum of the
 absolute deltas) has the sign of its exact sum. A row within it takes the
-exact sign of its sum of 2 (y_i - y_j)(y_hat_i - y_hat_j) over its swapped
-pairs, in integers built from the floats the first time a test needs them
-(:func:`_exact_deltas`). So a tie is an exact zero. On integer outcomes and
-predictions whose absolute deltas sum below 2**53, every delta and every
-partial sum of them is an exact float, so no row needs the margin. Squared
-errors too large for float64 raise :class:`LossOverflow`: their deltas, or a
-row's sum of them, would be infinite or NaN.
+exact sign of its sum of D over its swapped pairs, in integers built from
+the floats the first time a test needs them (:func:`_exact_deltas`). So a
+tie is an exact zero. On integer outcomes and predictions, binary ones among
+them, whose absolute deltas sum below 2**53, every delta and every partial
+sum of them is an exact float, so no row needs the margin. Squared errors
+too large for float64 raise :class:`LossOverflow`: their deltas, or a row's
+sum of them, would be infinite or NaN.
 
 Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
@@ -53,10 +54,10 @@ ceil(L / 8) whole bytes, and the mask of the last seed, K and matching
 length is kept (2.5 MB at K = 10 000, L = 2000): a later test on those
 three reads the blocks already drawn and draws the rest, so a sweep over L
 on one matching, in any order, draws each row at most once. A binary test
-counts a kept block on its packed rows, with no unpacking: a row's sum of
-signs is the number of its bits, among the pairs whose sign is nonzero,
-that differ from the bits of the negative signs, less the number of
-negative signs, an exact integer. Any other test unpacks each kept row to
+counts a kept block on its packed rows, with no unpacking: half a row's
+sum of D is the number of its bits, among the pairs whose D is nonzero,
+that differ from the bits of the negative ones, less the number of
+negative ones, an exact integer. Any other test unpacks each kept row to
 its whole bytes, as a drawn block comes, and the deltas past L are zero. A
 block depends only on (seed, K, L, its index), so the result does not
 depend on which test drew it, or in what order.
@@ -134,6 +135,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _U32 = (1 << 32) - 1
 # resamples drawn, packed and compared per block; 32 to 256 measured within noise
 _BLOCK_ROWS = 64
+# the outcomes and predictions of one false positive and one false negative
+_FP_AND_FN = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -210,9 +213,11 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     currently correct the swap creates a false positive and a false negative
     (increase); if both are currently wrong it removes one of each
     (decrease); every other configuration leaves any mistake-count-monotone
-    loss unchanged (neutral). Whether every matched record is binary is read
-    from the dataset's stored flags (:attr:`Dataset.binary_records`), without
-    a scan when the whole dataset is binary.
+    loss unchanged (neutral). Those are the pairs whose swap delta 2 (y_i -
+    y_j)(y_hat_i - y_hat_j) is 2, -2 and 0, the rule of the engine's
+    compare. Whether every matched record is binary is read from the
+    dataset's stored flags (:attr:`Dataset.binary_records`), without a scan
+    when the whole dataset is binary.
 
     Raises
     ------
@@ -221,12 +226,18 @@ def classify_swaps(d: Dataset, m: Matching) -> SwapCounts:
     """
     if not _matched_binary(d, m):
         raise NonBinaryData("matched records must have y and y_hat in {0, 1}")
-    pi, pj = m.pairs.T
-    y1, y2, p1, p2 = d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]
-    differ = y1 != y2
-    n_inc = int(np.count_nonzero(differ & (p1 == y1) & (p2 == y2)))
-    n_dec = int(np.count_nonzero(differ & (p1 == y2) & (p2 == y1)))
-    return SwapCounts(n_inc, n_dec, len(m) - n_inc - n_dec)
+    return _swap_counts(_deltas(d.y[m.pairs], d.y_hat[m.pairs]))
+
+
+def _deltas(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Each pair's swap delta 2 (y_i - y_j)(y_hat_i - y_hat_j), doubled last, where that is exact."""
+    return 2.0 * ((y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1]))
+
+
+def _swap_counts(delta: np.ndarray) -> SwapCounts:
+    """The pairs whose delta is above, below and at zero."""
+    increase, decrease = int(np.count_nonzero(delta > 0)), int(np.count_nonzero(delta < 0))
+    return SwapCounts(increase, decrease, len(delta) - increase - decrease)
 
 
 def _matched_binary(d: Dataset, m: Matching) -> bool:
@@ -463,19 +474,20 @@ def expert_test_with_matching(
     are kept, and a later test at the same seed, K and matching length
     reads them and draws the rest.
 
-    On records that are not all binary, the squared-error comparison is
-    exact: a resample counts below the observed loss exactly when the sum,
-    over the pairs it swaps, of 2 (y_i - y_j)(y_hat_i - y_hat_j) is below
-    zero, and as a tie exactly when that sum is zero. The float product of
-    a block with the deltas decides every row beyond its rounding margin
-    (:func:`_rounding_margin`), and each row within it is summed exactly.
+    Every comparison is exact, whatever the loss: a resample counts below
+    the observed loss exactly when the sum, over the pairs it swaps, of 2
+    (y_i - y_j)(y_hat_i - y_hat_j) is below zero, and as a tie exactly when
+    that sum is zero or the loss charges nothing for one false positive
+    plus one false negative. The float product of a block with the deltas
+    decides every row beyond its rounding margin (:func:`_rounding_margin`),
+    and each row within it is summed exactly.
 
     Raises
     ------
     LossOverflow
         If the loss is squared error and the observed loss is not finite in
-        float64, or the records are not all binary and the sum of the
-        absolute float deltas, with its rounding margin, is not finite.
+        float64, or the sum of the absolute float deltas, with its rounding
+        margin, is not finite.
     """
     if len(matching) < cfg.L:
         raise ValueError(f"matching has {len(matching)} pairs, config wants L={cfg.L}")
@@ -483,30 +495,26 @@ def expert_test_with_matching(
     with np.errstate(over="ignore"):
         # squared errors that overflow raise LossOverflow below instead
         observed = dataset_loss(d, cfg.loss)
-    counts = classify_swaps(d, m) if _matched_binary(d, m) else None
+    y, y_hat = d.y[m.pairs], d.y_hat[m.pairs]
     # zero past L, so the columns a block carries up to its whole byte count nothing
     delta = np.zeros(-(-cfg.L // 8) * 8)
-    if counts is not None:
-        # a pair's two per-record losses add to the same float in either
-        # order, so each delta is exactly 0 or +-(one unit) and its sign
-        # ranks every resample as the unit-weighted sum does; inf - inf
-        # (NaN), from costs near the float maximum, comes only from a
-        # neutral pair, and its sign is 0. A sum of signs is exact.
-        swap = _swap_deltas(d, m, cfg.loss)
-        delta[: cfg.L] = (swap > 0).astype(np.float64) - (swap < 0)
-        integral = True
-    else:
-        # squared error's swap delta, 2 (y_i - y_j)(y_hat_i - y_hat_j), with
-        # the doubling last, where it is exact
-        y, y_hat = d.y[m.pairs], d.y_hat[m.pairs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta[: cfg.L] = 2.0 * ((y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1]))
-        integral = np.array_equal(np.trunc(y), y) and np.array_equal(np.trunc(y_hat), y_hat)
     with np.errstate(over="ignore", invalid="ignore"):
+        delta[: cfg.L] = _deltas(y, y_hat)
+        counts = _swap_counts(delta[: cfg.L]) if _matched_binary(d, m) else None
+        # only a binary loss, which takes only binary records, can charge
+        # nothing for one false positive plus one false negative; its costs
+        # are never negative, so it does when it charges nothing for either
+        # (read one by one, since their sum could overflow), and then no swap
+        # changes it
+        free = counts is not None and not cfg.loss.per_record(*_FP_AND_FN).any()
+        if free:
+            delta[:] = 0.0
         spread = float(np.abs(delta).sum())
-    # signs, and the deltas of integer outcomes and predictions, are exact
-    # integers while their absolute values sum below 2**53, and so is every
-    # partial sum of them, in any order: then no row needs a margin
+    # the deltas of integer outcomes and predictions, binary ones among
+    # them, are exact integers while their absolute values sum below 2**53,
+    # and so is every partial sum of them, in any order: then no row needs
+    # a margin
+    integral = np.array_equal(np.trunc(y), y) and np.array_equal(np.trunc(y_hat), y_hat)
     margin = 0.0 if integral and spread < 2.0**53 else _rounding_margin(cfg.L, spread)
     # a difference that overflows makes a delta infinite, or NaN (inf * 0),
     # and a row sum that overflows can count on the wrong side
@@ -518,12 +526,13 @@ def expert_test_with_matching(
     packed = exact = None  # made when a test first needs them
     for mask in _swap_mask(cfg.master_seed, cfg.K, len(matching)).blocks(cfg.L):
         if counts is not None and mask.dtype != bool:
-            # dec and informative pack the negative and the nonzero signs:
-            # a packed row's sum of signs is the count of its informative
-            # bits that differ from dec, less the count of dec (bitwise_count
-            # is NumPy 2.0's, hence the package's numpy>=2.0)
+            # dec and informative pack the negative and the nonzero deltas,
+            # each -2 or 2: half a packed row's sum is the count of its
+            # informative bits that differ from dec, less the count of dec:
+            # the decrease count, or 0 once a free loss's deltas are zeroed
+            # (bitwise_count is NumPy 2.0's, hence the package's numpy>=2.0)
             if packed is None:
-                packed = np.packbits(delta < 0), np.packbits(delta != 0), int(np.count_nonzero(delta < 0))
+                packed = np.packbits(delta < 0), np.packbits(delta != 0), 0 if free else counts.decrease
             dec, informative, n_dec = packed
             diff = np.bitwise_count((mask ^ dec) & informative).sum(axis=1, dtype=np.intp) - n_dec
         else:
@@ -539,7 +548,7 @@ def expert_test_with_matching(
         elif undecided:
             # a float row within the rounding margin of zero takes the sign of its exact sum
             if exact is None:
-                exact = _exact_deltas(d, m)
+                exact = _exact_deltas(y, y_hat)
             changed, values = exact
             for row in rows[np.abs(diff) <= margin][:, changed].tolist():
                 total = sum(compress(values, row))
@@ -563,21 +572,6 @@ def expert_test_with_matching(
         observed_loss=observed,
         binary_swap_counts=counts,
     )
-
-
-def _swap_deltas(d: Dataset, m: Matching, loss: LossSpec) -> np.ndarray:
-    """Per-pair change in summed per-record loss when the pair's predictions are exchanged.
-
-    Per-record losses near the float maximum (costs such as 1e308) make a
-    pair's summed losses inf and its delta inf - inf, so those operations do
-    not warn. A test on binary records takes each delta's sign, where a
-    NaN's is 0.
-    """
-    pi, pj = m.pairs.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        unswapped = loss.per_record(d.y[pi], d.y_hat[pi]) + loss.per_record(d.y[pj], d.y_hat[pj])
-        swapped = loss.per_record(d.y[pi], d.y_hat[pj]) + loss.per_record(d.y[pj], d.y_hat[pi])
-        return swapped - unswapped
 
 
 def _rounding_margin(L: int, spread: float) -> float:
@@ -604,7 +598,7 @@ def _rounding_margin(L: int, spread: float) -> float:
     return (L + 3) * 2.0**-53 / (1.0 - (2 * L + 10) * 2.0**-53) * spread + L * 2.0**-1072
 
 
-def _exact_deltas(d: Dataset, m: Matching) -> tuple[np.ndarray, list[int]]:
+def _exact_deltas(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The pairs whose swap changes the squared error, and each one's 2 (y_i - y_j)(yhat_i - yhat_j) exactly.
 
     A finite float is an integer of at most 53 bits times a power of two
@@ -615,7 +609,7 @@ def _exact_deltas(d: Dataset, m: Matching) -> tuple[np.ndarray, list[int]]:
     sign of the exact sum of the deltas. Pairs whose delta is zero are left
     out; the rest are returned as their indices and their products.
     """
-    y, y_hat = _integers(d.y[m.pairs]), _integers(d.y_hat[m.pairs])
+    y, y_hat = _integers(y), _integers(y_hat)
     deltas = (y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1])
     changed = np.flatnonzero(deltas)
     return changed, deltas[changed].tolist()

@@ -202,6 +202,15 @@ def exact_squared_loss(d: Dataset) -> Fraction:
     return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(d.y.tolist(), d.y_hat.tolist())) / d.n
 
 
+def mistake_changes(d: Dataset, m: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """Which binary pairs' swaps raise their mistake count, and which lower it, counted before and after."""
+    pi, pj = m.pairs.T
+    y1, y2, p1, p2 = d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]
+    before = (p1 != y1).astype(int) + (p2 != y2)
+    after = (p2 != y1).astype(int) + (p1 != y2)
+    return after > before, after < before
+
+
 def _compare_binary(
     d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +219,9 @@ def _compare_binary(
     # out of two; a swap that keeps the pair's mistake count moves nothing,
     # so the loss difference is (fp_cost + fn_cost) * (executed increases -
     # decreases) and comparisons are exact integer arithmetic
-    pi, pj = m.pairs.T
-    y1, y2, p1, p2 = d.y[pi], d.y[pj], d.y_hat[pi], d.y_hat[pj]
-    before = (p1 != y1).astype(int) + (p2 != y2)
-    after = (p2 != y1).astype(int) + (p1 != y2)
-    executed_inc = (mask & (after > before)).sum(axis=1)
-    executed_dec = (mask & (after < before)).sum(axis=1)
+    increase, decrease = mistake_changes(d, m)
+    executed_inc = (mask & increase).sum(axis=1)
+    executed_dec = (mask & decrease).sum(axis=1)
     unit = loss.fp_cost + loss.fn_cost if loss.variant == "weighted_binary" else 2.0
     diff = executed_inc - executed_dec
     if unit == 0.0:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from _oracles import (
     exact_squared_loss,
+    mistake_changes,
     record_swap_streams,
     resample_once,
     stacked_swap_mask,
@@ -742,6 +743,60 @@ class TestExactCompare:
         assert ties > 0 and (less, ties) == whole_mask_counts(d, m, cfg)
 
 
+COSTS = [0.0, 5e-324, 0.3, 1.0, 1e308]
+BINARY = st.sampled_from([0.0, 1.0])
+
+
+class TestOneDelta:
+    @given(
+        pairs=st.lists(st.tuples(BINARY, BINARY, BINARY, BINARY), min_size=1, max_size=40),
+        L=st.integers(1, 40),
+        # costs that charge nothing, the one loss whose deltas are zeroed,
+        # are also drawn on their own, so that they come often
+        loss=st.sampled_from([LossSpec.zero_one(), LossSpec.squared_error(), LossSpec.weighted_binary(0, 0)])
+        | st.builds(LossSpec.weighted_binary, st.sampled_from(COSTS), st.sampled_from(COSTS)),
+        K=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        kept=st.booleans(),
+        verdict_only=st.booleans(),
+        alpha=st.floats(0.001, 0.999),
+    )
+    # costs that charge nothing, whose every resample ties, on kept blocks;
+    # the smallest cost that charges something; costs whose sum overflows
+    @example(pairs=[(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)] * 5, L=9, loss=LossSpec.weighted_binary(0, 0),
+             K=2 * B + 3, seed=3, kept=True, verdict_only=False, alpha=0.5)
+    @example(pairs=[(0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)] * 5, L=10,
+             loss=LossSpec.weighted_binary(5e-324, 0), K=B + 1, seed=3, kept=True, verdict_only=False, alpha=0.5)
+    @example(pairs=[(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0)] * 4, L=11,
+             loss=LossSpec.weighted_binary(1e308, 1e308), K=B, seed=3, kept=True, verdict_only=True, alpha=0.5)
+    @settings(max_examples=150, deadline=None)
+    def test_binary_pairs_score_from_one_delta(self, pairs, L, loss, K, seed, kept, verdict_only, alpha):
+        # every loss ranks a binary resample by its sum of squared-error
+        # deltas, on drawn and on kept blocks, and the same deltas classify
+        # the swaps as the mistakes they add or remove; the pairs include
+        # equal outcomes and equal predictions
+        d = pairs_dataset(*pairs)
+        m = greedy_match(d, len(pairs), L2)
+        assert m.pairs.tolist() == [[2 * k, 2 * k + 1] for k in range(len(pairs))]
+        L = min(L, len(pairs))
+        cfg = TestConfig(L=L, K=K, alpha=alpha, loss=loss, master_seed=seed)
+        engine._swap_mask.cache_clear()
+        # costs near the float maximum must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kept:
+                expert_test_with_matching(d, m, replace(cfg, L=len(m)))
+            r = expert_test_with_matching(d, m, cfg, verdict_only=verdict_only)
+        increase, decrease = (int(c.sum()) for c in mistake_changes(d, m.prefix(L)))
+        counts = SwapCounts(increase, decrease, L - increase - decrease)
+        assert r.binary_swap_counts == classify_swaps(d, m.prefix(L)) == counts
+        tau = whole_mask_tau(d, m.prefix(L), cfg)
+        if r.tau is None:
+            assert verdict_only and tau > alpha and not r.rejected
+        else:
+            assert (r.tau, r.rejected) == (tau, tau <= alpha)
+
+
 class TestTauStatistic:
     def test_all_resampled_smaller_gives_one(self):
         assert tau_statistic(5.0, [1.0, 2.0, 3.0, 4.0], stream(0, 0)) == 1.0
@@ -989,7 +1044,10 @@ class TestExpertTest:
         binary = data in ("pairs", "audit", "binary-matched")
         assert engine._matched_binary(d, m) == binary
         if data == "huge-integers":
-            assert np.abs(engine._swap_deltas(d, m, loss)).sum() > 2.0**53
+            # the squared-error deltas 2 (y_i - y_j)(y_hat_i - y_hat_j) sum past
+            # the integers a float holds exactly, so rows take the margin
+            y, y_hat = d.y[m.pairs], d.y_hat[m.pairs]
+            assert np.abs(2.0 * (y[:, 0] - y[:, 1]) * (y_hat[:, 0] - y_hat[:, 1])).sum() > 2.0**53
         for seed in (0, 2**64 - 1, 8128):
             engine._swap_mask.cache_clear()
             for l in (L, L - 3):
