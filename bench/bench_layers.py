@@ -70,13 +70,14 @@ call at one seed, as the ``audit`` workload does, so every call after the
 first builds no parser and reads the kept mask, and each call must write
 the same JSON.
 
-Four more matcher inputs are there to catch a radius rule that wins on
+Five more matcher inputs are there to catch a radius rule that wins on
 the audit features and loses elsewhere: the validity cube at n = 32 000
 (L = n/4), a tight cluster of 3000 records with 1000 spread around it
 (3-D, L = 2000), the uniform 9-dimensional cube at n = 4000 (L = n/2),
-where a radius grows the candidate count fastest, and the validity cube at
-n = 4000 and L = 200, a shallow matching whose pair queries run over a
-small share of the free records.
+standard normal features in 30 dimensions at n = 2000 (L = n/2), where a
+growing radius multiplies the candidate count fastest, and the validity
+cube at n = 4000 and L = 200, a shallow matching whose pair queries run
+over a small share of the free records.
 """
 
 import csv
@@ -193,15 +194,21 @@ def uniform_9d() -> Dataset:
     return Dataset(x, np.zeros(len(x)), np.zeros(len(x)))
 
 
+def normal_30d() -> Dataset:
+    x = np.random.default_rng(0).standard_normal((2000, 30))
+    return Dataset(x, np.zeros(len(x)), np.zeros(len(x)))
+
+
 @pytest.mark.parametrize(
     "make, L",
     [
         (lambda: gen_validity_cube(32_000, 0), 8000),
         (clustered_3d, 2000),
         (uniform_9d, 2000),
+        (normal_30d, 1000),
         (lambda: gen_validity_cube(4000, 0), 200),
     ],
-    ids=["cube-32000", "clustered-3d", "uniform-9d", "cube-4000-shallow"],
+    ids=["cube-32000", "clustered-3d", "uniform-9d", "normal-30d", "cube-4000-shallow"],
 )
 def test_greedy_match_counter_inputs(benchmark, make, L):
     d = make()

@@ -12,7 +12,9 @@ writes to a temporary directory: an audit-like CSV of recorded binary
 decisions (two integer features, two lab values to one decimal place,
 duplicate records), a validity cube rounded to one decimal place, the same
 features with outcomes and predictions drawn from 0.1, 0.2 and 0.3, whose
-squared-error swap deltas often cancel to zero or to a few ulps of it, and eleven
+squared-error swap deltas often cancel to zero or to a few ulps of it, 1500
+records of 12 standard normal features, on which ``match-stats`` compares a
+matcher whose radius grows by less than twice per round, and eleven
 unusual CSVs of the first audit rows, each read by ``test``: CRLF line ends
 after a byte-order mark; quoted, padded and ``7_4``-style cells; R's
 ``write.csv`` layout (a quoted header and quoted row names in an unnamed
@@ -28,7 +30,8 @@ parameters are checked is compared on its errors. Three ``report`` runs
 take weighted costs at both ends of the engine's check for a loss that
 charges nothing: ``fp=0,fn=0``, which is free, ``fp=5e-324,fn=0``, the
 smallest that is not, and ``fp=1e308,fn=1e308``, whose sum overflows to
-inf, which is not free either. One ``report`` run writes
+inf, which is not free either. One takes ``fp=1,fn=1``, the zero-one
+loss's twin under another name. One ``report`` run writes
 its ``--json`` into a directory that does not exist, so a change to when
 that fails is compared too. A run differs when its exit code,
 stdout, stderr or ``--json`` file differs between the trees. Each differing
@@ -62,6 +65,7 @@ COMMANDS = {
     "report-weighted-free": [*REPORT, "--loss", "weighted:fp=0,fn=0"],
     "report-weighted-huge": [*REPORT, "--loss", "weighted:fp=1e308,fn=1e308"],
     "report-weighted-tiny": [*REPORT, "--loss", "weighted:fp=5e-324,fn=0"],
+    "report-weighted-unit": [*REPORT, "--loss", "weighted:fp=1,fn=1"],
     "report-weighted-metric": [*REPORT, "--metric", "weighted:1,0.5,2,0"],
     "report-bad-L": ["report", *AUDIT, "--pairs", "500,0", "--resamples", "300"],
     "report-K-zero": ["report", *AUDIT, "--pairs", "500,60", "--resamples", "0"],
@@ -74,6 +78,8 @@ COMMANDS = {
     "test": ["test", *AUDIT, "--pairs", "400", "--resamples", "300", "--smoothness-C", "1.0",
              "--seed", "{seed}"],
     "match-stats": ["match-stats", *AUDIT, "--pairs", "50,400,200"],
+    "match-stats-wide": ["match-stats", "{wide}", "--features", ",".join(f"x{i}" for i in range(1, 13)),
+                         "--outcome", "y", "--prediction", "y_hat", "--pairs", "750,100,400"],
     **{f"test-{name}": ["test", "{%s}" % name, *AUDIT[1:], "--pairs", "100", "--resamples", "200",
                         "--seed", "{seed}"]
        for name in ("crlf_bom", "quoted", "r_export", "mac_cr", "blank_line", "short_row",
@@ -119,7 +125,12 @@ def write_inputs(folder: Path) -> dict:
     _write_csv(cube, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, y, y_hat]))
     tenths = folder / "tenths.csv"
     _write_csv(tenths, ["x1", "x2", "x3", "y", "y_hat"], np.column_stack([x, rng.choice([0.1, 0.2, 0.3], (400, 2))]))
-    return {**paths, "cube": str(cube), "tenths": str(tenths), "missing_dir": str(folder / "missing")}
+    # drawn after every other input, which so stays as it was
+    wide = folder / "wide.csv"
+    _write_csv(wide, [*(f"x{i}" for i in range(1, 13)), "y", "y_hat"],
+               np.column_stack([rng.standard_normal((1500, 12)), rng.integers(0, 2, (1500, 2))]))
+    return {**paths, "cube": str(cube), "tenths": str(tenths), "wide": str(wide),
+            "missing_dir": str(folder / "missing")}
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:

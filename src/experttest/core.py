@@ -157,9 +157,10 @@ class LossSpec:
     """Which dataset loss to use when comparing observed and resampled data.
 
     Construct via :meth:`zero_one`, :meth:`squared_error` or
-    :meth:`weighted_binary`. Every variant induces a per-record loss whose
-    mean over records is the dataset loss, so the dataset loss is invariant
-    under permutation of record indices by construction.
+    :meth:`weighted_binary`. The costs belong to ``weighted_binary`` alone:
+    the other two variants take (1, 1) and reject any others, so a cost
+    means the same thing in every computation. Zero-one is
+    ``weighted_binary(1, 1)`` under its own name.
     """
 
     variant: str
@@ -171,6 +172,8 @@ class LossSpec:
             raise ValueError(f"unknown loss variant: {self.variant!r}")
         if not (0.0 <= self.fp_cost < np.inf and 0.0 <= self.fn_cost < np.inf):
             raise ValueError("false-positive / false-negative costs must be finite and nonnegative")
+        if self.variant != _WEIGHTED and (self.fp_cost, self.fn_cost) != (1.0, 1.0):
+            raise ValueError(f"{self.variant} loss takes no costs; use weighted_binary")
 
     @classmethod
     def zero_one(cls) -> "LossSpec":
@@ -197,17 +200,6 @@ class LossSpec:
                 f"{self.variant} loss requires y and y_hat in {{0, 1}} for every record"
             )
 
-    def per_record(self, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-        """Per-record loss values; the dataset loss is their mean."""
-        if self.variant == _ZERO_ONE:
-            return (y != y_hat).astype(np.float64)
-        if self.variant == _SQUARED:
-            diff = y - y_hat
-            return diff * diff
-        fp = (y == 0.0) & (y_hat == 1.0)
-        fn = (y == 1.0) & (y_hat == 0.0)
-        return self.fp_cost * fp + self.fn_cost * fn
-
     def describe(self) -> str:
         if self.variant == _WEIGHTED:
             return f"weighted_binary(fp={self.fp_cost:g}, fn={self.fn_cost:g})"
@@ -215,11 +207,12 @@ class LossSpec:
 
 
 def dataset_loss(d: Dataset, loss: LossSpec) -> float:
-    """Mean per-record loss of the expert predictions on ``d``.
+    """The loss of the expert predictions on ``d``, bit-for-bit invariant under record order.
 
-    Bit-for-bit invariant under permutation of record order: binary variants
-    reduce to integer mistake counts, and squared error sums its per-record
-    terms in a canonical (sorted) order.
+    A binary loss is (fp_cost * #false-positives + fn_cost * #false-negatives)
+    / n from integer counts, zero-one at costs (1, 1), where the counts
+    add exactly and the result is the mistake count over n. Squared error
+    is the mean of the squared differences, summed in sorted order.
 
     Raises
     ------
@@ -228,11 +221,10 @@ def dataset_loss(d: Dataset, loss: LossSpec) -> float:
     """
     loss.check_compatible(d)
     y, y_hat = d.y, d.y_hat
-    if loss.variant == _ZERO_ONE:
-        return int((y != y_hat).sum()) / d.n
-    if loss.variant == _WEIGHTED:
-        n_fp = int(((y == 0.0) & (y_hat == 1.0)).sum())
-        n_fn = int(((y == 1.0) & (y_hat == 0.0)).sum())
+    if loss.requires_binary:
+        # Python ints, so a cost times a count is a Python float, which
+        # overflows to inf without a warning
+        n_fp, n_fn = int(np.count_nonzero(y_hat > y)), int(np.count_nonzero(y > y_hat))
         total = loss.fp_cost * n_fp + loss.fn_cost * n_fn
         if math.isinf(total):
             # finite costs whose sum overflows: their mean is at most the
@@ -243,8 +235,8 @@ def dataset_loss(d: Dataset, loss: LossSpec) -> float:
 
             return float((Fraction(loss.fp_cost) * n_fp + Fraction(loss.fn_cost) * n_fn) / d.n)
         return total / d.n
-    per = loss.per_record(y, y_hat)
-    return float(np.sort(per).sum() / d.n)
+    diff = y - y_hat
+    return float(np.sort(diff * diff).sum() / d.n)
 
 
 # ---------------------------------------------------------------------------

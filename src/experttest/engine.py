@@ -14,22 +14,23 @@ above the observed loss as scoring its dataset in exact arithmetic would
 count it, whatever the summation order, block size or BLAS build. Every test
 takes squared error's delta D = 2 (y_i - y_j)(y_hat_i - y_hat_j) for each
 pair: swapping a pair's predictions changes squared error by D, and on
-binary records, where D is exactly 0 or plus or minus 2, zero-one by D and
-``weighted_binary(fp, fn)`` by (fp + fn) / 2 times D. So a resample ranks
-against the observed loss as its sum of D over its swapped pairs ranks
-against zero, save that costs which charge nothing for a false positive plus
-a false negative make every resample a tie (their deltas are zeroed). The
-signs of D also give ``binary_swap_counts``. Each block drawn is compared
-with one matrix product of its rows with the deltas, summed in whatever
-order the BLAS sums (a kept binary block is counted on its packed rows,
-below). A row whose product lies beyond a rigorous bound on its rounding
+binary records, where D is exactly 0 or plus or minus 2,
+``weighted_binary(fp, fn)`` by (fp + fn) / 2 times D, zero-one (costs 1
+and 1) by D. So a resample ranks against the observed loss as its sum of D
+over its swapped pairs ranks against zero, save that a loss whose costs are
+both zero (only ``weighted_binary`` takes other costs than 1 and 1) makes
+every resample a tie (its deltas are zeroed). The signs of D also give
+``binary_swap_counts``. Each block drawn is compared with one matrix
+product of its rows with the deltas, summed in whatever order the BLAS sums
+(a kept binary block is counted on its packed rows, below). A row whose product lies beyond a rigorous bound on its rounding
 error (:func:`_rounding_margin`, about (L + 3) 2**-53 times the sum of the
 absolute deltas) has the sign of its exact sum. A row within it takes the
 exact sign of its sum of D over its swapped pairs, in integers built from
 the floats the first time a test needs them (:func:`_exact_deltas`). So a
 tie is an exact zero. On integer outcomes and predictions, binary ones among
 them, whose absolute deltas sum below 2**53, every delta and every partial
-sum of them is an exact float, so no row needs the margin. Squared errors
+sum of them is an exact float, so no row needs the margin; binary records
+are integers, so only other records are checked for it. Squared errors
 too large for float64 raise :class:`LossOverflow`: their deltas, or a row's
 sum of them, would be infinite or NaN.
 
@@ -135,8 +136,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _U32 = (1 << 32) - 1
 # resamples drawn, packed and compared per block; 32 to 256 measured within noise
 _BLOCK_ROWS = 64
-# the outcomes and predictions of one false positive and one false negative
-_FP_AND_FN = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 def swap_stream(master_seed: int, resample_index: int) -> np.random.Generator:
@@ -477,10 +476,10 @@ def expert_test_with_matching(
     Every comparison is exact, whatever the loss: a resample counts below
     the observed loss exactly when the sum, over the pairs it swaps, of 2
     (y_i - y_j)(y_hat_i - y_hat_j) is below zero, and as a tie exactly when
-    that sum is zero or the loss charges nothing for one false positive
-    plus one false negative. The float product of a block with the deltas
-    decides every row beyond its rounding margin (:func:`_rounding_margin`),
-    and each row within it is summed exactly.
+    that sum is zero or both of the loss's costs are zero. The float
+    product of a block with the deltas decides every row beyond its rounding
+    margin (:func:`_rounding_margin`), and each row within it is summed
+    exactly.
 
     Raises
     ------
@@ -501,20 +500,19 @@ def expert_test_with_matching(
     with np.errstate(over="ignore", invalid="ignore"):
         delta[: cfg.L] = _deltas(y, y_hat)
         counts = _swap_counts(delta[: cfg.L]) if _matched_binary(d, m) else None
-        # only a binary loss, which takes only binary records, can charge
-        # nothing for one false positive plus one false negative; its costs
-        # are never negative, so it does when it charges nothing for either
-        # (read one by one, since their sum could overflow), and then no swap
-        # changes it
-        free = counts is not None and not cfg.loss.per_record(*_FP_AND_FN).any()
+        # only weighted_binary takes costs other than 1 and 1, and with both
+        # zero no swap changes it
+        free = not (cfg.loss.fp_cost or cfg.loss.fn_cost)
         if free:
             delta[:] = 0.0
         spread = float(np.abs(delta).sum())
     # the deltas of integer outcomes and predictions, binary ones among
     # them, are exact integers while their absolute values sum below 2**53,
     # and so is every partial sum of them, in any order: then no row needs
-    # a margin
-    integral = np.array_equal(np.trunc(y), y) and np.array_equal(np.trunc(y_hat), y_hat)
+    # a margin; binary records are integers without a scan
+    integral = counts is not None or (
+        np.array_equal(np.trunc(y), y) and np.array_equal(np.trunc(y_hat), y_hat)
+    )
     margin = 0.0 if integral and spread < 2.0**53 else _rounding_margin(cfg.L, spread)
     # a difference that overflows makes a delta infinite, or NaN (inf * 0),
     # and a row sum that overflows can count on the wrong side

@@ -129,14 +129,17 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
 
     The radius only sets how much one round takes. It is just above the
     ``need``-th smallest nearest-free-neighbour distance, where ``need`` is
-    the number of pairs still missing, and at least twice the last round's
-    radius. A round that ends short of L took every free pair within its
-    limit, so a round at or below its radius could take nothing. The
+    the number of pairs still missing, and at least ``2 ** min(1, 4 / d)``
+    times the last round's radius for d feature columns: twice up to d = 4,
+    and beyond it a factor whose d-th power, the growth of the volume a
+    round reaches, is 16, so the candidates stay near linear in n in any
+    dimension. A round that ends short of L took every free pair within
+    its limit, so a round at or below its radius could take nothing. The
     nearest-neighbour distances are queried, on a tree of every free
     record, in the first round and reused after it: a record's distance to
     its nearest free neighbour can only grow as records are taken, so the
     stored values are lower bounds. They are queried again only after a
-    round at radius 0, since doubling cannot move a radius of 0.
+    round at radius 0, since growth cannot move a radius of 0.
 
     The bounds also prune each round's radius query: its tree holds only
     the free records whose bound is at most ``r``. No acceptable pair is
@@ -146,7 +149,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     endpoints are kept, and the pairs, their order and their distances are
     those of an unpruned query.
 
-    Typical inputs need two to six rounds, each O(m log m + c log c) time
+    Typical inputs need two to six rounds (10 to 12 on standard normal
+    features in 20 to 50 dimensions), each O(m log m + c log c) time
     and O(m + c) memory for m free records within the radius's reach and c
     candidates, where m is at least ``need`` (on the normalized audit
     features, about a quarter of the free records in the first round) and
@@ -187,11 +191,12 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
     found = len(zero)
     nearest = np.empty(n)  # per record, a lower bound on its distance to the nearest free record
     r = 0.0  # the last KD round's radius
+    growth = 2 ** min(1, 4 / x.shape[1])  # 2 for d <= 4
     while found < L:
         from scipy.spatial import cKDTree
 
         idx = np.flatnonzero(free)
-        # in the first round and after a round at radius 0, which doubling
+        # in the first round and after a round at radius 0, which growth
         # cannot move: only fresh bounds can
         if r == 0:
             sub = x[idx]
@@ -200,8 +205,8 @@ def greedy_match(d: Dataset, L: int, metric: DistanceMetric) -> Matching:
         bound = np.partition(nearest[idx], need - 1)[need - 1]
         # just above the need-th distance, so that with exact distances
         # the closest free pair lies inside the acceptance limit below;
-        # at least twice the last radius, which the last round used up
-        r = max(bound * (1 + 1e-8), 2 * r)
+        # beyond the last radius, which the last round used up
+        r = max(bound * (1 + 1e-8), growth * r)
         # a record whose bound exceeds r has no free record within r
         idx = idx[nearest[idx] <= r]
         ii, jj = cKDTree(x[idx]).query_pairs(r, output_type="ndarray").T

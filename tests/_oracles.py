@@ -193,7 +193,7 @@ def whole_mask_counts(d: Dataset, m: Matching, cfg: TestConfig) -> tuple[int, in
     if cfg.loss.requires_binary:
         less, ties = _compare_binary(d, m, cfg.loss, mask)
     else:
-        less, ties = _compare_generic(d, m, cfg.loss, mask)
+        less, ties = _compare_squared(d, m, mask)
     return int(less.sum()), int(ties.sum())
 
 
@@ -222,24 +222,22 @@ def _compare_binary(
     increase, decrease = mistake_changes(d, m)
     executed_inc = (mask & increase).sum(axis=1)
     executed_dec = (mask & decrease).sum(axis=1)
-    unit = loss.fp_cost + loss.fn_cost if loss.variant == "weighted_binary" else 2.0
+    unit = loss.fp_cost + loss.fn_cost
     diff = executed_inc - executed_dec
     if unit == 0.0:
         return np.zeros(mask.shape[0], dtype=bool), np.ones(mask.shape[0], dtype=bool)
     return diff < 0, diff == 0
 
 
-def _compare_generic(
-    d: Dataset, m: Matching, loss: LossSpec, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # the per-record losses of the given floats as exact Fractions: each
+def _compare_squared(d: Dataset, m: Matching, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the squared errors of the given floats as exact Fractions: each
     # resample's loss change, summed over its swapped pairs, is the literal
     # resample-and-score procedure's, with nothing lost to rounding
     pi, pj = m.pairs.T
     y = np.array([Fraction(v) for v in d.y.tolist()], dtype=object)
     y_hat = np.array([Fraction(v) for v in d.y_hat.tolist()], dtype=object)
-    unswapped = loss.per_record(y[pi], y_hat[pi]) + loss.per_record(y[pj], y_hat[pj])
-    swapped = loss.per_record(y[pi], y_hat[pj]) + loss.per_record(y[pj], y_hat[pi])
+    unswapped = (y[pi] - y_hat[pi]) ** 2 + (y[pj] - y_hat[pj]) ** 2
+    swapped = (y[pi] - y_hat[pj]) ** 2 + (y[pj] - y_hat[pi]) ** 2
     delta = swapped - unswapped
     diff = np.array([sum(delta[row], Fraction(0)) for row in mask], dtype=object)
     return diff < 0, diff == 0

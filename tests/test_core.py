@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ from experttest.core import (
     derive_seed,
     stream,
 )
+
+
+# -0.0 is binary too, and equals 0.0
+BINARY_VALUES = st.sampled_from([0.0, -0.0, 1.0])
+COSTS = [0.0, 5e-324, 0.3, 1.0, 1e308]
 
 
 def binary_dataset(y, y_hat):
@@ -63,6 +70,39 @@ class TestDatasetLoss:
             LossSpec.weighted_binary(cost, 1.0)
         with pytest.raises(ValueError, match="finite"):
             LossSpec.weighted_binary(1.0, cost)
+
+    @pytest.mark.parametrize("variant, fp, fn", [("zero_one", 0.0, 0.0), ("squared_error", 2.0, 1.0)])
+    def test_costs_belong_to_weighted_binary(self, variant, fp, fn):
+        # zero-one and squared error would ignore their costs, so none but
+        # (1, 1) is taken
+        with pytest.raises(ValueError, match="weighted_binary"):
+            LossSpec(variant, fp, fn)
+        assert LossSpec(variant, 1.0, 1.0) == LossSpec(variant)
+
+    @given(
+        records=st.lists(st.tuples(BINARY_VALUES, BINARY_VALUES), min_size=2, max_size=80),
+        fp=st.sampled_from(COSTS),
+        fn=st.sampled_from(COSTS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_binary_losses_are_one_rule(self, records, fp, fn):
+        # zero-one is weighted_binary(1, 1), bit for bit the mistake count
+        # over n; a weighted loss is its exact mean rounded, save that a
+        # cost of 0.3 is rounded in its product, the sum and the quotient
+        d = binary_dataset(*zip(*records))
+        n_fp = sum(y == 0 and y_hat == 1 for y, y_hat in records)
+        n_fn = sum(y == 1 and y_hat == 0 for y, y_hat in records)
+        # costs whose sum overflows must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero_one = dataset_loss(d, LossSpec.zero_one())
+            unit = dataset_loss(d, LossSpec.weighted_binary(1, 1))
+            got = dataset_loss(d, LossSpec.weighted_binary(fp, fn))
+        assert zero_one.hex() == unit.hex() == ((n_fp + n_fn) / d.n).hex()
+        exact = (Fraction(fp) * n_fp + Fraction(fn) * n_fn) / d.n
+        if got != float(exact):
+            u = Fraction(1, 2**53)
+            assert 0.3 in (fp, fn) and abs(Fraction(got) - exact) <= ((1 + u) ** 3 - 1) * exact
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -742,6 +742,23 @@ class TestExactCompare:
         less, ties = engine_counts(monkeypatch, d, m, cfg)
         assert ties > 0 and (less, ties) == whole_mask_counts(d, m, cfg)
 
+    @pytest.mark.parametrize("loss", [LossSpec.zero_one(), LossSpec.squared_error()], ids=["zero-one", "squared"])
+    def test_binary_records_are_not_scanned_for_integers(self, monkeypatch, loss):
+        # binary records are integers, whatever the loss: a test on them
+        # neither scans its outcomes and predictions nor needs the exact deltas
+        d = paired_binary_dataset(12, 9, 7)
+        m = greedy_match(d, 28, L2)
+        cfg = TestConfig(L=28, K=300, alpha=0.05, loss=loss, master_seed=4)
+        tau = whole_mask_tau(d, m, cfg)
+
+        def scan(*args, **kwargs):
+            raise AssertionError("binary records scanned for integers")
+
+        monkeypatch.setattr(np, "trunc", scan)
+        monkeypatch.setattr(engine, "_exact_deltas", None)
+        engine._swap_mask.cache_clear()
+        assert expert_test_with_matching(d, m, cfg).tau == tau
+
 
 COSTS = [0.0, 5e-324, 0.3, 1.0, 1e308]
 BINARY = st.sampled_from([0.0, 1.0])
@@ -762,11 +779,14 @@ class TestOneDelta:
         alpha=st.floats(0.001, 0.999),
     )
     # costs that charge nothing, whose every resample ties, on kept blocks;
-    # the smallest cost that charges something; costs whose sum overflows
+    # the smallest cost that charges something, on either side, on kept and
+    # on drawn blocks; costs whose sum overflows
     @example(pairs=[(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)] * 5, L=9, loss=LossSpec.weighted_binary(0, 0),
              K=2 * B + 3, seed=3, kept=True, verdict_only=False, alpha=0.5)
     @example(pairs=[(0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)] * 5, L=10,
              loss=LossSpec.weighted_binary(5e-324, 0), K=B + 1, seed=3, kept=True, verdict_only=False, alpha=0.5)
+    @example(pairs=[(0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)] * 5, L=10,
+             loss=LossSpec.weighted_binary(0, 5e-324), K=B + 1, seed=3, kept=False, verdict_only=False, alpha=0.5)
     @example(pairs=[(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0), (0.0, 0.0, 1.0, 1.0)] * 4, L=11,
              loss=LossSpec.weighted_binary(1e308, 1e308), K=B, seed=3, kept=True, verdict_only=True, alpha=0.5)
     @settings(max_examples=150, deadline=None)

@@ -225,6 +225,9 @@ class TestGreedyMatch:
     # shallow: each round's pair query runs over a small share of the free records
     @example(kind="one_decimal", n=1500, dim=4, seed=13, depth=0.25)
     @example(kind="uniform", n=1500, dim=9, seed=14, depth=0.1)
+    # many dimensions: each round's radius grows by less than twice the last
+    @example(kind="one_decimal", n=300, dim=30, seed=15, depth=1.0)
+    @example(kind="uniform", n=300, dim=50, seed=16, depth=1.0)
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_greedy(self, kind, n, dim, seed, depth):
         # the KD rounds must give exactly the dense matcher's pairs, order and
@@ -281,7 +284,9 @@ class TestGreedyMatch:
 
     def test_each_round_at_least_doubles_the_radius(self, monkeypatch):
         # a round that ends short of L took every free pair within its radius,
-        # so a later round at or below that radius could take nothing
+        # so a later round at or below that radius could take nothing; up to
+        # 4 dimensions each radius at least doubles the last, and in d > 4 it
+        # grows by at least 2 ** (4 / d)
         import scipy.spatial
 
         radii = []
@@ -302,7 +307,8 @@ class TestGreedyMatch:
             radii.clear()
             greedy_match(d, L, L2)
             assert len(radii) >= 2
-            assert all(b >= 2 * a for a, b in zip(radii, radii[1:])), radii
+            growth = 2 ** min(1, 4 / d.d)
+            assert all(b >= growth * a for a, b in zip(radii, radii[1:])), radii
 
     def test_pair_query_skips_records_beyond_the_radius(self, monkeypatch):
         # a record whose nearest-neighbour bound exceeds the round's radius has no
@@ -337,6 +343,19 @@ class TestGreedyMatch:
         finally:
             tracemalloc.stop()
         assert len(m) == 2000
+        assert peak < 64 << 20
+
+    def test_many_dimensions_memory_bounded(self):
+        # doubling the radius in 30 dimensions multiplies a record's
+        # candidates by up to 2**30: one round pulled about 140 MiB of pairs
+        x = np.random.default_rng(5).standard_normal((2000, 30))
+        tracemalloc.start()
+        try:
+            m = greedy_match(points(x), 1000, L2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 1000
         assert peak < 64 << 20
 
 
