@@ -21,9 +21,11 @@ mask the one before kept. The swap-mask draw is also timed alone, at the
 ``power`` shapes (K = 1000 and L = 25, 75 and 150, the L of its three n),
 the ``validity`` shape (K = 200, L = 250) and the ``audit`` shape
 (K = 1000, L = 1000, whose 64 x 1001 float block buffer is the largest):
-each call reads every block of a new ``_SwapMask``, so it draws and packs
-them all (each row into whole bytes, as the mask stores it), and none is
-kept.
+each call reads every block of a new ``_SwapMask``, so it draws them all,
+each block's states copied into the thread's 64 generators at once and
+each row filled by one call of numpy's uniform fill on its own generator,
+and packs them (each row into whole bytes, as the mask stores it), and
+none is kept.
 So is the seed-word hash, at K = 1000. The ``power`` runner only needs
 each test's verdict, so the ``power``-shaped test is also timed with
 ``verdict_only``, which stops comparing once the test can no longer

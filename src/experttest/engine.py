@@ -38,15 +38,18 @@ Resample k's swaps are the first L draws of ``swap_stream(seed, k)``, which is
 ``stream(seed, 2**32 + k)``. The engine reproduces those draws without
 building K seed sequences or K generators: it hashes all K seed states at
 once and turns each into the ``PCG64`` state one step before the seeded
-one with array arithmetic. Each thread keeps one ``PCG64`` and writes row
-after row's state into it, so the only Python that runs per resample is
-that write and one ``Generator.random(out=row)`` call, which fills a row
-of the block's float array in place and whose first draw (the step) is
-dropped. The streams are drawn a block of at most ``_BLOCK_ROWS``
-resamples at a time (:class:`_SwapMask`), and each block is compared and
-reduced to two counts before the next is read, which bounds the working
-memory whatever K is. A property test checks the concatenated blocks
-against the stacked streams.
+one with array arithmetic. Each thread keeps one numpy ``bitgen_t`` per
+row of a block, with ``PCG64``'s functions on a state of its own, and
+copies a block's states into them with one assignment, so the only Python
+that runs per resample is one ctypes call into numpy's exported
+``random_standard_uniform_fill``, the fill behind ``Generator.random``,
+which writes a row of the block's float array in place and whose first
+double (the step) is dropped. The streams are drawn a block of at most
+``_BLOCK_ROWS`` resamples at a time (:class:`_SwapMask`), and each block is
+compared and reduced to two counts before the next is read, which bounds
+the working memory whatever K is. A property test checks the concatenated
+blocks against the stacked streams, and another each row's doubles
+against its stream's.
 
 A test reads the first ``cfg.L`` pairs of its matching and the first
 ``cfg.L`` columns of a mask drawn at the matching's length. Blocks are
@@ -119,7 +122,7 @@ class LossOverflow(ExpertTestError, ValueError):
 
 
 class _UnknownStateLayout(ExpertTestError, RuntimeError):
-    """numpy's ``PCG64`` does not keep its state where the swap draw writes it."""
+    """numpy's ``PCG64`` or its uniform fill is not laid out as the swap draw copies and calls them."""
 
 
 # Stream ids reserved on the master seed: one stream per resample index plus a
@@ -252,19 +255,20 @@ class _SwapMask:
     stored in ``bits`` under i as a read-only ``(rows, ceil(L / 8))``
     uint8 array, each row packed into whole bytes with zero padding bits.
     The mask holds each row's ``PCG64`` state one step before the seeded
-    one (:func:`_pre_states`) as 32 bytes in the thread layout's word order;
-    the thread that draws a block writes each row's bytes into its own
-    generator (:class:`_Stream`) and fills the row of one ``(rows, L + 1)``
-    float array with ``random(out=row)``, dropping the first double. K
-    comes from a :class:`TestConfig`, which keeps it below 2**32. Tests
-    take their mask from :func:`_swap_mask`, which keeps the last one.
+    one (:func:`_pre_states`) as four uint64 words in the thread layout's
+    order; the thread that draws a block copies its rows' states into its
+    own generators (:class:`_Stream`), one per row, and fills each row of
+    one ``(rows, L + 1)`` float array with one :data:`_fill` call, dropping
+    the first double. K comes from a :class:`TestConfig`, which keeps it
+    below 2**32. Tests take their mask from :func:`_swap_mask`, which keeps
+    the last one.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
         self.master_seed, self.K, self.L = master_seed, K, L
         self.bits: dict[int, np.ndarray] = {}
         order = _thread_stream().order  # raises _UnknownStateLayout, which the import put off to here
-        self._pre = np.take(_pre_states(_swap_seed_words(master_seed, K)), order, axis=1).view(np.uint8)
+        self._pre = np.take(_pre_states(_swap_seed_words(master_seed, K)), order, axis=1)
 
     def blocks(self, L: int) -> Iterator[np.ndarray]:
         """The first L (at most ``self.L``) columns up to a whole byte, ``_BLOCK_ROWS`` rows at a time; only read them.
@@ -291,14 +295,18 @@ class _SwapMask:
     def _draw(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start`` to ``stop`` as bools, from each pre-state's ``self.L + 1`` doubles with the first dropped.
 
-        Each row is padded with False to a whole number of bytes.
+        The rows' pre-states are copied into the thread's states with one
+        assignment, and row i's doubles are filled in place by numpy's
+        uniform fill on the thread's generator i, so no state is written and
+        no array is built per row. Each row is padded with False to a whole
+        number of bytes.
         """
         stream = _thread_stream()
-        state, random = stream.state, stream.random
+        stream.states[: stop - start] = self._pre[start:stop]
         out = np.empty((stop - start, self.L + 1))
-        for row, draws in zip(self._pre[start:stop], out):
-            state[:] = row
-            random(out=draws)
+        fill, count = _fill, ctypes.c_ssize_t(self.L + 1)
+        for generator, row in zip(stream.generators, _row_addresses(out)):
+            fill(generator, count, row)
         block = np.zeros((stop - start, -(-self.L // 8) * 8), dtype=bool)
         # comparing the whole contiguous array and copying the rows out is
         # faster than comparing the strided columns that drop the first
@@ -311,51 +319,98 @@ class _SwapMask:
 _swap_mask = functools.lru_cache(maxsize=1)(_SwapMask)
 
 
-class _Stream(threading.local):
-    """Each thread's one ``PCG64``, a writable view of its state, which each swap row overwrites, and its ``random``.
+try:
+    # numpy's random_standard_uniform_fill(bitgen_t *, npy_intp, double *),
+    # declared in its public numpy/random/distributions.h, which
+    # Generator.random calls; a PyDLL call keeps the GIL. Where it is not
+    # exported the first swap draw raises, so importing and matching still work.
+    _fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_uniform_fill
+except AttributeError:
+    _fill = None
+else:
+    _fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    _fill.restype = None
 
-    ``state`` views numpy's ``pcg64_random_t`` of the generator, its 128-bit
-    state and increment, as the 32 bytes of four uint64 words. Each is
-    stored low half first where the C compiler has a native 128-bit integer
-    and high half first where numpy emulates one (MSVC), so ``order`` takes
-    a row ``[state_lo, state_hi, inc_lo, inc_hi]`` to the words in memory;
-    it is read from the generator's ``.state``, which numpy decodes from
-    the same struct. Each thread has its own (made at import for the
-    importing thread, on first use for any other), so no thread writes
-    into a generator another thread is drawing from.
+
+class _Stream(threading.local):
+    """Each thread's ``_BLOCK_ROWS`` numpy ``bitgen_t`` structs, one per row of a block, and the states they draw from.
+
+    ``states`` holds one numpy ``pcg64_random_t`` per row, its 128-bit state
+    and increment as four uint64 words. Each is stored low half first where
+    the C compiler has a native 128-bit integer and high half first where
+    numpy emulates one (MSVC), so ``order`` takes a row ``[state_lo,
+    state_hi, inc_lo, inc_hi]`` to the words in memory; it is read from a
+    ``PCG64``'s ``.state``, which numpy decodes from the same struct.
+    ``generators[i]`` points to a ``bitgen_t`` with that ``PCG64``'s
+    functions, whose state is a ``pcg64_state`` whose first field points to
+    row i of ``states``, so ``_fill(generators[i], n, out)`` writes the n
+    doubles that ``Generator.random`` draws from that row's state, and
+    advances it. Each thread has its own (made at import for the importing
+    thread, on first use for any other), so no two threads draw from one
+    struct.
 
     Raises
     ------
     _UnknownStateLayout
-        If the struct is not inside the generator object or holds the
-        known state in neither order.
+        If numpy exports no ``random_standard_uniform_fill``, its ``PCG64``
+        keeps its state struct outside the generator object or holds the
+        known state in neither order, or the fill through row 0's
+        ``bitgen_t``, from the generator's state, does not give the doubles
+        of ``Generator.random``.
     """
 
     def __init__(self) -> None:
-        self.bit_generator = np.random.PCG64(0)
-        # numpy's pcg64_state, whose first field points to the pcg64_random_t
-        struct = ctypes.c_void_p.from_address(self.bit_generator.ctypes.state_address).value
-        start = id(self.bit_generator)  # in CPython, the object's address
-        if struct is None or not start <= struct <= start + type(self.bit_generator).__basicsize__ - 32:
+        if _fill is None:
+            raise _UnknownStateLayout("numpy exports no random_standard_uniform_fill")
+        bit_generator = np.random.PCG64(0)
+        # numpy's pcg64_state, whose first field points to the pcg64_random_t;
+        # checked by reading alone, before any fill runs on copies of that layout
+        struct = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+        start = id(bit_generator)  # in CPython, the object's address
+        if struct is None or not start <= struct <= start + type(bit_generator).__basicsize__ - 32:
             raise _UnknownStateLayout("PCG64's state struct is not inside the generator")
         words = np.frombuffer((ctypes.c_uint64 * 4).from_address(struct), dtype=np.uint64)
-        known = self.bit_generator.state["state"]
+        known = bit_generator.state["state"]
         halves = [known["state"] & _U64, known["state"] >> 64, known["inc"] & _U64, known["inc"] >> 64]
         for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
             if words.tolist() == [halves[i] for i in order]:
                 self.order = order
-                self.state = memoryview(words).cast("B")
-                self.random = np.random.Generator(self.bit_generator).random
-                return
-        raise _UnknownStateLayout("PCG64's state words are in neither 128-bit layout")
+                break
+        else:
+            raise _UnknownStateLayout("PCG64's state words are in neither 128-bit layout")
+        # 16-byte aligned, as a struct of 128-bit integers is
+        buffer = np.zeros(4 * _BLOCK_ROWS + 1, dtype=np.uint64)
+        skip = buffer.ctypes.data % 16 // 8
+        self.states = buffer[skip : skip + 4 * _BLOCK_ROWS].reshape(_BLOCK_ROWS, 4)
+        # each pcg64_state: a pointer to its row of states, then has_uint32 and uinteger, zero
+        self._pcg64_states = np.zeros((_BLOCK_ROWS, 2), dtype=np.uint64)
+        self._pcg64_states[:, 0] = _row_addresses(self.states)
+        # each bitgen_t: its state, then next_uint64, next_uint32, next_double and next_raw
+        bitgen = (ctypes.c_uint64 * 5).from_address(bit_generator.ctypes.bit_generator.value)
+        self._bitgens = np.tile(np.frombuffer(bitgen, dtype=np.uint64), (_BLOCK_ROWS, 1))
+        self._bitgens[:, 0] = _row_addresses(self._pcg64_states)
+        self.generators = [ctypes.c_void_p(address) for address in _row_addresses(self._bitgens)]
+        # row 0, from the generator's own state, must give its Generator's doubles
+        self.states[0] = words
+        got, want = np.empty(8), np.random.Generator(bit_generator).random(8)
+        _fill(self.generators[0], 8, got.ctypes.data)
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            raise _UnknownStateLayout("numpy's uniform fill from a copy of PCG64's state does not give its doubles")
 
 
-# one _Stream, a threading.local: each thread that reads it builds its own PCG64
+def _row_addresses(array: np.ndarray) -> range:
+    """The address of each row of a C-contiguous array, as ints."""
+    start = array.ctypes.data
+    return range(start, start + array.nbytes, array.strides[0])
+
+
+# one _Stream, a threading.local: each thread that reads it builds its own generators
 _thread_stream = functools.cache(_Stream)
 # made here for the importing thread: made during its first test, its
 # long-lived objects landed amid that test's heap and raised the peak RSS of
-# a power study by about 0.3 MB. Where numpy's PCG64 layout is unknown nothing
-# is cached and the first swap draw raises, so importing and matching still work.
+# a power study by about 0.3 MB. Where numpy's PCG64 layout or fill is unknown
+# nothing is cached and the first swap draw raises, so importing and matching
+# still work.
 try:
     _thread_stream()
 except _UnknownStateLayout:

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import inspect
 import os
@@ -222,8 +223,21 @@ def no_draw(*args):
     raise AssertionError("swap streams drawn again")
 
 
-# a numpy scalar in the seed-word hash would warn on overflow where arrays wrap
-@pytest.mark.filterwarnings("error")
+@contextlib.contextmanager
+def warnings_as_errors():
+    """Warnings turn into errors inside the block only.
+
+    A test sets this around its engine calls rather than taking the
+    ``filterwarnings("error")`` mark, under which hypothesis's report of a
+    failing example fails on a warning of its own imports and stops the session.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# a numpy scalar in the seed-word hash would warn on overflow where arrays
+# wrap, so each test runs the engine with warnings as errors
 class TestSwapMasks:
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
@@ -248,11 +262,12 @@ class TestSwapMasks:
     @example(seed=12345, K=100, L=17, cut=0.6)
     @settings(max_examples=100, deadline=None)
     def test_equals_stacked_swap_streams(self, seed, K, L, cut):
-        mask = swap_mask(seed, K, L)
-        assert np.array_equal(mask, stacked_swap_mask(seed, K, L))
         # a smaller L reads a prefix of every stream, here from the kept mask
         l = max(1, round(cut * L))
-        assert np.array_equal(swap_mask(seed, K, L, l), stacked_swap_mask(seed, K, l))
+        with warnings_as_errors():
+            mask, prefix = swap_mask(seed, K, L), swap_mask(seed, K, L, l)
+        assert np.array_equal(mask, stacked_swap_mask(seed, K, L))
+        assert np.array_equal(prefix, stacked_swap_mask(seed, K, l))
 
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
@@ -267,15 +282,15 @@ class TestSwapMasks:
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_stacked_swap_stream_raws(self, seed, K, L):
         # each row's doubles after the dropped first one are the stream's own,
-        # bit for bit, not only their comparisons with 1/2
-        stream = engine._thread_stream()
-        random, rows = stream.random, []
+        # bit for bit, not only their comparisons with 1/2: each fill's doubles
+        # are copied from the address it wrote them to
+        fill, rows = engine._fill, []
 
-        def record(out):
-            random(out=out)
-            rows.append(out.copy())
+        def record(generator, count, address):
+            fill(generator, count, address)
+            rows.append(np.ctypeslib.as_array((ctypes.c_double * count.value).from_address(address)).copy())
 
-        with mock.patch.object(stream, "random", record):
+        with warnings_as_errors(), mock.patch.object(engine, "_fill", record):
             blocks = list(engine._SwapMask(seed, K, L).blocks(L))
         doubles = np.stack([swap_stream(seed, k).random(L) for k in range(K)])
         assert np.array_equal(np.stack(rows)[:, 1:].view(np.uint64), doubles.view(np.uint64))
@@ -303,7 +318,8 @@ class TestSwapMasks:
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
         pre = ((init_hi << 64 | init_lo) + inc) % 2**128
         want = [pre % 2**64, pre >> 64, inc % 2**64, inc >> 64]
-        got = engine._pre_states(np.array([words], dtype=np.uint64))
+        with warnings_as_errors():
+            got = engine._pre_states(np.array([words], dtype=np.uint64))
         assert got.dtype == np.uint64 and got.tolist() == [want]
 
         # one PCG64 step from the pre-state is the state numpy seeds from the words
@@ -316,7 +332,12 @@ class TestSwapMasks:
 
     @pytest.mark.parametrize(
         "layout, message",
-        [("other-state", "neither 128-bit layout"), ("struct-elsewhere", "not inside the generator")],
+        [
+            ("other-state", "neither 128-bit layout"),
+            ("struct-elsewhere", "not inside the generator"),
+            ("other-fill", "does not give its doubles"),
+            ("no-fill", "exports no random_standard_uniform_fill"),
+        ],
     )
     def test_unknown_state_layout_raises(self, monkeypatch, layout, message):
         class StructElsewhere(np.random.PCG64):
@@ -326,33 +347,39 @@ class TestSwapMasks:
                 self.pointer = ctypes.c_void_p(ctypes.addressof(self.outside))
                 return SimpleNamespace(state_address=ctypes.addressof(self.pointer))
 
-        generator = {"other-state": OtherState, "struct-elsewhere": StructElsewhere}[layout]
-        monkeypatch.setattr(np.random, "PCG64", generator)
-        with pytest.raises(engine._UnknownStateLayout, match=message):
+        class OtherFill(np.random.PCG64):
+            # PCG64DXSM's functions read the same state struct but output other doubles
+            @property
+            def ctypes(self):
+                self.other = np.random.PCG64DXSM(0)
+                return SimpleNamespace(state_address=super().ctypes.state_address,
+                                       bit_generator=self.other.ctypes.bit_generator)
+
+        if layout == "no-fill":
+            monkeypatch.setattr(engine, "_fill", None)
+        else:
+            generator = {"other-state": OtherState, "struct-elsewhere": StructElsewhere, "other-fill": OtherFill}
+            monkeypatch.setattr(np.random, "PCG64", generator[layout])
+        with warnings_as_errors(), pytest.raises(engine._UnknownStateLayout, match=message):
             engine._Stream()
 
     def test_unknown_state_layout_raises_at_the_first_draw_not_at_import(self):
         # a fresh interpreter whose PCG64 reports an unknown layout from the start
-        script = textwrap.dedent(inspect.getsource(OtherState)) + textwrap.dedent("""
-            np.random.PCG64 = OtherState
-            import experttest
-            from experttest import engine
+        prelude = inspect.getsource(OtherState) + "np.random.PCG64 = OtherState\n"
+        assert first_draw_in_fresh_interpreter(prelude) == "raised: PCG64's state words are in neither 128-bit layout\n"
 
-            d = experttest.gen_expertise_pairs(experttest.ExpertiseConfig(n=40, delta=0.2, seed=1))
-            metric = experttest.DistanceMetric.euclidean()
-            assert len(experttest.greedy_match(d, 10, metric)) == 10
-            cfg = experttest.TestConfig(L=10, K=5, alpha=0.05, loss=experttest.LossSpec.zero_one(), master_seed=3)
-            try:
-                experttest.expert_test(d, cfg, metric)
-            except engine._UnknownStateLayout as exc:
-                print("raised:", exc)
-        """)
-        src = Path(engine.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", "import numpy as np\n" + script],
-                              env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised: PCG64's state words are in neither 128-bit layout\n"
+    def test_missing_fill_raises_at_the_first_draw_not_at_import(self):
+        # a fresh interpreter in which numpy's library exports no function
+        prelude = """
+            import ctypes
+
+            class NoExports(ctypes.PyDLL):
+                def __getattr__(self, name):
+                    raise AttributeError(name)
+
+            ctypes.PyDLL = NoExports
+        """
+        assert first_draw_in_fresh_interpreter(prelude) == "raised: numpy exports no random_standard_uniform_fill\n"
 
     def test_too_many_resamples_rejected_before_allocating(self, monkeypatch):
         # swap stream k is keyed 2**32 + k, whose words are (k, 1) only for k
@@ -363,7 +390,8 @@ class TestSwapMasks:
         monkeypatch.setattr(engine, "_swap_seed_words", fail)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="K=4294967296 exceeds the 4294967295 swap streams"):
+            message = "K=4294967296 exceeds the 4294967295 swap streams"
+            with warnings_as_errors(), pytest.raises(ValueError, match=message):
                 TestConfig(L=1, K=2**32, alpha=0.05, loss=LossSpec.zero_one(), master_seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -371,22 +399,23 @@ class TestSwapMasks:
         assert peak < 1 << 20
 
     def test_kept_mask_read_only_and_replaced(self):
-        engine._swap_mask.cache_clear()
-        swap_mask(11, B + 5, 20)
-        kept = kept_mask(11, B + 5, 20)
-        # one entry per block, each row packed into 3 bytes, its last 4 bits zero
-        assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B, 3)), (1, (5, 3))]
-        assert np.array_equal(kept_rows(kept), stacked_swap_mask(11, B + 5, 20))
-        for bits in kept.bits.values():
-            assert not (bits[:, -1] & 0x0F).any()
-            assert not bits.flags.writeable
-            with pytest.raises(ValueError):
-                bits[0] = 0
-        # another (seed, K, L) replaces the kept mask; the masks stay right
-        for seed, K, L in [(12, B + 5, 20), (11, 3, 20), (11, B + 5, 19), (11, B + 5, 20)]:
-            assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
-            kept_mask(seed, K, L)
-        assert kept_mask(11, B + 5, 20) is not kept
+        with warnings_as_errors():
+            engine._swap_mask.cache_clear()
+            swap_mask(11, B + 5, 20)
+            kept = kept_mask(11, B + 5, 20)
+            # one entry per block, each row packed into 3 bytes, its last 4 bits zero
+            assert [(i, bits.shape) for i, bits in kept.bits.items()] == [(0, (B, 3)), (1, (5, 3))]
+            assert np.array_equal(kept_rows(kept), stacked_swap_mask(11, B + 5, 20))
+            for bits in kept.bits.values():
+                assert not (bits[:, -1] & 0x0F).any()
+                assert not bits.flags.writeable
+                with pytest.raises(ValueError):
+                    bits[0] = 0
+            # another (seed, K, L) replaces the kept mask; the masks stay right
+            for seed, K, L in [(12, B + 5, 20), (11, 3, 20), (11, B + 5, 19), (11, B + 5, 20)]:
+                assert np.array_equal(swap_mask(seed, K, L), stacked_swap_mask(seed, K, L))
+                kept_mask(seed, K, L)
+            assert kept_mask(11, B + 5, 20) is not kept
 
     @pytest.mark.parametrize(
         "K, L",
@@ -396,144 +425,180 @@ class TestSwapMasks:
     def test_smaller_L_reads_kept_mask(self, monkeypatch, K, L):
         # the unpacked prefix must be the streams' own first draws, block by
         # block, not just the columns the first draw handed out
-        engine._swap_mask.cache_clear()
-        swap_mask(7, K, L)
-        kept = kept_mask(7, K, L)
-        monkeypatch.setattr(engine, "_swap_seed_words", no_draw)
-        built = record_swap_streams(monkeypatch)
-        for l in (L, L - 1, 9, 1):
-            assert np.array_equal(swap_mask(7, K, L, l), stacked_swap_mask(7, K, l))
-        assert kept_mask(7, K, L) is kept and built == []
+        with warnings_as_errors():
+            engine._swap_mask.cache_clear()
+            swap_mask(7, K, L)
+            kept = kept_mask(7, K, L)
+            monkeypatch.setattr(engine, "_swap_seed_words", no_draw)
+            built = record_swap_streams(monkeypatch)
+            for l in (L, L - 1, 9, 1):
+                assert np.array_equal(swap_mask(7, K, L, l), stacked_swap_mask(7, K, l))
+            assert kept_mask(7, K, L) is kept and built == []
 
     def test_larger_L_or_other_stream_redraws(self, monkeypatch):
-        engine._swap_mask.cache_clear()
-        built = record_swap_streams(monkeypatch)
-        # each call's mask (seed, K, L), the columns it reads and the rows it
-        # draws; the mask asked for is kept after it
-        calls = [
-            ((3, 70, 10), 10, 70),
-            ((3, 70, 25), 25, 70),  # a larger L
-            ((3, 70, 25), 10, 0),  # a shorter read of the kept mask draws nothing
-            ((4, 70, 10), 10, 70),  # another seed
-            ((3, 70, 10), 10, 70),  # a smaller L
-            ((3, 71, 5), 5, 71),  # another K
-            ((3, 70, 5), 5, 70),
-        ]
-        for (seed, K, L), l, rows in calls:
-            built.clear()
-            assert np.array_equal(swap_mask(seed, K, L, l), stacked_swap_mask(seed, K, l))
-            assert len(built) == rows
-            kept_mask(seed, K, L)
+        with warnings_as_errors():
+            engine._swap_mask.cache_clear()
+            built = record_swap_streams(monkeypatch)
+            # each call's mask (seed, K, L), the columns it reads and the rows it
+            # draws; the mask asked for is kept after it
+            calls = [
+                ((3, 70, 10), 10, 70),
+                ((3, 70, 25), 25, 70),  # a larger L
+                ((3, 70, 25), 10, 0),  # a shorter read of the kept mask draws nothing
+                ((4, 70, 10), 10, 70),  # another seed
+                ((3, 70, 10), 10, 70),  # a smaller L
+                ((3, 71, 5), 5, 71),  # another K
+                ((3, 70, 5), 5, 70),
+            ]
+            for (seed, K, L), l, rows in calls:
+                built.clear()
+                assert np.array_equal(swap_mask(seed, K, L, l), stacked_swap_mask(seed, K, l))
+                assert len(built) == rows
+                kept_mask(seed, K, L)
 
     def test_closed_draw_keeps_rows_it_yielded(self, monkeypatch):
-        K = 2 * B + 3
-        engine._swap_mask.cache_clear()
-        built = record_swap_streams(monkeypatch)
-        # a reader stopped after one block leaves that block kept
-        next(engine._swap_mask(6, K, 30).blocks(30))
-        assert len(built) == B
-        assert np.array_equal(kept_rows(kept_mask(6, K, 30)), stacked_swap_mask(6, B, 30))
-        # readers of two seeds interleaved block by block each read their own
-        # streams; the mask asked for last is kept
-        a, b = engine._swap_mask(8, K, 20).blocks(20), engine._swap_mask(9, K, 20).blocks(20)
-        got_a, got_b = zip(*zip(a, b))
-        assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(8, K, 20))
-        assert np.array_equal(read_blocks(got_b, 20), stacked_swap_mask(9, K, 20))
-        assert np.array_equal(kept_rows(kept_mask(9, K, 20)), stacked_swap_mask(9, K, 20))
-        # two readers of one mask at two L, one after the other and stopped
-        # at different blocks: each block is drawn once, by the first to reach it
-        for n_a, n_b in [(1, 2), (2, 1), (3, 3)]:
+        with warnings_as_errors():
+            K = 2 * B + 3
             engine._swap_mask.cache_clear()
+            built = record_swap_streams(monkeypatch)
+            # a reader stopped after one block leaves that block kept
+            next(engine._swap_mask(6, K, 30).blocks(30))
+            assert len(built) == B
+            assert np.array_equal(kept_rows(kept_mask(6, K, 30)), stacked_swap_mask(6, B, 30))
+            # readers of two seeds interleaved block by block each read their own
+            # streams; the mask asked for last is kept
+            a, b = engine._swap_mask(8, K, 20).blocks(20), engine._swap_mask(9, K, 20).blocks(20)
+            got_a, got_b = zip(*zip(a, b))
+            assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(8, K, 20))
+            assert np.array_equal(read_blocks(got_b, 20), stacked_swap_mask(9, K, 20))
+            assert np.array_equal(kept_rows(kept_mask(9, K, 20)), stacked_swap_mask(9, K, 20))
+            # two readers of one mask at two L, one after the other and stopped
+            # at different blocks: each block is drawn once, by the first to reach it
+            for n_a, n_b in [(1, 2), (2, 1), (3, 3)]:
+                engine._swap_mask.cache_clear()
+                built.clear()
+                mask = engine._swap_mask(10, K, 20)
+                a, b = mask.blocks(20), mask.blocks(7)
+                got_a = [next(a) for _ in range(n_a)]
+                got_b = [next(b) for _ in range(n_b)]
+                assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(10, K, 20)[: n_a * B])
+                assert np.array_equal(read_blocks(got_b, 7), stacked_swap_mask(10, K, 7)[: n_b * B])
+                rows = min(K, max(n_a, n_b) * B)
+                assert len(set(built)) == len(built) == rows
+                assert np.array_equal(kept_rows(kept_mask(10, K, 20)), stacked_swap_mask(10, rows, 20))
+            # leapfrogging readers: each draws a block, reads the next one the
+            # other drew, then draws again
             built.clear()
-            mask = engine._swap_mask(10, K, 20)
-            a, b = mask.blocks(20), mask.blocks(7)
-            got_a = [next(a) for _ in range(n_a)]
-            got_b = [next(b) for _ in range(n_b)]
-            assert np.array_equal(read_blocks(got_a, 20), stacked_swap_mask(10, K, 20)[: n_a * B])
-            assert np.array_equal(read_blocks(got_b, 7), stacked_swap_mask(10, K, 7)[: n_b * B])
-            rows = min(K, max(n_a, n_b) * B)
-            assert len(set(built)) == len(built) == rows
-            assert np.array_equal(kept_rows(kept_mask(10, K, 20)), stacked_swap_mask(10, rows, 20))
-        # leapfrogging readers: each draws a block, reads the next one the
-        # other drew, then draws again
-        built.clear()
-        mask = engine._swap_mask(11, K, 20)
-        readers = {20: mask.blocks(20), 7: mask.blocks(7)}
-        got = {20: [], 7: []}
-        for l in (20, 7, 7, 20, 20, 7):
-            got[l].append(next(readers[l]))
-        for l in (20, 7):
-            assert np.array_equal(read_blocks(got[l], l), stacked_swap_mask(11, K, l))
-        assert len(set(built)) == len(built) == K
+            mask = engine._swap_mask(11, K, 20)
+            readers = {20: mask.blocks(20), 7: mask.blocks(7)}
+            got = {20: [], 7: []}
+            for l in (20, 7, 7, 20, 20, 7):
+                got[l].append(next(readers[l]))
+            for l in (20, 7):
+                assert np.array_equal(read_blocks(got[l], l), stacked_swap_mask(11, K, l))
+            assert len(set(built)) == len(built) == K
 
     def test_concurrent_readers_read_the_streams(self):
-        K, L, readers = 5 * B + 3, 40, 8
-        engine._swap_mask.cache_clear()
-        mask = engine._swap_mask(12, K, L)
-        got = [None] * readers
+        # readers of one mask on eight threads: each block is drawn once, by
+        # the first thread to reach it, from that thread's own generators
+        with warnings_as_errors():
+            K, L, readers = 5 * B + 3, 40, 8
+            engine._swap_mask.cache_clear()
+            mask = engine._swap_mask(12, K, L)
+            got = [None] * readers
 
-        def read(i):
-            got[i] = read_blocks(mask.blocks(L - i), L - i)
+            def read(i):
+                got[i] = read_blocks(mask.blocks(L - i), L - i)
 
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        want = stacked_swap_mask(12, K, L)
-        for i in range(readers):
-            assert np.array_equal(got[i], want[:, : L - i])
-        assert np.array_equal(kept_rows(kept_mask(12, K, L)), want)
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            want = stacked_swap_mask(12, K, L)
+            for i in range(readers):
+                assert np.array_equal(got[i], want[:, : L - i])
+            assert np.array_equal(kept_rows(kept_mask(12, K, L)), want)
 
     def test_threads_on_two_seeds_read_their_own_streams(self):
-        # each thread writes every row's state into its own generator; a
-        # write into the other thread's would show as a row of the wrong seed
-        K, L, rounds = 5 * B + 3, 40, 4
-        seeds = (13, 14)
-        got = {seed: [] for seed in seeds}
+        # each thread copies its block's states into its own generators and
+        # fills from them; a fill from the other thread's would show as a row
+        # of the wrong seed
+        with warnings_as_errors():
+            K, L, rounds = 5 * B + 3, 40, 4
+            seeds = (13, 14)
+            got = {seed: [] for seed in seeds}
 
-        def read(seed):
-            for _ in range(rounds):
-                got[seed].append(read_blocks(engine._SwapMask(seed, K, L).blocks(L), L))
+            def read(seed):
+                for _ in range(rounds):
+                    got[seed].append(read_blocks(engine._SwapMask(seed, K, L).blocks(L), L))
 
-        threads = [threading.Thread(target=read, args=(seed,)) for seed in seeds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for seed in seeds:
-            want = stacked_swap_mask(seed, K, L)
-            assert len(got[seed]) == rounds
-            assert all(np.array_equal(mask, want) for mask in got[seed])
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in seeds]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for seed in seeds:
+                want = stacked_swap_mask(seed, K, L)
+                assert len(got[seed]) == rounds
+                assert all(np.array_equal(mask, want) for mask in got[seed])
 
     @pytest.mark.parametrize(
         "K, L, stop",
         [(B + 1, 40, 1), (2 * B + 3, 40, 1), (2 * B + 3, 40, 2), (7 * B + 1, 300, 3), (7 * B + 1, 300, 4)],
     )
     def test_read_after_stop_and_continuation_equal_streams(self, monkeypatch, K, L, stop):
-        engine._swap_mask.cache_clear()
-        blocks = engine._swap_mask(4, K, L).blocks(L)
-        for _ in range(stop):
-            next(blocks)
-        assert list(kept_mask(4, K, L).bits) == list(range(stop))
-        built = record_swap_streams(monkeypatch)
-        # the first read takes the kept blocks and draws the rest at the kept L
-        for l in (L - 1, L, 9, 1):
-            assert np.array_equal(swap_mask(4, K, L, l), stacked_swap_mask(4, K, l))
-        assert len(built) == K - stop * B
-        assert np.array_equal(kept_rows(kept_mask(4, K, L)), stacked_swap_mask(4, K, L))
+        with warnings_as_errors():
+            engine._swap_mask.cache_clear()
+            blocks = engine._swap_mask(4, K, L).blocks(L)
+            for _ in range(stop):
+                next(blocks)
+            assert list(kept_mask(4, K, L).bits) == list(range(stop))
+            built = record_swap_streams(monkeypatch)
+            # the first read takes the kept blocks and draws the rest at the kept L
+            for l in (L - 1, L, 9, 1):
+                assert np.array_equal(swap_mask(4, K, L, l), stacked_swap_mask(4, K, l))
+            assert len(built) == K - stop * B
+            assert np.array_equal(kept_rows(kept_mask(4, K, L)), stacked_swap_mask(4, K, L))
+
+
+def first_draw_in_fresh_interpreter(prelude):
+    """What a fresh interpreter prints that runs ``prelude`` after importing numpy as np, then experttest's first test.
+
+    The interpreter must import experttest and match records before the test
+    draws, and the test must raise ``_UnknownStateLayout``, whose message it prints.
+    """
+    script = textwrap.dedent(prelude) + textwrap.dedent("""
+        import experttest
+        from experttest import engine
+
+        d = experttest.gen_expertise_pairs(experttest.ExpertiseConfig(n=40, delta=0.2, seed=1))
+        metric = experttest.DistanceMetric.euclidean()
+        assert len(experttest.greedy_match(d, 10, metric)) == 10
+        cfg = experttest.TestConfig(L=10, K=5, alpha=0.05, loss=experttest.LossSpec.zero_one(), master_seed=3)
+        try:
+            experttest.expert_test(d, cfg, metric)
+        except engine._UnknownStateLayout as exc:
+            print("raised:", exc)
+    """)
+    src = Path(engine.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", "import numpy as np\n" + script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def kept_rows(kept):
