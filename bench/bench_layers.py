@@ -20,13 +20,15 @@ new seed, as every test of the ``power`` workload does, so none reads the
 mask the one before kept. The swap-mask draw is also timed alone, at the
 ``power`` shapes (K = 1000 and L = 25, 75 and 150, the L of its three n),
 the ``validity`` shape (K = 200, L = 250) and the ``audit`` shape
-(K = 1000, L = 1000, whose 64 x 1001 float block buffer is the largest):
+(K = 1000, L = 1000, whose read's 64 x 1001 float array is the largest):
 each call reads every block of a new ``_SwapMask``, so it draws them all,
 each block's states copied into the thread's 64 generators at once and
-each row filled by one call of numpy's uniform fill on its own generator,
-and packs them (each row into whole bytes, as the mask stores it), and
-none is kept.
-So is the seed-word hash, at K = 1000. The ``power`` runner only needs
+each row filled, into that one array the read owns, by one call of
+numpy's uniform fill on its own generator, and packs them (each row into
+whole bytes, as the mask stores it), and none is kept.
+So is each test's mask set-up, ``_SwapMask(seed, K, L)``, which hashes
+the K seed words and writes their pre-states in the thread layout, at
+K = 1000 and 10 000. The ``power`` runner only needs
 each test's verdict, so the ``power``-shaped test is also timed with
 ``verdict_only``, which stops comparing once the test can no longer
 reject, on the null world (delta = 0, where most tests stop early) and at
@@ -266,10 +268,11 @@ def test_swap_mask_blocks(benchmark, K, L):
     assert [bits.shape for bits in kept.values()] == [(min(rows, K - s), -(-L // 8)) for s in range(0, K, rows)]
 
 
-def test_swap_seed_words_uncached(benchmark):
+@pytest.mark.parametrize("K", [1000, 10_000])
+def test_swap_seed_words_uncached(benchmark, K):
     seeds = count()
-    words = benchmark(lambda: engine._swap_seed_words(next(seeds), 1000))
-    assert words.shape == (1000, 4)
+    mask = benchmark(lambda: engine._SwapMask(next(seeds), K, 75))
+    assert mask._pre.shape == (K, 4) and not mask.bits
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,10 @@ is compared on its error messages too. So do three ``report`` runs
 whose test parameters are bad: ``--resamples 0``, ``--resamples
 4294967296`` (more than the swap streams a seed provides) and the default
 zero-one loss on the cube, whose outcomes are not binary; a change to where
-parameters are checked is compared on its errors. Three ``report`` runs
+parameters are checked is compared on its errors. One ``power`` grid runs
+at K = 1000, as the benchmark's does, so its tests read fifteen full
+64-row blocks and a last one of 40 rows, which the other commands' K never
+reach. Three ``report`` runs
 take weighted costs at both ends of the engine's check for a loss that
 charges nothing: ``fp=0,fn=0``, which is free, ``fp=5e-324,fn=0``, the
 smallest that is not, and ``fp=1e308,fn=1e308``, whose sum overflows to
@@ -85,6 +88,9 @@ COMMANDS = {
        for name in ("crlf_bom", "quoted", "r_export", "mac_cr", "blank_line", "short_row",
                     "nan_cell", "long_field", "latin1", "latin1_after_bad_cell", "header_only")},
     "power-grid": ["power", "--n-values", "200,600", "--deltas", "0,0.1,0.3", *SAMPLED],
+    # the power workload's K: sixteen blocks a test, the last of 40 rows
+    "power-grid-full": ["power", "--n-values", "1200", "--deltas", "0,0.2", "--resamples", "1000",
+                        "--trials", "3", "--seed", "{seed}"],
     "power-sweep": ["power", "--l-values", "20,80,40", "--n", "400", "--delta", "0.2", *SAMPLED],
     "power-bad-delta": ["power", "--n-values", "200,600", "--deltas", "0.1,0.7", *SAMPLED],
     "validity": ["validity", "--n", "200", "--l-values", "10,100,50", *SAMPLED],

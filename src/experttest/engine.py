@@ -43,8 +43,9 @@ row of a block, with ``PCG64``'s functions on a state of its own, and
 copies a block's states into them with one assignment, so the only Python
 that runs per resample is one ctypes call into numpy's exported
 ``random_standard_uniform_fill``, the fill behind ``Generator.random``,
-which writes a row of the block's float array in place and whose first
-double (the step) is dropped. The streams are drawn a block of at most
+which writes a row of the read's float array in place and whose first
+double (the step) is dropped; its arguments are ctypes objects made once
+per read. The streams are drawn a block of at most
 ``_BLOCK_ROWS`` resamples at a time (:class:`_SwapMask`), and each block is
 compared and reduced to two counts before the next is read, which bounds
 the working memory whatever K is. A property test checks the concatenated
@@ -258,17 +259,18 @@ class _SwapMask:
     one (:func:`_pre_states`) as four uint64 words in the thread layout's
     order; the thread that draws a block copies its rows' states into its
     own generators (:class:`_Stream`), one per row, and fills each row of
-    one ``(rows, L + 1)`` float array with one :data:`_fill` call, dropping
-    the first double. K comes from a :class:`TestConfig`, which keeps it
-    below 2**32. Tests take their mask from :func:`_swap_mask`, which keeps
-    the last one.
+    one ``(min(K, _BLOCK_ROWS), L + 1)`` float array with one :data:`_fill`
+    call, dropping the first double. That array is a local of one read, so
+    it is freed when the read ends and no two readers share it. K comes
+    from a :class:`TestConfig`, which keeps it below 2**32. Tests take
+    their mask from :func:`_swap_mask`, which keeps the last one.
     """
 
     def __init__(self, master_seed: int, K: int, L: int) -> None:
         self.master_seed, self.K, self.L = master_seed, K, L
         self.bits: dict[int, np.ndarray] = {}
         order = _thread_stream().order  # raises _UnknownStateLayout, which the import put off to here
-        self._pre = np.take(_pre_states(_swap_seed_words(master_seed, K)), order, axis=1)
+        self._pre = _pre_states(_swap_seed_words(master_seed, K), order)
 
     def blocks(self, L: int) -> Iterator[np.ndarray]:
         """The first L (at most ``self.L``) columns up to a whole byte, ``_BLOCK_ROWS`` rows at a time; only read them.
@@ -280,10 +282,15 @@ class _SwapMask:
         ignore.
         """
         width = -(-L // 8)
+        out = None  # this read's float rows, made at its first draw
         for i, start in enumerate(range(0, self.K, _BLOCK_ROWS)):
             bits = self.bits.get(i)
             if bits is None:
-                block = self._draw(start, min(start + _BLOCK_ROWS, self.K))
+                if out is None:
+                    out = np.empty((min(self.K, _BLOCK_ROWS), self.L + 1))
+                    rows = [ctypes.c_void_p(address) for address in _row_addresses(out)]
+                    count = ctypes.c_ssize_t(self.L + 1)
+                block = self._draw(start, min(start + _BLOCK_ROWS, self.K), out, rows, count)
                 # the padded bools pack row by row, each into whole bytes
                 bits = np.packbits(block).reshape(len(block), -1)
                 bits.flags.writeable = False
@@ -292,25 +299,26 @@ class _SwapMask:
             else:
                 yield bits[:, :width]
 
-    def _draw(self, start: int, stop: int) -> np.ndarray:
+    def _draw(self, start: int, stop: int, out: np.ndarray, rows: list, count: ctypes.c_ssize_t) -> np.ndarray:
         """Rows ``start`` to ``stop`` as bools, from each pre-state's ``self.L + 1`` doubles with the first dropped.
 
         The rows' pre-states are copied into the thread's states with one
-        assignment, and row i's doubles are filled in place by numpy's
-        uniform fill on the thread's generator i, so no state is written and
-        no array is built per row. Each row is padded with False to a whole
-        number of bytes.
+        assignment, and row i's doubles are filled into row i of ``out`` by
+        numpy's uniform fill on the thread's generator i, given the row's
+        address in ``rows`` and ``count`` = ``self.L + 1`` as ctypes
+        objects, so nothing is converted or built per row. Each row is
+        padded with False to a whole number of bytes.
         """
+        n = stop - start
         stream = _thread_stream()
-        stream.states[: stop - start] = self._pre[start:stop]
-        out = np.empty((stop - start, self.L + 1))
-        fill, count = _fill, ctypes.c_ssize_t(self.L + 1)
-        for generator, row in zip(stream.generators, _row_addresses(out)):
+        stream.states[:n] = self._pre[start:stop]
+        fill = _fill
+        for generator, row in zip(stream.generators, rows[:n]):
             fill(generator, count, row)
-        block = np.zeros((stop - start, -(-self.L // 8) * 8), dtype=bool)
+        block = np.zeros((n, -(-self.L // 8) * 8), dtype=bool)
         # comparing the whole contiguous array and copying the rows out is
         # faster than comparing the strided columns that drop the first
-        block[:, : self.L] = (out < 0.5)[:, 1:]
+        block[:, : self.L] = (out[:n] < 0.5)[:, 1:]
         return block
 
 
@@ -328,7 +336,8 @@ try:
 except AttributeError:
     _fill = None
 else:
-    _fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    # no argtypes, which would convert each argument: every call passes
+    # c_void_p, c_ssize_t and c_void_p objects
     _fill.restype = None
 
 
@@ -393,7 +402,7 @@ class _Stream(threading.local):
         # row 0, from the generator's own state, must give its Generator's doubles
         self.states[0] = words
         got, want = np.empty(8), np.random.Generator(bit_generator).random(8)
-        _fill(self.generators[0], 8, got.ctypes.data)
+        _fill(self.generators[0], ctypes.c_ssize_t(8), ctypes.c_void_p(got.ctypes.data))
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             raise _UnknownStateLayout("numpy's uniform fill from a copy of PCG64's state does not give its doubles")
 
@@ -417,8 +426,8 @@ except _UnknownStateLayout:
     pass
 
 
-def _pre_states(words: np.ndarray) -> np.ndarray:
-    """Row k is the ``PCG64`` state and increment one step before those seeded by ``words[k]``.
+def _pre_states(words: np.ndarray, order: list[int]) -> np.ndarray:
+    """Row k is the ``PCG64`` state and increment one step before those seeded by ``words[k]``, in ``order``.
 
     numpy's ``pcg64_set_seed`` reads a row of seed words as ``[initstate_hi,
     initstate_lo, initseq_hi, initseq_lo]``, sets ``inc = (initseq << 1) | 1``
@@ -426,16 +435,22 @@ def _pre_states(words: np.ndarray) -> np.ndarray:
     step of the generator from ``initstate + inc``. That pre-state is the
     one returned, so the step is the first raw of a draw and no 128-bit
     multiply is needed: each row is ``[state_lo, state_hi, inc_lo,
-    inc_hi]``, the add done in 64-bit halves with a carry.
+    inc_hi]`` in ``order`` (:attr:`_Stream.order`, its own inverse), the
+    add done in 64-bit halves with a carry.
     """
     init_hi, init_lo, seq_hi, seq_lo = words.T
+    pre = np.empty((len(words), 4), dtype=np.uint64)
+    lo, hi, inc_lo, inc_hi = (pre[:, i] for i in order)
     one = np.uint64(1)
-    inc_hi = seq_hi << one | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << one | one
+    np.left_shift(seq_hi, one, out=inc_hi)
+    inc_hi |= seq_lo >> np.uint64(63)
+    np.left_shift(seq_lo, one, out=inc_lo)
+    inc_lo |= one
     # uint64 arrays wrap on overflow, so the low half wrapped when it came out smaller
-    lo = init_lo + inc_lo
-    hi = init_hi + inc_hi + (lo < init_lo)
-    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+    np.add(init_lo, inc_lo, out=lo)
+    np.add(init_hi, inc_hi, out=hi)
+    hi += lo < init_lo
+    return pre
 
 
 def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:

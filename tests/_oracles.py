@@ -158,20 +158,20 @@ def stacked_swap_mask(master_seed: int, K: int, L: int) -> np.ndarray:
 def record_swap_streams(monkeypatch) -> list[tuple[int, ...]]:
     """Record the seed words of every swap row the engine draws, one entry per row's state written.
 
-    Each call of the engine's ``_SwapMask._draw(start, stop)`` records rows
-    ``start`` to ``stop`` as their ``SeedSequence`` words, built here from
-    the seed and the row index. A row read from the kept mask is not drawn,
+    Each call of the engine's ``_SwapMask._draw(start, stop, ...)`` records
+    rows ``start`` to ``stop`` as their ``SeedSequence`` words, built here
+    from the seed and the row index. A row read from the kept mask is not drawn,
     and the words of row k at one seed are unique to (seed, k), so a
     repeated entry is a row drawn twice.
     """
     built = []
     draw = engine._SwapMask._draw
 
-    def record(self, start, stop):
+    def record(self, start, stop, *buffers):
         for k in range(start, stop):
             seq = np.random.SeedSequence(self.master_seed % 2**64, spawn_key=(engine._SWAP_STREAM_BASE + k,))
             built.append(tuple(seq.generate_state(4, np.uint64).tolist()))
-        return draw(self, start, stop)
+        return draw(self, start, stop, *buffers)
 
     monkeypatch.setattr(engine._SwapMask, "_draw", record)
     return built

@@ -2,7 +2,7 @@
 
 The layer micro-benchmarks reach into private engine names, so a rename
 there would otherwise go unnoticed until someone runs them. The output
-comparison runs four of its commands on this tree against itself. The
+comparison runs five of its commands on this tree against itself. The
 tracer wraps module attributes by name, and a traced benchmark run fails
 when one is gone or no longer reached; here one small op per workload
 shape checks that without a benchmark run.
@@ -37,9 +37,9 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     compare_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_outputs)
     # one command that succeeds and one that fails, so both exit paths are
-    # compared, a report whose costs add to inf, which must not warn, and
-    # one whose costs are zero-one's
-    names = ["mse", "power-bad-delta", "report-weighted-huge", "report-weighted-unit"]
+    # compared, a report whose costs add to inf, which must not warn, one
+    # whose costs are zero-one's and a power grid at the benchmark's K
+    names = ["mse", "power-bad-delta", "report-weighted-huge", "report-weighted-unit", "power-grid-full"]
     assert compare_outputs.compare(str(ROOT), str(ROOT), names, [0]) == []
 
 

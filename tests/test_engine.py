@@ -283,12 +283,15 @@ class TestSwapMasks:
     def test_rows_equal_stacked_swap_stream_raws(self, seed, K, L):
         # each row's doubles after the dropped first one are the stream's own,
         # bit for bit, not only their comparisons with 1/2: each fill's doubles
-        # are copied from the address it wrote them to
-        fill, rows = engine._fill, []
+        # are copied from the address it wrote them to. _fill declares no
+        # argtypes, so every call must pass the typed objects it reads: the
+        # thread's generator, L + 1 as a c_ssize_t and the row's address
+        fill, rows, calls = engine._fill, [], []
 
         def record(generator, count, address):
+            calls.append((generator, count, address))
             fill(generator, count, address)
-            rows.append(np.ctypeslib.as_array((ctypes.c_double * count.value).from_address(address)).copy())
+            rows.append(np.ctypeslib.as_array((ctypes.c_double * count.value).from_address(address.value)).copy())
 
         with warnings_as_errors(), mock.patch.object(engine, "_fill", record):
             blocks = list(engine._SwapMask(seed, K, L).blocks(L))
@@ -300,27 +303,42 @@ class TestSwapMasks:
         assert np.array_equal(read_blocks(blocks, L), raws < 2**63)
         # drawn at the mask's own L, so every column past it is padding
         assert not any(b[:, L:].any() for b in blocks)
+        assert len(calls) == K
+        for generator, count, address in calls:
+            assert type(generator) is ctypes.c_void_p and type(address) is ctypes.c_void_p
+            assert type(count) is ctypes.c_ssize_t and count.value == L + 1
+        # every block fills the read's one array, row i of the block into its row i
+        generators = engine._thread_stream().generators
+        base = calls[0][2].value
+        for k, (generator, _, address) in enumerate(calls):
+            assert generator is generators[k % B]
+            assert address.value == base + (k % B) * (L + 1) * 8
 
     @pytest.mark.parametrize(
-        "words",
+        "words, order",
         [
-            # the low halves' add wraps and carries into the high half
-            [5, 2**64 - 3, 7, 2**62],
-            # initseq_lo's top bit shifts into inc_hi
-            [0, 1, 2**63 + 1, 2**63 + 9],
-            [2**64 - 1] * 4,
-            [0, 0, 0, 0],
+            pytest.param(words, order, id=name + suffix)
+            for name, words in [
+                # the low halves' add wraps and carries into the high half
+                ("low-carry", [5, 2**64 - 3, 7, 2**62]),
+                # initseq_lo's top bit shifts into inc_hi
+                ("seq-top-bit", [0, 1, 2**63 + 1, 2**63 + 9]),
+                ("all-ones", [2**64 - 1] * 4),
+                ("zeros", [0, 0, 0, 0]),
+            ]
+            # each 128-bit word low half first, and high half first as numpy
+            # stores it under MSVC, which emulates 128-bit integers
+            for suffix, order in [("", [0, 1, 2, 3]), ("-high-first", [1, 0, 3, 2])]
         ],
-        ids=["low-carry", "seq-top-bit", "all-ones", "zeros"],
     )
-    def test_pre_states_step_to_numpys_seeded_state(self, words):
+    def test_pre_states_step_to_numpys_seeded_state(self, words, order):
         init_hi, init_lo, seq_hi, seq_lo = words
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
         pre = ((init_hi << 64 | init_lo) + inc) % 2**128
         want = [pre % 2**64, pre >> 64, inc % 2**64, inc >> 64]
         with warnings_as_errors():
-            got = engine._pre_states(np.array([words], dtype=np.uint64))
-        assert got.dtype == np.uint64 and got.tolist() == [want]
+            got = engine._pre_states(np.array([words], dtype=np.uint64), order)
+        assert got.dtype == np.uint64 and got.tolist() == [[want[i] for i in order]]
 
         # one PCG64 step from the pre-state is the state numpy seeds from the words
         class Words(np.random.bit_generator.ISeedSequence):
@@ -572,6 +590,58 @@ class TestSwapMasks:
                 assert np.array_equal(swap_mask(4, K, L, l), stacked_swap_mask(4, K, l))
             assert len(built) == K - stop * B
             assert np.array_equal(kept_rows(kept_mask(4, K, L)), stacked_swap_mask(4, K, L))
+
+    def test_output_rows_die_with_their_read(self, monkeypatch):
+        # a read fills one (B, L + 1) float array, 512 kB here; after a full
+        # test, a verdict_only test stopped after one block and a read closed
+        # after two blocks, only the kept mask's packed bits may be left. The
+        # reads run on a new thread, so memory its generators hold is traced
+        L, K = 1000, 2 * B + 3
+        d = gen_expertise_pairs(ExpertiseConfig(n=2 * L, delta=0.0, seed=4))
+        m = greedy_match(d, L, L2)
+        built = record_swap_streams(monkeypatch)
+
+        def test(seed, verdict_only):
+            cfg = TestConfig(L=L, K=K, alpha=0.05, loss=LossSpec.zero_one(), master_seed=seed)
+            return expert_test_with_matching(d, m, cfg, verdict_only=verdict_only)
+
+        def closed():
+            blocks = engine._swap_mask(3, K, L).blocks(L)
+            next(blocks), next(blocks)
+            blocks.close()
+
+        reads = {
+            "full": (lambda: test(1, False), 1, K),
+            "stopped": (lambda: test(2, True), 2, B),
+            "closed": (closed, 3, 2 * B),
+        }
+        left = {}
+
+        def run():
+            for name, (read, seed, rows) in reads.items():
+                engine._swap_mask.cache_clear()
+                built.clear()
+                before = tracemalloc.get_traced_memory()[0]
+                with warnings_as_errors():
+                    read()
+                snapshot = tracemalloc.take_snapshot()
+                grown = tracemalloc.get_traced_memory()[0] - before
+                kept = sum(bits.nbytes for bits in kept_mask(seed, K, L).bits.values())
+                left[name] = (len(built) == rows, max(t.size for t in snapshot.traces), grown, kept)
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive() and list(left) == list(reads)
+        for name, (drew, largest, grown, kept) in left.items():
+            assert drew, name
+            assert largest < B * (L + 1) * 8, name
+            # the kept bits are B * 125 bytes a block; the rest is the mask's pre-states and small objects
+            assert grown < kept + (64 << 10), name
 
 
 def first_draw_in_fresh_interpreter(prelude):
